@@ -16,7 +16,6 @@ from .lamb import (
     full_report,
     full_report_from_bare,
     multimode_renorm,
-    partial_renorm,
     per_mode_shifts,
     single_mode_renorm,
 )
@@ -28,7 +27,6 @@ from .rabi import (
     converged_truncation,
     drive_matrix_element,
     eigensystem,
-    parity_labels,
     solve,
     transition_frequency,
 )
@@ -84,8 +82,6 @@ __all__ = [
     "model_frequency",
     "multimode_renorm",
     "paper_device_path",
-    "parity_labels",
-    "partial_renorm",
     "per_mode_shifts",
     "read_peaks_csv",
     "report_chain",

@@ -88,6 +88,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except np.linalg.LinAlgError as exc:  # a ValueError subclass, but numerical
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -107,8 +110,13 @@ def _emit(args, run, csv_maker, json_maker) -> int:
     return 0
 
 
+def _given(value, default):
+    """The command-line value when one was passed (zero included), else the default."""
+    return default if value is None else value
+
+
 def _cmd_modes(args, run) -> int:
-    n_modes = args.n_modes or run.lamb.n_modes
+    n_modes = _given(args.n_modes, run.lamb.n_modes)
     table = resonator.mode_table(run.resonator, n_modes, run.qrm.g1, run.qrm.omega1)
     return _emit(
         args, run,
@@ -118,7 +126,7 @@ def _cmd_modes(args, run) -> int:
 
 
 def _cmd_couplings(args, run) -> int:
-    n_modes = args.n_modes or run.lamb.n_modes
+    n_modes = _given(args.n_modes, run.lamb.n_modes)
     if args.l_c_ph:
         try:
             lc_values = [float(tok) for tok in args.l_c_ph.split(",")]
@@ -150,10 +158,10 @@ def _cmd_lamb(args, run) -> int:
     report = lamb.full_report(
         g1=run.qrm.g1,
         omega1=run.qrm.omega1,
-        n_cutoff=args.n_cutoff or run.lamb.n_cutoff,
-        delta_measured=args.delta_ghz or run.lamb.delta_measured,
-        n_modes=args.n_modes or run.lamb.n_modes,
-        rel_tol=args.tolerance or 1e-9,
+        n_cutoff=_given(args.n_cutoff, run.lamb.n_cutoff),
+        delta_measured=_given(args.delta_ghz, run.lamb.delta_measured),
+        n_modes=_given(args.n_modes, run.lamb.n_modes),
+        rel_tol=_given(args.tolerance, 1e-9),
     )
     target = args.out or run.output.out
     if target:

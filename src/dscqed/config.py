@@ -8,6 +8,7 @@ line numbers, invariant violations carry the dotted field path.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -18,6 +19,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError
+from .fitting import DEFAULT_BOUNDS
 from .rabi import QrmParams
 from .resonator import DeviceMeta, ResonatorModel
 from .spectrum import SweepConfig
@@ -157,14 +159,18 @@ def _build(raw: dict, strict: bool) -> RunConfig:
         raise ConfigError(
             f"sweep.freq_min_ghz: window requires min < max, got {freq_min}, {freq_max}"
         )
-    k_levels = _integer(sweep_raw, "sweep", "k_levels", 2) if "k_levels" in sweep_raw else 6
-    floor = _number(sweep_raw, "sweep", "amplitude_floor") if "amplitude_floor" in sweep_raw else 1e-6
+    k_levels = _integer(sweep_raw, "sweep", "k_levels", 2) if "k_levels" in sweep_raw else SweepConfig.k_levels
+    floor = (
+        _number(sweep_raw, "sweep", "amplitude_floor")
+        if "amplitude_floor" in sweep_raw
+        else SweepConfig.amplitude_floor
+    )
     if floor < 0.0:
         raise ConfigError(f"sweep.amplitude_floor: must be >= 0, got {floor}")
     trunc_tol = (
         _positive(sweep_raw, "sweep", "truncation_tol_ghz")
         if "truncation_tol_ghz" in sweep_raw
-        else 1e-6
+        else SweepConfig.truncation_tol
     )
     sweep_cfg = SweepConfig(
         epsilon_grid=tuple(float(e) for e in np.linspace(eps_min, eps_max, steps)),
@@ -201,19 +207,19 @@ def _build(raw: dict, strict: bool) -> RunConfig:
     )
     bounds_raw = fit_raw.get("bounds", {})
     _check_keys(bounds_raw, param_keys, "fit.bounds", strict)
-    default_bounds = ((1e-6, 100.0), (1e-3, 100.0), (0.0, 100.0))
     bounds = []
     for n, k in enumerate(param_keys):
         if k in bounds_raw:
             pair = bounds_raw[k]
             if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
                 raise ConfigError(f"fit.bounds.{k}: expected a [low, high] pair")
-            lo, hi = float(pair[0]), float(pair[1])
+            lo = _number(pair, f"fit.bounds.{k}", 0)
+            hi = _number(pair, f"fit.bounds.{k}", 1)
             if not lo < hi:
                 raise ConfigError(f"fit.bounds.{k}: low must be < high, got {pair}")
             bounds.append((lo, hi))
         else:
-            bounds.append(default_bounds[n])
+            bounds.append(DEFAULT_BOUNDS[n])
     for v, (lo, hi), k in zip(initial, bounds, param_keys):
         if not lo <= v <= hi:
             raise ConfigError(
@@ -269,8 +275,21 @@ def _check_keys(section, allowed, prefix, strict, required=()):
 def _number(section, prefix, key) -> float:
     v = section[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{prefix}.{key}: expected a number, got {v!r}")
-    return float(v)
+        hint = ""
+        if isinstance(v, str) and _parses_as_float(v):
+            hint = " (YAML reads exponent notation as text unless written like 1.0e-3 or 1.0e+6)"
+        raise ConfigError(f"{prefix}.{key}: expected a number, got {v!r}{hint}")
+    v = float(v)
+    if not math.isfinite(v):
+        raise ConfigError(f"{prefix}.{key}: must be finite, got {v}")
+    return v
+
+
+def _parses_as_float(text) -> bool:
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
 
 
 def _positive(section, prefix, key) -> float:

@@ -159,18 +159,39 @@ def model_frequency(
     named transition's frequency is returned; without one, ``measured`` must
     be given and the closest drive-allowed line from states {0, 1} is used.
     """
+    if label is None and measured is None:
+        raise ValueError("nearest-line mode requires the measured frequency")
+    return _frequencies_at_bias(
+        params, epsilon, [(label, measured)], n_max, k_levels, amplitude_floor
+    )[0]
+
+
+def _frequencies_at_bias(params, epsilon, rows, n_max, k_levels, floor):
+    """Model frequency of each (label, measured) row at one bias point.
+
+    Labeled rows give the named transition; unlabeled rows give the
+    drive-allowed line nearest their measured frequency.  When every row is
+    labeled only the eigenvalues are computed.
+    """
     delta_prime, omega1, g1 = params
     p = QrmParams(delta_prime, epsilon, omega1, g1)
     trunc = FockTruncation(n_max)
-    if label is not None:
-        i, j = _parse_label(label)
+    if all(label is not None for label, _ in rows):
         values = np.linalg.eigvalsh(build_hamiltonian(p, trunc))
+        es = None
+    else:
+        es = solve(p, trunc)
+        values = es.values
+    out = []
+    for label, measured in rows:
+        if label is None:
+            out.append(_nearest_allowed(es, trunc, measured, k_levels, floor))
+            continue
+        i, j = _parse_label(label)
         if j >= len(values):
             raise ValueError(f"label {label!r} outside the computed spectrum")
-        return float(values[j] - values[i])
-    if measured is None:
-        raise ValueError("nearest-line mode requires the measured frequency")
-    return _nearest_allowed(solve(p, trunc), trunc, measured, k_levels, amplitude_floor)
+        out.append(float(values[j] - values[i]))
+    return out
 
 
 def _nearest_allowed(es, trunc, measured, k_levels, floor):
@@ -190,29 +211,11 @@ def _nearest_allowed(es, trunc, measured, k_levels, floor):
 
 def _predicted(params, data: PeakData, n_max: int, k_levels: int, floor: float):
     """Model frequencies for every data row, diagonalizing once per bias."""
-    delta_prime, omega1, g1 = params
     pred = np.empty(len(data))
-    trunc = FockTruncation(n_max)
     for eps in np.unique(data.epsilon):
         idx = np.nonzero(data.epsilon == eps)[0]
-        p = QrmParams(delta_prime, float(eps), omega1, g1)
-        labeled_only = all(data.label[k] is not None for k in idx)
-        if labeled_only:
-            values = np.linalg.eigvalsh(build_hamiltonian(p, trunc))
-            es = None
-        else:
-            es = solve(p, trunc)
-            values = es.values
-        for k in idx:
-            if data.label[k] is not None:
-                i, j = _parse_label(data.label[k])
-                if j >= len(values):
-                    raise ValueError(f"label {data.label[k]!r} outside the spectrum")
-                pred[k] = values[j] - values[i]
-            else:
-                pred[k] = _nearest_allowed(
-                    es, trunc, float(data.frequency[k]), k_levels, floor
-                )
+        rows = [(data.label[k], float(data.frequency[k])) for k in idx]
+        pred[idx] = _frequencies_at_bias(params, float(eps), rows, n_max, k_levels, floor)
     return pred
 
 

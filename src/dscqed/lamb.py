@@ -95,7 +95,9 @@ def multimode_renorm(delta0: float, modes) -> float:
     """Gap renormalized by every (g_n, omega_n) pair in ``modes``.
 
     The exponent is accumulated with exact summation, so the result is
-    independent of the ordering of the modes.
+    independent of the ordering of the modes.  Passing the modes n >= 2 only
+    gives the renormalization by the non-fundamental modes; multiplying by
+    the fundamental factor exp(-2 g1^2/omega1^2) reproduces the full result.
     """
     terms = []
     for g, omega in modes:
@@ -103,15 +105,6 @@ def multimode_renorm(delta0: float, modes) -> float:
             raise ValueError(f"mode frequencies must be > 0, got {omega}")
         terms.append((g / omega) ** 2)
     return delta0 * math.exp(-2.0 * math.fsum(terms))
-
-
-def partial_renorm(delta0: float, modes) -> float:
-    """Renormalization by the non-fundamental modes only (pass modes n >= 2).
-
-    Multiplying by the fundamental factor exp(-2 g1^2/omega1^2) afterwards
-    reproduces the full multimode result.
-    """
-    return multimode_renorm(delta0, modes)
 
 
 def cutoff_sum(n_cutoff: float, rel_tol: float = 1e-9) -> float:

@@ -8,7 +8,18 @@ coupled through sigma_z to one bosonic mode, is
     H = -(delta_prime * sx + epsilon * sz) / 2
         + omega1 * n_hat + g1 * sz * (a + a^dag)
 
-truncated to Fock states 0..n_max.  Composite index = 2 * n_fock + qubit.
+truncated to Fock states 0..n_max.  Composite index k = 2 * n + q (photon
+number n, qubit q, sigma_z eigenvalue s = +1 for q = 0 and -1 for q = 1).
+In this basis H has three bands and is assembled from them directly:
+
+    offset 0   omega1 * n - s * epsilon / 2
+    offset 1   -delta_prime / 2 between the two qubit states of one photon
+               number (rows k = 2n), zero between photon numbers
+    offset 2   g1 * s * sqrt(n + 1) between |n, q> and |n + 1, q>
+
+The parity sigma_x * (-1)^n is a signed permutation: it swaps the two qubit
+states of each photon number, (Pi v)[k] = (-1)^(k // 2) * v[k ^ 1].  H
+commutes with it exactly when epsilon = 0.
 """
 
 from __future__ import annotations
@@ -17,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import operators as ops
 from .errors import ConvergenceError, TruncationLimitError
 
 DEFAULT_N_MAX = 40
@@ -98,11 +108,38 @@ def build_hamiltonian(p: QrmParams, t: FockTruncation) -> np.ndarray:
         raise TruncationLimitError(
             f"n_max={t.n_max} exceeds the ceiling {N_MAX_CEILING}"
         )
-    n = t.n_states
-    h = ops.qubit_embed(-0.5 * (p.delta_prime * ops.SIGMA_X + p.epsilon * ops.SIGMA_Z), n)
-    h += p.omega1 * ops.mode_embed(ops.number(n))
-    h += p.g1 * np.kron(ops.quadrature(n), ops.SIGMA_Z)
+    n, s = _photons_and_spin(t.dim)
+    return _symmetric(
+        -0.5 * (p.epsilon * s) + p.omega1 * n,
+        [
+            (1, np.where(s[:-1] > 0.0, -0.5 * p.delta_prime, 0.0)),
+            (2, p.g1 * (np.sqrt(n[:-2] + 1.0) * s[:-2])),
+        ],
+    )
+
+
+def _photons_and_spin(dim):
+    """Photon number n and sigma_z eigenvalue s of every composite index."""
+    k = np.arange(dim)
+    return (k >> 1).astype(float), 1.0 - 2.0 * (k & 1)
+
+
+def _symmetric(diag, bands):
+    """Dense symmetric matrix with ``diag`` on the diagonal and each
+    (offset, values) band mirrored about it.  Zero entries are stored as
+    +0.0 (never -0.0), as a sum of operator products would store them."""
+    h = np.diag(diag)
+    for offset, values in bands:
+        i = np.arange(len(values))
+        h[i, i + offset] = h[i + offset, i] = values + 0.0
     return h
+
+
+def _parity(v):
+    """Apply the composite parity sigma_x * (-1)^n along axis 0: row k of the
+    result is (-1)^(k // 2) times row k ^ 1 of ``v``."""
+    k = np.arange(v.shape[0])
+    return (v[k ^ 1].T * (1.0 - 2.0 * ((k >> 1) & 1))).T
 
 
 def eigensystem(h: np.ndarray) -> EigenSystem:
@@ -140,9 +177,9 @@ def _resolve_parity(h, values, vectors):
     dim = h.shape[0]
     if dim % 2 != 0:
         return (None,) * dim
-    pi_op = ops.parity(dim // 2)
     h_norm = max(np.linalg.norm(h), 1e-300)
-    if np.linalg.norm(h @ pi_op - pi_op @ h) > _COMMUTE_RTOL * h_norm:
+    # |H - Pi H Pi| equals the commutator norm |H Pi - Pi H|: Pi is orthogonal
+    if np.linalg.norm(h - _parity(_parity(h).T).T) > _COMMUTE_RTOL * h_norm:
         return (None,) * dim
 
     # Rotate each (near-)degenerate cluster into the parity eigenbasis so
@@ -156,13 +193,13 @@ def _resolve_parity(h, values, vectors):
             continue
         block = vectors[:, start:stop]
         if stop - start > 1:
-            overlap = block.T @ pi_op @ block
+            overlap = block.T @ _parity(block)
             s, u = np.linalg.eigh(0.5 * (overlap + overlap.T))
             block = block @ u
             vectors[:, start:stop] = block
             expect = s
         else:
-            expect = np.array([block[:, 0] @ pi_op @ block[:, 0]])
+            expect = np.array([block[:, 0] @ _parity(block[:, 0])])
         for k, e in enumerate(expect):
             if abs(e - 1.0) <= 1e-8:
                 labels[start + k] = 1
@@ -193,31 +230,6 @@ def _validate(h, values, vectors):
         raise ConvergenceError("eigenpair residual exceeds 1e-9 * |H|")
 
 
-def parity_labels(es: EigenSystem, p: QrmParams, t: FockTruncation) -> tuple:
-    """Per-state parity from the stored vectors.
-
-    At epsilon == 0 each state must give an expectation of the parity
-    operator within 1e-8 of +-1; any nonzero bias returns all-None (mixed).
-    """
-    if p.epsilon != 0.0:
-        return (None,) * es.dim
-    if es.dim != t.dim:
-        raise ValueError(f"eigensystem dim {es.dim} != truncation dim {t.dim}")
-    pi_op = ops.parity(t.n_states)
-    labels = []
-    for k in range(es.dim):
-        e = es.vectors[:, k] @ pi_op @ es.vectors[:, k]
-        if abs(e - 1.0) <= 1e-8:
-            labels.append(1)
-        elif abs(e + 1.0) <= 1e-8:
-            labels.append(-1)
-        else:
-            raise ConvergenceError(
-                f"state {k}: parity expectation {e} not within 1e-8 of +-1 at epsilon=0"
-            )
-    return tuple(labels)
-
-
 def transition_frequency(es: EigenSystem, i: int, j: int) -> float:
     """Transition frequency E_j - E_i in GHz for state indices i < j."""
     if not 0 <= i < j < es.dim:
@@ -231,7 +243,8 @@ def drive_matrix_element(es: EigenSystem, i: int, j: int, t: FockTruncation) -> 
         raise IndexError(f"state indices out of range for dim {es.dim}")
     if es.dim != t.dim:
         raise ValueError(f"eigensystem dim {es.dim} != truncation dim {t.dim}")
-    x = ops.mode_embed(ops.quadrature(t.n_states))
+    n, _ = _photons_and_spin(t.dim)
+    x = _symmetric(np.zeros(t.dim), [(2, np.sqrt(n[:-2] + 1.0))])
     return float(abs(es.vectors[:, i] @ x @ es.vectors[:, j]))
 
 

@@ -6,6 +6,25 @@ from dscqed.fitting import _predicted
 
 PAPER_TRIPLE = (0.147, 2.57, 2.39)
 
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
+
+
+def kron_hamiltonian(p, t):
+    """Oracle Rabi Hamiltonian as a sum of Kronecker operator products
+    (composite index 2 * n_fock + qubit, qubit innermost)."""
+    n = t.n_states
+    a = np.diag(np.sqrt(np.arange(1.0, n)), 1)
+    h = np.kron(np.eye(n), -0.5 * (p.delta_prime * SIGMA_X + p.epsilon * SIGMA_Z))
+    h += p.omega1 * np.kron(np.diag(np.arange(n, dtype=float)), np.eye(2))
+    h += p.g1 * np.kron(a + a.T, SIGMA_Z)
+    return h
+
+
+def kron_parity(n_states):
+    """Oracle composite parity sigma_x * (-1)^n as a dense matrix."""
+    return np.kron(np.diag((-1.0) ** np.arange(n_states)), SIGMA_X)
+
 
 @pytest.fixture
 def paper_params():

@@ -233,3 +233,82 @@ def test_tmpdir_override_honored(tmp_path, monkeypatch):
     assert main(["modes", "--n-modes", "2", "--out", str(out)]) == 0
     assert out.exists()
     assert os.listdir(scratch) == []  # temp file renamed away
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["modes", "--n-modes", "0"], "n_modes"),
+        (["couplings", "--n-modes", "0"], "n_modes"),
+        (["lamb-shift", "--n-cutoff", "0"], "n_cutoff"),
+        (["lamb-shift", "--delta-ghz", "0"], "delta_measured"),
+        (["lamb-shift", "--tolerance", "0"], "rel_tol"),
+    ],
+)
+def test_explicit_zero_is_validated_not_replaced(argv, message, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err and "must be" in captured.err
+
+
+def test_eigensolver_failure_exits_2(monkeypatch, capsys):
+    import numpy as np
+
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", broken)
+    assert main(["spectrum"]) == 2
+    assert "numerical failure:" in capsys.readouterr().err
+
+
+def test_non_finite_config_value_exits_1(tmp_path, capsys):
+    text = paper_device_path().read_text().replace(
+        "epsilon_min_ghz: -1.0", "epsilon_min_ghz: .nan"
+    )
+    path = tmp_path / "nan.yaml"
+    path.write_text(text)
+    assert main(["spectrum", "--config", str(path)]) == 1
+    assert "sweep.epsilon_min_ghz" in capsys.readouterr().err
+
+
+def test_bundled_spectrum_call_counts(monkeypatch, capsys):
+    # The same exact counts the benchmark's traced run checks for the
+    # bundled sweep: 81 biases at n_max 16 (dim 34), after two truncation
+    # searches that each probe n_max 8, 16 and 32.
+    from collections import Counter
+
+    import numpy as np
+
+    from dscqed import rabi, spectrum
+
+    calls = Counter()
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key(*args)] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for kind in ("eigh", "eigvalsh"):
+        fn = getattr(np.linalg, kind)
+        monkeypatch.setattr(
+            np.linalg, kind, counted(fn, lambda h, *_, kind=kind: f"{kind}@{h.shape[-1]}")
+        )
+    monkeypatch.setattr(rabi, "eigensystem", counted(rabi.eigensystem, lambda *_: "eigensystem"))
+    for name in ("drive_matrix_element", "converged_truncation"):
+        monkeypatch.setattr(spectrum, name, counted(getattr(spectrum, name), lambda *_, n=name: n))
+
+    assert main(["spectrum"]) == 0
+    capsys.readouterr()
+    assert calls == {
+        "eigensystem": 81,
+        "eigh@34": 81,
+        "drive_matrix_element": 612,
+        "converged_truncation": 2,
+        "eigvalsh@18": 2,
+        "eigvalsh@34": 2,
+        "eigvalsh@66": 2,
+    }

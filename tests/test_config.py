@@ -120,3 +120,46 @@ def test_epsilon_window_ordering(tmp_path):
     )
     with pytest.raises(ConfigError, match=r"sweep\.epsilon_min_ghz"):
         load_config(path)
+
+
+def test_non_finite_number_carries_field_path(tmp_path):
+    text = paper_device_path().read_text().replace(
+        "epsilon_min_ghz: -1.0", "epsilon_min_ghz: .nan"
+    )
+    path = tmp_path / "nan.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=r"sweep\.epsilon_min_ghz: must be finite"):
+        load_config(path)
+
+
+def test_non_finite_bound_carries_field_path(tmp_path):
+    path = _write_variant(
+        tmp_path, lambda t: t["fit"]["bounds"].update(g1_ghz=[0.5, float("inf")])
+    )
+    with pytest.raises(ConfigError, match=r"fit\.bounds\.g1_ghz\.1: must be finite"):
+        load_config(path)
+
+
+def test_bound_entry_must_be_a_number(tmp_path):
+    # YAML 1.1 reads 1e-3 (no '.') as text; the message says so
+    path = _write_variant(
+        tmp_path, lambda t: t["fit"]["bounds"].update(g1_ghz=["1e-3", 5.0])
+    )
+    with pytest.raises(ConfigError, match=r"fit\.bounds\.g1_ghz\.0: .*1\.0e-3"):
+        load_config(path)
+
+
+def test_omitted_settings_take_library_defaults(tmp_path):
+    from dscqed import SweepConfig
+    from dscqed.fitting import DEFAULT_BOUNDS
+
+    def mutate(tree):
+        del tree["fit"]["bounds"]
+        for key in ("k_levels", "amplitude_floor"):
+            del tree["sweep"][key]
+
+    cfg = load_config(_write_variant(tmp_path, mutate))
+    assert cfg.fit.bounds == DEFAULT_BOUNDS
+    assert cfg.sweep.k_levels == SweepConfig.k_levels
+    assert cfg.sweep.amplitude_floor == SweepConfig.amplitude_floor
+    assert cfg.sweep.truncation_tol == SweepConfig.truncation_tol

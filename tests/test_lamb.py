@@ -11,7 +11,6 @@ from dscqed import (
     full_report,
     full_report_from_bare,
     multimode_renorm,
-    partial_renorm,
     per_mode_shifts,
     single_mode_renorm,
     solve,
@@ -100,16 +99,17 @@ def test_million_harmonics_match_cutoff_sum_path():
 
 
 def test_partial_composition_law():
+    # the higher modes alone, times the fundamental factor, give the full result
     modes = [(0.7, 2.6), (0.5, 7.7), (0.3, 12.9), (0.2, 18.1)]
     full = multimode_renorm(0.2, modes)
-    composed = partial_renorm(0.2, modes[1:]) * math.exp(
+    composed = multimode_renorm(0.2, modes[1:]) * math.exp(
         -2.0 * (modes[0][0] / modes[0][1]) ** 2
     )
     assert composed == pytest.approx(full, rel=1e-12)
 
 
 def test_partial_with_no_higher_modes():
-    assert partial_renorm(0.31, []) == 0.31
+    assert multimode_renorm(0.31, []) == 0.31
 
 
 def test_partial_matches_sum_decomposition():
@@ -118,7 +118,7 @@ def test_partial_matches_sum_decomposition():
     n_cutoff, g1, omega1, delta0 = 13.2, 2.39, 2.57, 0.7
     n = np.arange(3, 2 * 10**5, 2, dtype=float)
     g_n = g1 * np.sqrt(n / (1.0 + (n / n_cutoff) ** 2))
-    got = partial_renorm(delta0, list(zip(g_n, n * omega1)))
+    got = multimode_renorm(delta0, list(zip(g_n, n * omega1)))
     s1 = 1.0 / (1.0 + 1.0 / n_cutoff**2)
     want = delta0 * math.exp(-2.0 * (g1 / omega1) ** 2 * (cutoff_sum(n_cutoff) - s1))
     assert got == pytest.approx(want, rel=1e-6)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dscqed import (
     ConvergenceError,
@@ -10,10 +12,13 @@ from dscqed import (
     converged_truncation,
     drive_matrix_element,
     eigensystem,
-    parity_labels,
     solve,
     transition_frequency,
 )
+
+from dscqed.rabi import _parity
+
+from conftest import kron_hamiltonian, kron_parity
 
 T40 = FockTruncation(40)
 
@@ -46,6 +51,27 @@ def test_basis_ordering_convention():
     assert h[0, 0] == -0.5  # |n=0, q=0>
     assert h[1, 1] == +0.5  # |n=0, q=1>
     assert h[2, 2] == 2.0 - 0.5  # |n=1, q=0>
+
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5.0, **_finite)),
+    st.one_of(st.just(0.0), st.floats(min_value=-5.0, max_value=5.0, **_finite)),
+    st.floats(min_value=1e-3, max_value=10.0, **_finite),
+    st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=10.0, **_finite)),
+    st.integers(min_value=1, max_value=128),
+)
+def test_banded_assembly_matches_kron_oracle(delta, eps, omega, g, n_max):
+    # bitwise: same entries, same float operations, zeros stored as +0.0
+    p = QrmParams(delta, eps, omega, g)
+    t = FockTruncation(n_max)
+    h = build_hamiltonian(p, t)
+    oracle = kron_hamiltonian(p, t)
+    assert np.array_equal(h, oracle)
+    assert h.tobytes() == oracle.tobytes()
 
 
 def test_truncation_ceiling():
@@ -179,21 +205,57 @@ def test_eigenvalues_match_charpoly_oracle():
 # ---------------------------------------------------------------------------
 
 
+def _dense_parity_expectations(es):
+    pi_op = kron_parity(es.dim // 2)
+    return np.einsum("ik,ij,jk->k", es.vectors, pi_op, es.vectors)
+
+
 def test_parity_pattern_at_symmetry_point(paper_params):
     es = solve(paper_params, T40)
-    labels = parity_labels(es, paper_params, T40)
+    labels = es.parity
     assert labels[0] == 1  # ground state
     assert labels[3] == -1  # 0 <-> 3 drive-allowed
     assert labels[:4] == (1, -1, 1, -1)
-    assert labels == es.parity
+    # every stored vector is a parity eigenstate of the dense operator
+    expect = _dense_parity_expectations(es)
+    assert np.max(np.abs(expect - np.array(labels, dtype=float))) <= 1e-8
 
 
 def test_parity_mixed_off_symmetry():
     p = QrmParams(0.147, 0.1, 2.57, 2.39)
     es = solve(p, T40)
-    labels = parity_labels(es, p, T40)
-    assert all(lab is None for lab in labels)
     assert all(lab is None for lab in es.parity)
+    # the dense operator does not commute with H here
+    h = build_hamiltonian(p, T40)
+    pi_op = kron_parity(T40.n_states)
+    assert np.linalg.norm(h @ pi_op - pi_op @ h) > 1e-3 * np.linalg.norm(h)
+
+
+def test_signed_permutation_parity_matches_dense_operator():
+    rng = np.random.default_rng(5)
+    for n_states in (2, 3, 17):
+        dim = 2 * n_states
+        pi_op = kron_parity(n_states)
+        a = rng.standard_normal((dim, dim))
+        m = a + a.T  # generic symmetric: parity not conserved
+        assert np.array_equal(_parity(m), pi_op @ m)
+        assert np.array_equal(_parity(m[:, 0]), pi_op @ m[:, 0])
+        assert all(lab is None for lab in eigensystem(m).parity)
+        # its parity-symmetrized part conserves parity; the labels agree
+        # with the dense operator's expectations
+        es = eigensystem(m + pi_op @ m @ pi_op)
+        expect = _dense_parity_expectations(es)
+        assert np.max(np.abs(expect - np.array(es.parity, dtype=float))) <= 1e-8
+
+
+def test_signed_permutation_parity_at_degenerate_point():
+    # delta' = 0: every level is a doublet, so the labels come from the
+    # cluster rotation; they must match the dense operator
+    p = QrmParams(0.0, 0.0, 2.57, 2.39)
+    es = solve(p, T40)
+    assert np.array_equal(_parity(es.vectors), kron_parity(T40.n_states) @ es.vectors)
+    expect = _dense_parity_expectations(es)
+    assert np.max(np.abs(expect - np.array(es.parity, dtype=float))) <= 1e-8
 
 
 def test_parity_within_degenerate_doublets():

@@ -161,7 +161,7 @@ def _cmd_lamb(args, run) -> int:
         n_cutoff=_given(args.n_cutoff, run.lamb.n_cutoff),
         delta_measured=_given(args.delta_ghz, run.lamb.delta_measured),
         n_modes=_given(args.n_modes, run.lamb.n_modes),
-        rel_tol=_given(args.tolerance, 1e-9),
+        rel_tol=_given(args.tolerance, lamb.DEFAULT_REL_TOL),
     )
     target = args.out or run.output.out
     if target:

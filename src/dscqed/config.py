@@ -20,6 +20,7 @@ import yaml
 
 from .errors import ConfigError
 from .fitting import DEFAULT_BOUNDS
+from .lamb import DEFAULT_N_MODES
 from .rabi import QrmParams
 from .resonator import DeviceMeta, ResonatorModel
 from .spectrum import SweepConfig
@@ -27,9 +28,9 @@ from .spectrum import SweepConfig
 
 @dataclass(frozen=True)
 class LambSettings:
-    n_cutoff: float
-    delta_measured: float
-    n_modes: int
+    n_cutoff: float = 13.2  # omega_cutoff / omega_1 of the published device
+    delta_measured: float = 0.026  # GHz, the published renormalized gap
+    n_modes: int = DEFAULT_N_MODES
 
 
 @dataclass(frozen=True)
@@ -185,13 +186,21 @@ def _build(raw: dict, strict: bool) -> RunConfig:
         lamb_raw, ("n_cutoff", "delta_measured_ghz", "n_modes"), "lamb", strict
     )
     lamb_cfg = LambSettings(
-        n_cutoff=_positive(lamb_raw, "lamb", "n_cutoff") if "n_cutoff" in lamb_raw else 13.2,
+        n_cutoff=(
+            _positive(lamb_raw, "lamb", "n_cutoff")
+            if "n_cutoff" in lamb_raw
+            else LambSettings.n_cutoff
+        ),
         delta_measured=(
             _positive(lamb_raw, "lamb", "delta_measured_ghz")
             if "delta_measured_ghz" in lamb_raw
-            else 0.026
+            else LambSettings.delta_measured
         ),
-        n_modes=_integer(lamb_raw, "lamb", "n_modes", 1) if "n_modes" in lamb_raw else 30,
+        n_modes=(
+            _integer(lamb_raw, "lamb", "n_modes", 1)
+            if "n_modes" in lamb_raw
+            else LambSettings.n_modes
+        ),
     )
 
     fit_raw = raw.get("fit", {})
@@ -279,7 +288,12 @@ def _number(section, prefix, key) -> float:
         if isinstance(v, str) and _parses_as_float(v):
             hint = " (YAML reads exponent notation as text unless written like 1.0e-3 or 1.0e+6)"
         raise ConfigError(f"{prefix}.{key}: expected a number, got {v!r}{hint}")
-    v = float(v)
+    try:
+        v = float(v)
+    except OverflowError:
+        raise ConfigError(
+            f"{prefix}.{key}: must be finite, got an integer too large for a float"
+        ) from None
     if not math.isfinite(v):
         raise ConfigError(f"{prefix}.{key}: must be finite, got {v}")
     return v

@@ -1,10 +1,27 @@
 """Least-squares recovery of (delta_prime, omega1, g1) from measured
-spectral peaks, using a derivative-free simplex descent on the Rabi spectrum.
+spectral peaks by a bounded Levenberg-Marquardt descent on the Rabi spectrum.
 
 Data rows carry a bias, a frequency, an optional transition label ("03",
 "12", ...) and an optional positive weight.  Labeled rows are matched to the
 named transition; unlabeled rows fall back to the nearest drive-allowed line,
 which can be unstable near avoided crossings -- down-weight such points.
+
+H is linear in the three parameters, so by the Hellmann-Feynman theorem each
+level's gradient is dE_k/dtheta = <k| dH/dtheta |k>, with
+
+    dH/d delta_prime = -sigma_x / 2          offset-1 band at even rows
+    dH/d omega1      = n_hat                 diagonal
+    dH/d g1          = sigma_z (a + a^dag)   offset-2 band
+
+One eigh per distinct bias thus gives the residuals and their exact Jacobian
+together.  An unlabeled row takes the gradient of the line it was matched
+to.  A level closer than _DEGENERATE_TOL to a neighbour has no well-defined
+eigenvector, so rows using one take central differences instead.
+
+The Fock truncation is sized by converged_truncation at the start point, and
+the descent is repeated from its optimum while the optimum needs a larger
+one.  The reported residuals are recomputed at the truncation that converges
+at the optimum.
 """
 
 from __future__ import annotations
@@ -16,21 +33,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .lamb import LambShiftReport, full_report, single_mode_renorm
+from .lamb import DEFAULT_N_MODES, LambShiftReport, full_report, single_mode_renorm
 from .rabi import (
     DEFAULT_N_MAX,
     FockTruncation,
     QrmParams,
+    _photons_and_spin,
     build_hamiltonian,
     converged_truncation,
     drive_matrix_element,
-    solve,
+    eigensystem,
 )
 
 DEFAULT_BOUNDS = ((1e-6, 100.0), (1e-3, 100.0), (0.0, 100.0))
 
-_SIMPLEX_DIAM_TOL = 1e-6  # GHz, per-parameter spread at convergence
-_OBJECTIVE_TOL = 1e-12  # improvement per full cycle at convergence
+_TRUNCATION_TOL = 1e-8  # GHz, movement of the lowest k_levels on doubling n_max
+_DEGENERATE_TOL = 1e-6  # GHz, level spacing below which gradients are differenced
+_FD_STEP = 1e-6  # step of those differences, relative to max(|x|, 1 GHz)
+_DAMPING_START = 1e-3  # initial damping, relative to mean(diag(J^T J))
+_COST_RTOL = 1e-10  # relative cost decrease of an accepted step at convergence
+_STEP_RTOL = 1e-10  # step length relative to |x| at convergence
 
 
 @dataclass(frozen=True)
@@ -82,6 +104,8 @@ class FitResult:
     per_point_residuals: np.ndarray
     iterations: int
     converged: bool
+    stderr: tuple  # per parameter, GHz: sqrt(diag((J^T W J)^-1) * chi2 / dof)
+    reason: str  # termination: "cost", "step" or "max_iter"
 
     @property
     def params(self):
@@ -161,139 +185,229 @@ def model_frequency(
     """
     if label is None and measured is None:
         raise ValueError("nearest-line mode requires the measured frequency")
-    return _frequencies_at_bias(
+    freqs, _ = _frequencies_at_bias(
         params, epsilon, [(label, measured)], n_max, k_levels, amplitude_floor
-    )[0]
+    )
+    return float(freqs[0])
 
 
-def _frequencies_at_bias(params, epsilon, rows, n_max, k_levels, floor):
-    """Model frequency of each (label, measured) row at one bias point.
+def _frequencies_at_bias(params, epsilon, rows, n_max, k_levels, floor, jacobian=False):
+    """Model frequency of each (label, measured) row at one bias point and,
+    with ``jacobian``, its gradient in (delta_prime, omega1, g1).
 
     Labeled rows give the named transition; unlabeled rows give the
     drive-allowed line nearest their measured frequency.  When every row is
-    labeled only the eigenvalues are computed.
+    labeled and no gradient is asked for, only the eigenvalues are computed.
+    Returns (frequencies, gradients or None).
     """
     delta_prime, omega1, g1 = params
-    p = QrmParams(delta_prime, epsilon, omega1, g1)
     trunc = FockTruncation(n_max)
-    if all(label is not None for label, _ in rows):
-        values = np.linalg.eigvalsh(build_hamiltonian(p, trunc))
-        es = None
+    h = build_hamiltonian(QrmParams(delta_prime, epsilon, omega1, g1), trunc)
+    es = None
+    if any(label is None for label, _ in rows):
+        es = eigensystem(h)
+        values, vectors = es.values, es.vectors
+    elif jacobian:
+        values, vectors = np.linalg.eigh(h)
     else:
-        es = solve(p, trunc)
-        values = es.values
-    out = []
+        values = np.linalg.eigvalsh(h)
+    pairs = []
     for label, measured in rows:
         if label is None:
-            out.append(_nearest_allowed(es, trunc, measured, k_levels, floor))
+            pairs.append(_nearest_allowed(es, trunc, measured, k_levels, floor))
             continue
-        i, j = _parse_label(label)
-        if j >= len(values):
+        pairs.append(_parse_label(label))
+        if pairs[-1][1] >= len(values):
             raise ValueError(f"label {label!r} outside the computed spectrum")
-        out.append(float(values[j] - values[i]))
-    return out
+    i, j = np.array(pairs).T
+    freqs = values[j] - values[i]
+    if not jacobian:
+        return freqs, None
+    level_grad = _level_gradients(vectors[:, : j.max() + 1])
+    grad = level_grad[j] - level_grad[i]
+    close = np.diff(values) < _DEGENERATE_TOL
+    degenerate = np.append(close, False) | np.insert(close, 0, False)
+    fallback = degenerate[i] | degenerate[j]
+    if fallback.any():
+        grad[fallback] = _central_differences(
+            params, epsilon, [r for r, f in zip(rows, fallback) if f], n_max, k_levels, floor
+        )
+    return freqs, grad
+
+
+def _level_gradients(v):
+    """Hellmann-Feynman gradients <k| dH/dtheta |k> of the eigenvector
+    columns of ``v``, one row (d/d delta_prime, d/d omega1, d/d g1) per
+    column, each a product with one band of dH (both triangles counted)."""
+    n, s = _photons_and_spin(v.shape[0])
+    return np.stack(
+        [
+            -np.sum(v[0::2] * v[1::2], axis=0),
+            n @ (v * v),
+            2.0 * ((s[:-2] * np.sqrt(n[:-2] + 1.0)) @ (v[:-2] * v[2:])),
+        ],
+        axis=1,
+    )
+
+
+def _central_differences(params, epsilon, rows, n_max, k_levels, floor):
+    """Central differences of the rows' model frequencies in each parameter
+    (unlabeled rows pick their nearest line again at every point).  The
+    spectrum is even in delta_prime and g1 (conjugation by sigma_z or
+    (-1)^n flips their sign), so abs() keeps the lower point valid at zero."""
+    grad = np.empty((len(rows), 3))
+    for p in range(3):
+        step = _FD_STEP * max(abs(params[p]), 1.0)
+        ends = []
+        for sign in (1.0, -1.0):
+            x = list(params)
+            x[p] = abs(x[p] + sign * step)
+            ends.append(_frequencies_at_bias(x, epsilon, rows, n_max, k_levels, floor)[0])
+        grad[:, p] = (ends[0] - ends[1]) / (2.0 * step)
+    return grad
 
 
 def _nearest_allowed(es, trunc, measured, k_levels, floor):
+    """Level pair (i, j) of the drive-allowed line nearest ``measured``."""
     best = None
     for i in (0, 1):
         for j in range(i + 1, k_levels):
             if drive_matrix_element(es, i, j, trunc) <= floor:
                 continue
-            f = float(es.values[j] - es.values[i])
-            key = (abs(f - measured), i, j)
-            if best is None or key < best[0]:
-                best = (key, f)
+            key = (abs(float(es.values[j] - es.values[i]) - measured), i, j)
+            if best is None or key < best:
+                best = key
     if best is None:
         raise ValueError("no drive-allowed transition within k_levels")
-    return best[1]
+    return best[1:]
 
 
-def _predicted(params, data: PeakData, n_max: int, k_levels: int, floor: float):
-    """Model frequencies for every data row, diagonalizing once per bias."""
+def _predicted(params, data: PeakData, n_max: int, k_levels: int, floor: float, jacobian=False):
+    """Model frequencies for every data row, diagonalizing once per bias;
+    with ``jacobian``, (frequencies, (rows, 3) gradient matrix)."""
     pred = np.empty(len(data))
+    jac = np.empty((len(data), 3)) if jacobian else None
     for eps in np.unique(data.epsilon):
         idx = np.nonzero(data.epsilon == eps)[0]
         rows = [(data.label[k], float(data.frequency[k])) for k in idx]
-        pred[idx] = _frequencies_at_bias(params, float(eps), rows, n_max, k_levels, floor)
-    return pred
+        pred[idx], grad = _frequencies_at_bias(
+            params, float(eps), rows, n_max, k_levels, floor, jacobian
+        )
+        if jacobian:
+            jac[idx] = grad
+    return (pred, jac) if jacobian else pred
 
 
-def _nelder_mead(f, x0, max_iter: int):
-    """Simplex descent with reflection 1, expansion 2, contraction 0.5,
-    shrink 0.5.  Returns (x_best, f_best, iterations, converged, trace)
-    where trace records the best objective after every iteration."""
-    n = len(x0)
-    simplex = [np.asarray(x0, dtype=float)]
-    for k in range(n):
-        x = np.array(x0, dtype=float)
-        x[k] = x[k] * 1.05 if x[k] != 0.0 else 2.5e-4
-        simplex.append(x)
-    fv = [f(x) for x in simplex]
-    trace = []
-    converged = False
-    it = 0
-    while it < max_iter:
-        order = sorted(range(n + 1), key=lambda k: fv[k])
-        simplex = [simplex[k] for k in order]
-        fv = [fv[k] for k in order]
-        trace.append(fv[0])
+def _levenberg_marquardt(residuals, x0, lo, hi, free, max_iter: int):
+    """Minimize |r(x)|^2 inside the box [lo, hi], moving only the ``free``
+    parameter indices; ``residuals(x)`` returns r and its Jacobian.
 
-        # Converged when the simplex is tiny in every parameter or when a
-        # full cycle cannot improve the objective beyond the value spread.
-        diam = max(np.max(np.abs(v - simplex[0])) for v in simplex[1:])
-        if diam < _SIMPLEX_DIAM_TOL or fv[-1] - fv[0] < _OBJECTIVE_TOL:
-            converged = True
-            break
-        it += 1
+    Each iteration solves the Gauss-Newton step damped by ``damping *
+    mean(diag(J^T J))`` times the identity, as a least-squares problem.  A
+    step that leaves the box or does not lower the cost is refused and the
+    damping grows tenfold, which shortens the next step and turns it towards
+    steepest descent; an accepted step shrinks the damping tenfold.  Refusing
+    rather than clipping keeps a long early step from being projected into a
+    corner of the box that is a local minimum.  A parameter that starts on a
+    bound stays on it while the step points out of the box.
 
-        centroid = np.mean(simplex[:-1], axis=0)
-        xr = centroid + (centroid - simplex[-1])
-        fr = f(xr)
-        if fr < fv[0]:
-            xe = centroid + 2.0 * (centroid - simplex[-1])
-            fe = f(xe)
-            if fe < fr:
-                simplex[-1], fv[-1] = xe, fe
-            else:
-                simplex[-1], fv[-1] = xr, fr
-        elif fr < fv[-2]:
-            simplex[-1], fv[-1] = xr, fr
+    Returns (x, cost, jacobian, iterations, reason, trace): trace holds the
+    cost after every accepted step; reason is "cost" (an accepted step lowered
+    the cost by at most _COST_RTOL relative), "step" (a step no longer than
+    _STEP_RTOL relative to |x|) or "max_iter".
+    """
+    x = np.array(x0, dtype=float)
+    r, jac = residuals(x)
+    cost = float(r @ r)
+    trace = [cost]
+    damping = _DAMPING_START
+    for it in range(1, max_iter + 1):
+        j = jac[:, free]
+        mu = damping * np.mean(np.sum(j * j, axis=0))
+        step = np.linalg.lstsq(
+            np.vstack([j, np.sqrt(mu) * np.eye(len(free))]),
+            np.concatenate([-r, np.zeros(len(free))]),
+            rcond=None,
+        )[0]
+        # a parameter sitting on a bound stays there while the step pushes out
+        outward = ((x[free] <= lo[free]) & (step < 0.0)) | ((x[free] >= hi[free]) & (step > 0.0))
+        step[outward] = 0.0
+        trial = x.copy()
+        trial[free] += step
+        accepted = False
+        if np.all((lo <= trial) & (trial <= hi)):
+            r_trial, jac_trial = residuals(trial)
+            cost_trial = float(r_trial @ r_trial)
+            accepted = cost_trial < cost
+        if accepted:
+            decrease = cost - cost_trial
+            x, r, jac, cost = trial, r_trial, jac_trial, cost_trial
+            trace.append(cost)
+            damping *= 0.1
+            if decrease <= _COST_RTOL * cost:
+                return x, cost, jac, it, "cost", trace
         else:
-            if fr < fv[-1]:
-                xc = centroid + 0.5 * (xr - centroid)
-                fc = f(xc)
-                accept = fc <= fr
-            else:
-                xc = centroid + 0.5 * (simplex[-1] - centroid)
-                fc = f(xc)
-                accept = fc < fv[-1]
-            if accept:
-                simplex[-1], fv[-1] = xc, fc
-            else:
-                for k in range(1, n + 1):
-                    simplex[k] = simplex[0] + 0.5 * (simplex[k] - simplex[0])
-                    fv[k] = f(simplex[k])
-    order = sorted(range(n + 1), key=lambda k: fv[k])
-    return simplex[order[0]], fv[order[0]], it, converged, trace
+            damping *= 10.0
+        if np.linalg.norm(step) <= _STEP_RTOL * (np.linalg.norm(x) + _STEP_RTOL):
+            return x, cost, jac, it, "step", trace
+    return x, cost, jac, max_iter, "max_iter", trace
+
+
+def _descend(data, x0, bounds, free, k_levels, floor, max_iter):
+    """Levenberg-Marquardt on the weighted residuals at the truncation that
+    converges at ``x0``, repeated from the optimum while the optimum needs a
+    larger one.  ``max_iter`` bounds the iterations of all passes together.
+
+    Returns (x, cost, weighted jacobian, iterations, reason, truncation
+    converged at x).
+    """
+    lo, hi = (np.array(b) for b in zip(*bounds))
+    root_w = np.sqrt(data.weight)
+
+    def converged_at(x):
+        p = QrmParams(x[0], 0.0, x[1], x[2])
+        return converged_truncation(p, k_levels=k_levels, tol=_TRUNCATION_TOL)
+
+    def residuals(x):
+        pred, jac = _predicted(tuple(x), data, n_max, k_levels, floor, jacobian=True)
+        return root_w * (pred - data.frequency), root_w[:, None] * jac
+
+    x, n_max, iterations = np.array(x0, dtype=float), converged_at(x0).n_max, 0
+    while True:
+        x, cost, jac, it, reason, _ = _levenberg_marquardt(
+            residuals, x, lo, hi, free, max_iter - iterations
+        )
+        iterations += it
+        trunc = converged_at(x)
+        if trunc.n_max <= n_max:
+            return x, cost, jac, iterations, reason, trunc
+        n_max = trunc.n_max
+
+
+def _standard_errors(jac, chi2, dof):
+    """sqrt(diag((J^T W J)^-1) * chi2 / dof) for a weighted Jacobian."""
+    if dof <= 0:
+        return (math.nan,) * 3
+    try:
+        cov = np.linalg.inv(jac.T @ jac)
+    except np.linalg.LinAlgError:
+        return (math.inf,) * 3
+    return tuple(float(v) for v in np.sqrt(np.abs(np.diag(cov)) * chi2 / dof))
 
 
 def fit(
     data: PeakData,
     initial,
     bounds=DEFAULT_BOUNDS,
-    n_max: int = DEFAULT_N_MAX,
     k_levels: int = 6,
     amplitude_floor: float = 1e-6,
     max_iter: int = 400,
 ) -> FitResult:
     """Weighted least squares over the peak data.
 
-    Runs the simplex descent from ``initial`` and restarts once from the
-    found optimum.  The optimization evaluates the spectrum at a fixed
-    truncation for speed; the reported residuals are re-computed at a
-    converged truncation.  Out-of-bounds trial points are rejected through
-    an infinite objective.
+    Runs the bounded Levenberg-Marquardt descent from ``initial`` (see the
+    module docstring for the Jacobian and the truncation).  When ``max_iter``
+    runs out, the best point so far is returned with ``converged=False``.
     """
     initial = tuple(float(v) for v in initial)
     bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
@@ -302,46 +416,36 @@ def fit(
     for v, (lo, hi) in zip(initial, bounds):
         if not lo <= v <= hi:
             raise ValueError(f"initial value {v} outside bounds [{lo}, {hi}]")
+    try:
+        QrmParams(bounds[0][0], 0.0, bounds[1][0], bounds[2][0])
+    except ValueError as exc:
+        raise ValueError(f"lower bounds outside the model domain: {exc}") from None
     if np.all(data.epsilon == data.epsilon[0]):
         raise ValueError("degenerate data: all bias values are equal")
     for lab in data.label:
         if lab is not None:
-            _parse_label(lab)  # fail loudly here, not inside the objective
+            _parse_label(lab)  # fail loudly here, not inside the descent
 
-    objective = _objective_factory(data, bounds, n_max, k_levels, amplitude_floor)
-    x1, f1, it1, conv1, _ = _nelder_mead(objective, np.array(initial), max_iter)
-    x2, f2, it2, conv2, _ = _nelder_mead(objective, x1, max_iter)
-    best = x2 if f2 <= f1 else x1
+    best, _, jac, iterations, reason, trunc = _descend(
+        data, initial, bounds, [0, 1, 2], k_levels, amplitude_floor, max_iter
+    )
 
     # Correctness backstop: residuals at a converged truncation.
-    p_best = QrmParams(best[0], 0.0, best[1], best[2])
-    trunc = converged_truncation(p_best, k_levels=k_levels, tol=1e-8)
     pred = _predicted(tuple(best), data, trunc.n_max, k_levels, amplitude_floor)
     residuals = pred - data.frequency
-    rms = float(np.sqrt(np.sum(data.weight * residuals**2) / np.sum(data.weight)))
+    chi2 = float(np.sum(data.weight * residuals**2))
+    rms = float(np.sqrt(chi2 / np.sum(data.weight)))
     return FitResult(
         delta_prime=float(best[0]),
         omega1=float(best[1]),
         g1=float(best[2]),
         residual_rms=rms,
         per_point_residuals=residuals,
-        iterations=it1 + it2,
-        converged=conv1 and conv2,
+        iterations=iterations,
+        converged=reason != "max_iter",
+        stderr=_standard_errors(jac, chi2, len(data) - 3),
+        reason=reason,
     )
-
-
-def _objective_factory(data, bounds, n_max, k_levels, floor):
-    def objective(x):
-        for v, (lo, hi) in zip(x, bounds):
-            if not lo <= v <= hi:
-                return math.inf
-        try:
-            pred = _predicted(tuple(x), data, n_max, k_levels, floor)
-        except ValueError:
-            return math.inf
-        return float(np.sum(data.weight * (pred - data.frequency) ** 2))
-
-    return objective
 
 
 def profile_objective(
@@ -351,7 +455,6 @@ def profile_objective(
     span: float = 0.2,
     n: int = 7,
     bounds=DEFAULT_BOUNDS,
-    n_max: int = DEFAULT_N_MAX,
     k_levels: int = 6,
     amplitude_floor: float = 1e-6,
     max_iter: int = 150,
@@ -368,27 +471,20 @@ def profile_objective(
     k = names.index(param)
     free = [i for i in range(3) if i != k]
     bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
-    full = _objective_factory(data, bounds, n_max, k_levels, amplitude_floor)
 
     center = result.params[k]
     values = np.linspace(center * (1.0 - span), center * (1.0 + span), n)
     objectives = np.empty(n)
     # scan outward from the optimum so each refit warm-starts from a neighbor
-    warm_lo = [result.params[i] for i in free]
-    warm_hi = list(warm_lo)
+    warm_lo = np.array(result.params, dtype=float)
+    warm_hi = warm_lo.copy()
     for idx in np.argsort(np.abs(values - center)):
         warm = warm_lo if values[idx] <= center else warm_hi
-        fixed = float(values[idx])
-
-        def reduced(y):
-            x = [0.0, 0.0, 0.0]
-            x[k] = fixed
-            x[free[0]], x[free[1]] = y
-            return full(x)
-
-        y_best, f_best, _, _, _ = _nelder_mead(reduced, np.array(warm), max_iter)
-        warm[0], warm[1] = float(y_best[0]), float(y_best[1])
-        objectives[idx] = f_best
+        warm[k] = values[idx]
+        x, objectives[idx], *_ = _descend(
+            data, warm, bounds, free, k_levels, amplitude_floor, max_iter
+        )
+        warm[:] = x
     return values, objectives
 
 
@@ -396,7 +492,7 @@ def report_chain(
     result: FitResult,
     n_cutoff: float,
     measured_delta: float | None = None,
-    n_modes: int = 30,
+    n_modes: int = DEFAULT_N_MODES,
 ) -> LambShiftReport:
     """Pipe fitted parameters into the renormalization report.
 

@@ -23,6 +23,9 @@ EULER_GAMMA = 0.5772156649015329
 # formula; flagged with a warning, never an error.
 _VALIDITY_RATIO = 0.2
 
+DEFAULT_N_MODES = 30  # modes listed in a report's per-mode shifts
+DEFAULT_REL_TOL = 1e-9  # relative accuracy of the mode sum
+
 
 @dataclass(frozen=True)
 class LambShiftReport:
@@ -107,7 +110,7 @@ def multimode_renorm(delta0: float, modes) -> float:
     return delta0 * math.exp(-2.0 * math.fsum(terms))
 
 
-def cutoff_sum(n_cutoff: float, rel_tol: float = 1e-9) -> float:
+def cutoff_sum(n_cutoff: float, rel_tol: float = DEFAULT_REL_TOL) -> float:
     """Odd-harmonic mode sum S(n_cutoff), accurate to ~rel_tol relative.
 
     Terms n_cutoff^2 / (n (n^2 + n_cutoff^2)) are accumulated over odd n in
@@ -167,8 +170,8 @@ def full_report(
     omega1: float,
     n_cutoff: float,
     delta_measured: float,
-    n_modes: int = 30,
-    rel_tol: float = 1e-9,
+    n_modes: int = DEFAULT_N_MODES,
+    rel_tol: float = DEFAULT_REL_TOL,
 ) -> LambShiftReport:
     """Invert the cutoff-regularized renormalization: from the measured gap,
     recover the bare gap, the partially renormalized gap, and all shifts."""
@@ -184,8 +187,8 @@ def full_report_from_bare(
     omega1: float,
     n_cutoff: float,
     delta0: float,
-    n_modes: int = 30,
-    rel_tol: float = 1e-9,
+    n_modes: int = DEFAULT_N_MODES,
+    rel_tol: float = DEFAULT_REL_TOL,
 ) -> LambShiftReport:
     """Forward direction for synthetic studies: bare gap in, renormalized out."""
     if not delta0 > 0.0:

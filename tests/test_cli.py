@@ -273,6 +273,16 @@ def test_non_finite_config_value_exits_1(tmp_path, capsys):
     assert "sweep.epsilon_min_ghz" in capsys.readouterr().err
 
 
+def test_huge_integer_config_value_exits_1(tmp_path, capsys):
+    text = paper_device_path().read_text().replace(
+        "omega1_ghz: 2.57", "omega1_ghz: 1" + "0" * 400
+    )
+    path = tmp_path / "huge.yaml"
+    path.write_text(text)
+    assert main(["spectrum", "--config", str(path)]) == 1
+    assert "qrm.omega1_ghz: must be finite" in capsys.readouterr().err
+
+
 def test_bundled_spectrum_call_counts(monkeypatch, capsys):
     # The same exact counts the benchmark's traced run checks for the
     # bundled sweep: 81 biases at n_max 16 (dim 34), after two truncation

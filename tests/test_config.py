@@ -151,15 +151,19 @@ def test_bound_entry_must_be_a_number(tmp_path):
 
 def test_omitted_settings_take_library_defaults(tmp_path):
     from dscqed import SweepConfig
+    from dscqed.config import LambSettings
     from dscqed.fitting import DEFAULT_BOUNDS
+    from dscqed.lamb import DEFAULT_N_MODES
 
     def mutate(tree):
         del tree["fit"]["bounds"]
+        del tree["lamb"]
         for key in ("k_levels", "amplitude_floor"):
             del tree["sweep"][key]
 
     cfg = load_config(_write_variant(tmp_path, mutate))
     assert cfg.fit.bounds == DEFAULT_BOUNDS
+    assert cfg.lamb == LambSettings() == LambSettings(13.2, 0.026, DEFAULT_N_MODES)
     assert cfg.sweep.k_levels == SweepConfig.k_levels
     assert cfg.sweep.amplitude_floor == SweepConfig.amplitude_floor
     assert cfg.sweep.truncation_tol == SweepConfig.truncation_tol

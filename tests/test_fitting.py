@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dscqed import ConfigError, PeakData, fit, model_frequency, read_peaks_csv, report_chain
-from dscqed.fitting import FitResult, _nelder_mead, _predicted, profile_objective
+from dscqed.fitting import FitResult, _levenberg_marquardt, _predicted, profile_objective
 
 from conftest import PAPER_TRIPLE, synthetic_peaks
 
@@ -87,9 +89,30 @@ def test_noisy_round_trip_within_a_percent():
     initial = (0.147 * 0.8, 2.57 * 1.2, 2.39 * 0.8)
     res = fit(data, initial=initial, bounds=BOUNDS)
     assert res.converged
-    for got, true in zip(res.params, PAPER_TRIPLE):
+    assert res.reason in ("cost", "step")
+    for got, true, err in zip(res.params, PAPER_TRIPLE, res.stderr):
         assert abs(got / true - 1.0) < 0.01
+        # the noise draw moves the optimum by about one standard error
+        assert 0.0 < err and abs(got - true) < 4.0 * err
     assert 0.0015 < res.residual_rms < 0.0025
+
+
+def test_deep_strong_round_trip_sizes_the_truncation():
+    # at g1 / omega1 = 4 the lowest six levels at n_max 40 are off by about
+    # 1e-3 GHz; the fit must size its Fock space to recover exact data
+    triple = (0.5, 1.0, 4.0)
+    rows = [(e, lab) for e in (-0.8, -0.4, 0.4, 0.8) for lab in ("01", "02", "03", "12", "13")]
+    rows += [(0.0, "02"), (0.0, "13")]
+    eps = np.array([r[0] for r in rows])
+    labels = tuple(r[1] for r in rows)
+    shell = PeakData(eps, np.zeros(len(rows)), labels, np.ones(len(rows)))
+    freq = _predicted(triple, shell, n_max=128, k_levels=6, floor=1e-6)
+    data = PeakData(eps, freq, labels, shell.weight)
+    res = fit(data, initial=(0.45, 1.1, 3.8), bounds=((0.01, 1.0), (0.5, 2.0), (0.5, 5.0)))
+    assert res.converged
+    for got, true in zip(res.params, triple):
+        assert abs(got / true - 1.0) < 1e-6
+    assert res.residual_rms < 1e-8
 
 
 def test_row_reorder_leaves_optimum(paper_params):
@@ -137,23 +160,89 @@ def test_initial_outside_bounds_rejected():
         fit(data, initial=(0.15, 6.0, 2.4), bounds=BOUNDS)
 
 
+def test_bounds_outside_model_domain_rejected():
+    data = synthetic_peaks(PAPER_TRIPLE)
+    with pytest.raises(ValueError, match="model domain"):
+        fit(data, initial=(0.15, 2.6, 2.4), bounds=((0.01, 1.0), (-1.0, 5.0), (0.5, 5.0)))
+
+
 def test_budget_exhaustion_returns_best_so_far():
     data = synthetic_peaks(PAPER_TRIPLE)
     res = fit(data, initial=(0.16, 2.4, 2.6), bounds=BOUNDS, max_iter=3)
     assert not res.converged
+    assert res.reason == "max_iter"
     assert np.isfinite(res.residual_rms)
     for v, (lo, hi) in zip(res.params, BOUNDS):
         assert lo <= v <= hi
 
 
-def test_simplex_descent_is_monotone():
-    def rosenbrock(x):
-        return float((1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2)
+def test_start_on_a_bound_moves_the_other_parameters():
+    # g1 starts on its upper bound and the data pull it further out: it must
+    # stay there while delta_prime and omega1 still descend
+    data = synthetic_peaks(PAPER_TRIPLE)
+    bounds = ((0.01, 1.0), (1.0, 5.0), (0.5, 2.0))
+    initial = (0.16, 2.4, 2.0)
+    res = fit(data, initial=initial, bounds=bounds)
+    start = _predicted(initial, data, 40, 6, 1e-6) - data.frequency
+    assert res.converged
+    assert res.g1 == 2.0
+    assert res.residual_rms < 0.5 * float(np.sqrt(np.mean(start**2)))
+    assert res.delta_prime != initial[0] and res.omega1 != initial[1]
 
-    _, f_best, _, converged, trace = _nelder_mead(rosenbrock, np.array([-1.2, 1.0]), 600)
-    assert converged
+
+def test_levenberg_marquardt_is_monotone():
+    # Rosenbrock as least squares: r = (1 - x, 10 (y - x^2))
+    def residuals(x):
+        r = np.array([1.0 - x[0], 10.0 * (x[1] - x[0] ** 2)])
+        return r, np.array([[-1.0, 0.0], [-20.0 * x[0], 10.0]])
+
+    lo, hi = np.full(2, -5.0), np.full(2, 5.0)
+    x, f_best, _, _, reason, trace = _levenberg_marquardt(
+        residuals, [-1.2, 1.0], lo, hi, [0, 1], 600
+    )
+    assert reason in ("cost", "step")
     assert f_best < 1e-9
-    assert all(b <= a + 1e-15 for a, b in zip(trace, trace[1:]))
+    assert np.allclose(x, 1.0, atol=1e-6)
+    assert all(b <= a for a, b in zip(trace, trace[1:]))
+
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.floats(min_value=0.01, max_value=1.0, **_finite),
+    st.floats(min_value=1.0, max_value=5.0, **_finite),
+    st.floats(min_value=0.5, max_value=5.0, **_finite),
+    st.one_of(st.just(0.0), st.floats(min_value=-1.0, max_value=1.0, **_finite)),
+)
+@example(delta=1.0, omega=1.0, g=5.0, eps=0.0)  # levels 0/1 and 2/3 degenerate
+def test_hellmann_feynman_jacobian_matches_central_differences(delta, omega, g, eps):
+    # inside the bundled fit bounds, deep-strong corner included.  Unlabeled
+    # rows sit 0.1 MHz from a line so the nearest-line choice is stable.  A
+    # row is compared where its central differences at two steps agree: where
+    # two levels cross exactly (opposite parity at eps = 0, or a resonance
+    # such as eps = omega1) the sorted level has a kink and no derivative.
+    params = (delta, omega, g)
+    labels = ("01", "02", "03", "12", "13")
+    labeled = PeakData(np.full(5, eps), np.zeros(5), labels, np.ones(5))
+    near = _predicted(params, labeled, 64, 6, 1e-6)[1:4] + 1e-4
+    unlabeled = PeakData(np.full(3, eps), near, (None,) * 3, np.ones(3))
+
+    def central(data, k, h):
+        up, down = list(params), list(params)
+        up[k] += h
+        down[k] -= h
+        ends = [_predicted(tuple(x), data, 64, 6, 1e-6) for x in (up, down)]
+        return (ends[0] - ends[1]) / (2 * h)
+
+    for data in (labeled, unlabeled):
+        _, jac = _predicted(params, data, 64, 6, 1e-6, jacobian=True)
+        for k in range(3):
+            fd, fd_fine = central(data, k, 1e-5), central(data, k, 1e-6)
+            smooth = np.abs(fd - fd_fine) <= 1e-6 * (1.0 + np.abs(fd))
+            err = np.abs(jac[:, k] - fd)[smooth]
+            assert np.all(err <= 1e-6 * (1.0 + np.abs(fd[smooth]))), (k, jac[:, k], fd)
 
 
 def test_flat_profile_flags_unconstrained_coupling():
@@ -185,6 +274,8 @@ def _paper_fit_result():
         per_point_residuals=np.zeros(3),
         iterations=0,
         converged=True,
+        stderr=(0.0, 0.0, 0.0),
+        reason="cost",
     )
 
 
@@ -208,6 +299,8 @@ def test_chain_without_coupling():
         per_point_residuals=np.zeros(3),
         iterations=0,
         converged=True,
+        stderr=(0.0, 0.0, 0.0),
+        reason="cost",
     )
     rep = report_chain(res, n_cutoff=13.2)
     assert rep.total_shift == 0.0
@@ -223,6 +316,8 @@ def test_chain_requires_convergence():
         per_point_residuals=np.zeros(3),
         iterations=400,
         converged=False,
+        stderr=(0.0, 0.0, 0.0),
+        reason="max_iter",
     )
     with pytest.raises(ValueError):
         report_chain(res, n_cutoff=13.2)

@@ -51,7 +51,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--n-cutoff", type=float, metavar="X")
     p.add_argument("--n-modes", type=int, metavar="N")
     p.add_argument("--delta-ghz", type=float, metavar="D", help="measured renormalized gap")
-    p.add_argument("--tolerance", type=float, metavar="T", help="relative tolerance of the mode sum")
 
     p = sub.add_parser("spectrum", parents=[common], help="transition lines over a bias sweep")
     p.add_argument("--epsilon", type=float, metavar="E", help="single bias point (GHz)")
@@ -161,7 +160,6 @@ def _cmd_lamb(args, run) -> int:
         n_cutoff=_given(args.n_cutoff, run.lamb.n_cutoff),
         delta_measured=_given(args.delta_ghz, run.lamb.delta_measured),
         n_modes=_given(args.n_modes, run.lamb.n_modes),
-        rel_tol=_given(args.tolerance, lamb.DEFAULT_REL_TOL),
     )
     target = args.out or run.output.out
     if target:

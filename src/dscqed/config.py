@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -22,7 +22,7 @@ from .errors import ConfigError
 from .fitting import DEFAULT_BOUNDS
 from .lamb import DEFAULT_N_MODES
 from .rabi import QrmParams
-from .resonator import DeviceMeta, ResonatorModel
+from .resonator import N_MODES_CEILING, DeviceMeta, ResonatorModel
 from .spectrum import SweepConfig
 
 
@@ -197,7 +197,7 @@ def _build(raw: dict, strict: bool) -> RunConfig:
             else LambSettings.delta_measured
         ),
         n_modes=(
-            _integer(lamb_raw, "lamb", "n_modes", 1)
+            _integer(lamb_raw, "lamb", "n_modes", 1, N_MODES_CEILING)
             if "n_modes" in lamb_raw
             else LambSettings.n_modes
         ),
@@ -226,6 +226,10 @@ def _build(raw: dict, strict: bool) -> RunConfig:
             hi = _number(pair, f"fit.bounds.{k}", 1)
             if not lo < hi:
                 raise ConfigError(f"fit.bounds.{k}: low must be < high, got {pair}")
+            try:  # QrmParams holds the model domain
+                replace(qrm, **{k.removesuffix("_ghz"): lo})
+            except ValueError as exc:
+                raise ConfigError(f"fit.bounds.{k}.0: {exc}") from None
             bounds.append((lo, hi))
         else:
             bounds.append(DEFAULT_BOUNDS[n])
@@ -313,10 +317,12 @@ def _positive(section, prefix, key) -> float:
     return v
 
 
-def _integer(section, prefix, key, minimum) -> int:
+def _integer(section, prefix, key, minimum, maximum=None) -> int:
     v = section[key]
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"{prefix}.{key}: expected an integer, got {v!r}")
     if v < minimum:
         raise ConfigError(f"{prefix}.{key}: must be >= {minimum}, got {v}")
+    if maximum is not None and v > maximum:
+        raise ConfigError(f"{prefix}.{key}: must be <= {maximum}, got {v}")
     return v

@@ -6,7 +6,7 @@ plus the dimensionless mode sum
 
     S(n_cutoff) = sum over odd n of 1 / (n * (1 + n^2 / n_cutoff^2))
 
-and its large-n_cutoff asymptote.  n_cutoff = omega_cutoff / omega_1.
+and its large-n_cutoff asymptote, both in closed form; n_cutoff = omega_cutoff / omega_1.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .resonator import N_MODES_CEILING
+
 EULER_GAMMA = 0.5772156649015329
 
 # delta0/omega beyond this is outside the stated validity of the exponential
@@ -24,7 +26,12 @@ EULER_GAMMA = 0.5772156649015329
 _VALIDITY_RATIO = 0.2
 
 DEFAULT_N_MODES = 30  # modes listed in a report's per-mode shifts
-DEFAULT_REL_TOL = 1e-9  # relative accuracy of the mode sum
+
+# Offsets a = k + 1/2 of the mode-sum terms summed directly, and the digamma
+# tail's Stirling series as (power p, coefficient c): 1/(2z), then
+# B_2j / (2j z^2j), j = 1..5; the first omitted term is below 1e-17 of S.
+_HEAD = tuple(k + 0.5 for k in range(20))
+_STIRLING = ((1, 1 / 2), (2, 1 / 12), (4, -1 / 120), (6, 1 / 252), (8, -1 / 240), (10, 1 / 132))
 
 
 @dataclass(frozen=True)
@@ -110,31 +117,33 @@ def multimode_renorm(delta0: float, modes) -> float:
     return delta0 * math.exp(-2.0 * math.fsum(terms))
 
 
-def cutoff_sum(n_cutoff: float, rel_tol: float = DEFAULT_REL_TOL) -> float:
-    """Odd-harmonic mode sum S(n_cutoff), accurate to ~rel_tol relative.
+def cutoff_sum(n_cutoff: float) -> float:
+    """Odd-harmonic mode sum S(n_cutoff) in closed form, to ~1e-15 relative.
 
-    Terms n_cutoff^2 / (n (n^2 + n_cutoff^2)) are accumulated over odd n in
-    doubling blocks until the analytic tail bound n_cutoff^2 / (4 N^2) drops
-    below rel_tol * partial_sum (N = last summed odd term); the midpoint-rule
-    integral tail  0.25 * log(1 + n_cutoff^2 / (N+1)^2)  is then added.  The
-    stopping index is a deterministic function of (n_cutoff, rel_tol).
+    S = (Re psi(1/2 + i y) - psi(1/2)) / 2 with y = n_cutoff / 2 (partial
+    fractions over odd n; Abramowitz & Stegun 6.3).  The terms
+    y^2 / (a (a^2 + y^2)) at a = 1/2 .. 19.5 are summed directly; the rest,
+    Re psi(w + i y) - psi(w) at w = 20.5, is the Stirling series in t = y / w
+    written in differences that vanish like t^2, so nothing cancels at small
+    n_cutoff.  The cost does not depend on n_cutoff.
     """
     if not (n_cutoff > 0.0 and math.isfinite(n_cutoff)):
         raise ValueError(f"n_cutoff must be positive and finite, got {n_cutoff}")
-    if not rel_tol > 0.0:
-        raise ValueError(f"rel_tol must be > 0, got {rel_tol}")
-    nc2 = n_cutoff * n_cutoff
-    total = 0.0
-    start = 1
-    block = 1024
-    while True:
-        n = np.arange(start, start + 2 * block, 2, dtype=float)
-        total += float(np.sum(nc2 / (n * (n * n + nc2))))
-        last = start + 2 * (block - 1)
-        if nc2 / (4.0 * last * last) < rel_tol * total:
-            return total + 0.25 * math.log1p(nc2 / (last + 1.0) ** 2)
-        start = last + 2
-        block = min(2 * block, 1 << 22)
+    y = 0.5 * n_cutoff
+    # (a / y) * (a / y), not ** 2, which raises OverflowError at tiny y
+    head = math.fsum(1.0 / (a * (1.0 + (a / y) * (a / y))) for a in _HEAD)
+    w = len(_HEAD) + 0.5
+    t = y / w
+    # log|1 + i t|, without overflowing t^2 at huge n_cutoff
+    log_mod = 0.5 * math.log1p(t * t) if t < 1.0 else math.log(math.hypot(1.0, t))
+    theta = math.atan(t)
+    # 1 - Re (1 + i t)^-p = 2 sin^2(p theta / 2) - expm1(-p log_mod) cos(p theta)
+    tail = log_mod + sum(
+        c / w**p * (2.0 * math.sin(0.5 * p * theta) ** 2
+                    - math.expm1(-p * log_mod) * math.cos(p * theta))
+        for p, c in _STIRLING
+    )
+    return 0.5 * (head + tail)
 
 
 def asymptotic_sum(n_cutoff: float) -> float:
@@ -142,11 +151,6 @@ def asymptotic_sum(n_cutoff: float) -> float:
     if not n_cutoff > 0.0:
         raise ValueError(f"n_cutoff must be > 0, got {n_cutoff}")
     return 0.25 * (2.0 * EULER_GAMMA + math.log(4.0)) + 0.5 * math.log(n_cutoff)
-
-
-def _odd_harmonic_terms(n_cutoff: float, n_modes: int) -> np.ndarray:
-    n = np.arange(1, 2 * n_modes, 2, dtype=float)
-    return 1.0 / (n * (1.0 + (n / n_cutoff) ** 2))
 
 
 def per_mode_shifts(
@@ -157,12 +161,12 @@ def per_mode_shifts(
     Mode frequencies are taken as odd multiples of omega1 with the scaled
     cutoff-suppressed coupling; ``n_cutoff`` may be ``inf`` (no cutoff).
     """
-    if n_modes < 1:
-        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
+    if not 1 <= n_modes <= N_MODES_CEILING:
+        raise ValueError(f"n_modes must be between 1 and {N_MODES_CEILING}, got {n_modes}")
     if not omega1 > 0.0:
         raise ValueError(f"omega1 must be > 0, got {omega1}")
-    exponents = 2.0 * (g1 / omega1) ** 2 * _odd_harmonic_terms(n_cutoff, n_modes)
-    return -np.expm1(-exponents)
+    n = np.arange(1, 2 * n_modes, 2, dtype=float)
+    return -np.expm1(-2.0 * (g1 / omega1) ** 2 * (1.0 / (n * (1.0 + (n / n_cutoff) ** 2))))
 
 
 def full_report(
@@ -171,15 +175,12 @@ def full_report(
     n_cutoff: float,
     delta_measured: float,
     n_modes: int = DEFAULT_N_MODES,
-    rel_tol: float = DEFAULT_REL_TOL,
 ) -> LambShiftReport:
     """Invert the cutoff-regularized renormalization: from the measured gap,
     recover the bare gap, the partially renormalized gap, and all shifts."""
     if not delta_measured > 0.0:
         raise ValueError(f"delta_measured must be > 0, got {delta_measured}")
-    return _assemble_report(
-        g1, omega1, n_cutoff, delta=delta_measured, n_modes=n_modes, rel_tol=rel_tol
-    )
+    return _assemble_report(g1, omega1, n_cutoff, delta=delta_measured, n_modes=n_modes)
 
 
 def full_report_from_bare(
@@ -188,25 +189,21 @@ def full_report_from_bare(
     n_cutoff: float,
     delta0: float,
     n_modes: int = DEFAULT_N_MODES,
-    rel_tol: float = DEFAULT_REL_TOL,
 ) -> LambShiftReport:
     """Forward direction for synthetic studies: bare gap in, renormalized out."""
     if not delta0 > 0.0:
         raise ValueError(f"delta0 must be > 0, got {delta0}")
     x = 2.0 * (g1 / omega1) ** 2
-    s = cutoff_sum(n_cutoff, rel_tol)
-    delta = delta0 * math.exp(-x * s)
-    return _assemble_report(
-        g1, omega1, n_cutoff, delta=delta, n_modes=n_modes, rel_tol=rel_tol
-    )
+    delta = delta0 * math.exp(-x * cutoff_sum(n_cutoff))
+    return _assemble_report(g1, omega1, n_cutoff, delta=delta, n_modes=n_modes)
 
 
-def _assemble_report(g1, omega1, n_cutoff, delta, n_modes, rel_tol):
+def _assemble_report(g1, omega1, n_cutoff, delta, n_modes):
     if not g1 >= 0.0:
         raise ValueError(f"g1 must be >= 0, got {g1}")
     if not omega1 > 0.0:
         raise ValueError(f"omega1 must be > 0, got {omega1}")
-    s = cutoff_sum(n_cutoff, rel_tol)
+    s = cutoff_sum(n_cutoff)
     if s < 1.0 and g1 > 0.0:
         # The scaled coupling law normalizes the n=1 term below one, so for
         # n_cutoff this small the partially renormalized gap would come out

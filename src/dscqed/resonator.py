@@ -4,7 +4,8 @@ Solves the transcendental mode equation  kX * tan(kX) = (total inductance) /
 (termination inductance), yielding mode frequencies, zero-point current
 fluctuations, and per-mode coupling strengths with their natural
 high-frequency cutoff  omega_cutoff = Z0 / L_c2  (an angular frequency;
-the API reports ordinary GHz).
+the API reports ordinary GHz).  All branches are solved by one array
+bisection of fixed length; an uncertified root raises ConvergenceError.
 
 Only the combinations Z0, X*l (total inductance) and the bare fundamental
 frequency enter any result, so the model stores exactly those; the
@@ -19,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConvergenceError
+
 TWO_PI_GHZ = 2.0 * math.pi * 1e9  # ordinary GHz -> rad/s
 HBAR = 1.054571817e-34  # J s
 PLANCK_H = 6.62607015e-34  # J s
@@ -28,6 +31,13 @@ PHI0 = 2.067833848e-15  # Wb
 # certify the relative residual in double precision; the root value itself is
 # still correct to machine precision.
 _RESIDUAL_CHECK_MAX_RATIO = 1e12
+
+N_MODES_CEILING = 10**6  # most modes any per-mode array is built for
+
+# Non-negative doubles order like their int64 bit patterns: halving the
+# pattern interval [0, bits(pi/2)] < 2^62 collapses it in 62 steps.
+_HALF_PI_BITS = np.float64(0.5 * math.pi).view(np.int64)
+_BISECTION_STEPS = 62
 
 
 @dataclass(frozen=True)
@@ -114,47 +124,31 @@ def cutoff_frequency(m: ResonatorModel, lc_only: bool = False) -> float:
     return m.z0 / inductance / TWO_PI_GHZ
 
 
-def _root_in_branch(r: float, n: int) -> float:
-    """Unique root of y*tan(y) = r in ((n-1)*pi, (n-1)*pi + pi/2).
-
-    Bisection on the pole-free form (-1)^(n-1) * (y sin y - r cos y), which is
-    negative at the left endpoint and positive at the right one; converges
-    unconditionally to interval collapse or width < 1e-13.
-    """
-    lo = (n - 1) * math.pi
-    hi = lo + 0.5 * math.pi
-    sign = -1.0 if n % 2 == 0 else 1.0
-
-    def h(y):
-        return sign * (y * math.sin(y) - r * math.cos(y))
-
-    a, b = lo, hi
-    if h(b) <= 0.0:
-        # r so large the root is within one ulp of the pole.
-        return b
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            break
-        if h(mid) > 0.0:
-            b = mid
-        else:
-            a = mid
-        if b - a < 1e-13:
-            break
-    return 0.5 * (a + b)
-
-
 def mode_wavenumbers(m: ResonatorModel, n_modes: int) -> np.ndarray:
-    """Dimensionless kX roots of the mode equation for branches 1..n_modes."""
-    if n_modes < 1:
-        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
+    """Dimensionless kX = (n-1)*pi + u, u in (0, pi/2), for branches 1..n_modes.
+
+    Bisects all branches at once on ((n-1)*pi + u) sin u - r cos u (r = X*l /
+    L_c2), the pole-free form of the mode equation, down to adjacent doubles.
+    Raises ConvergenceError when the residual, taken in u, exceeds 1e-9 relative.
+    """
+    if not 1 <= n_modes <= N_MODES_CEILING:
+        raise ValueError(f"n_modes must be between 1 and {N_MODES_CEILING}, got {n_modes}")
     r = m.l_total / m.l_c2
-    roots = np.array([_root_in_branch(r, n) for n in range(1, n_modes + 1)])
+    base = math.pi * np.arange(n_modes)
+    lo = np.zeros(n_modes, dtype=np.int64)
+    hi = np.full(n_modes, _HALF_PI_BITS)
+    for _ in range(_BISECTION_STEPS):
+        mid = (lo + hi) >> 1
+        u = mid.view(np.float64)
+        right = (base + u) * np.sin(u) > r * np.cos(u)
+        hi = np.where(right, mid, hi)
+        lo = np.where(right, lo, mid)
+    u = 0.5 * (lo.view(np.float64) + hi.view(np.float64))
+    roots = base + u
     if r < _RESIDUAL_CHECK_MAX_RATIO:
-        resid = np.abs(roots * np.tan(roots) - r) / r
-        if np.max(resid) > 1e-9:
-            raise RuntimeError(f"mode-equation residual {np.max(resid)} exceeds 1e-9")
+        resid = np.max(np.abs(roots * np.tan(u) - r)) / r
+        if resid > 1e-9:
+            raise ConvergenceError(f"mode-equation residual {resid} exceeds 1e-9")
     return roots
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,45 @@ def kron_hamiltonian(p, t):
 def kron_parity(n_states):
     """Oracle composite parity sigma_x * (-1)^n as a dense matrix."""
     return np.kron(np.diag((-1.0) ** np.arange(n_states)), SIGMA_X)
+
+
+def root_in_branch(r, n):
+    """Oracle root of y*tan(y) = r in ((n-1)*pi, (n-1)*pi + pi/2), one branch
+    at a time.
+
+    Bisection on the pole-free form (-1)^(n-1) * (y sin y - r cos y), which is
+    negative at the left endpoint and positive at the right one; converges
+    unconditionally to interval collapse or width < 1e-13.
+    """
+    lo = (n - 1) * math.pi
+    hi = lo + 0.5 * math.pi
+    sign = -1.0 if n % 2 == 0 else 1.0
+
+    def h(y):
+        return sign * (y * math.sin(y) - r * math.cos(y))
+
+    a, b = lo, hi
+    if h(b) <= 0.0:
+        # r so large the root is within one ulp of the pole.
+        return b
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        if mid <= a or mid >= b:
+            break
+        if h(mid) > 0.0:
+            b = mid
+        else:
+            a = mid
+        if b - a < 1e-13:
+            break
+    return 0.5 * (a + b)
+
+
+def resonator_with_ratio(r):
+    """Bundled-like resonator whose inductance ratio X*l / L_c2 is ``r``."""
+    return ResonatorModel(
+        z0=50.0, l_total=r * 1e-10, omega1_bare=2.8525, l_c=2e-10, l_2=2e-10
+    )
 
 
 @pytest.fixture

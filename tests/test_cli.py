@@ -170,6 +170,55 @@ def test_lamb_shift_cutoff_override(capsys):
     assert report["n_cutoff"] == 100
 
 
+def test_lamb_shift_has_no_tolerance_flag(capsys):
+    # the mode sum is in closed form; there is no accuracy to choose
+    assert main(["lamb-shift", "--tolerance", "1e-9"]) == 1
+    assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, count_rows, rows",
+    [
+        (["modes", "--n-modes", "5000"], lambda out: len(out.splitlines()) - 1, 5000),
+        (["lamb-shift", "--n-cutoff", "30000"], lambda out: out.count("\n  mode "), 30),
+        (
+            ["lamb-shift", "--n-cutoff", "30000", "--format", "json"],
+            lambda out: len(json.loads(out)["per_mode_shift"]),
+            30,
+        ),
+        (
+            ["couplings", "--l-c-ph", "100,231,400", "--n-modes", "1000"],
+            lambda out: len(out.splitlines()) - 1,
+            3000,
+        ),
+    ],
+)
+def test_mode_structure_extremes(argv, count_rows, rows, capsys):
+    # the largest calls of the benchmark's mode-structure workload
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert count_rows(captured.out) == rows
+
+
+@pytest.mark.parametrize("command", ["modes", "couplings", "lamb-shift"])
+def test_mode_count_ceiling_exits_1(command, capsys):
+    assert main([command, "--n-modes", "1000000000000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: n_modes must be between 1 and")
+
+
+def test_uncertified_mode_roots_exit_2(tmp_path, capsys):
+    # l_c = 1e-7 pH puts the inductance ratio near 2e10, where the
+    # fundamental root cannot be certified to 1e-9 in double precision
+    path = _config_variant(tmp_path, lambda t: t["device"].update(l_c_ph=1.0e-7))
+    assert main(["modes", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: mode-equation residual")
+
+
 # ---------------------------------------------------------------------------
 # fit
 # ---------------------------------------------------------------------------
@@ -242,7 +291,6 @@ def test_tmpdir_override_honored(tmp_path, monkeypatch):
         (["couplings", "--n-modes", "0"], "n_modes"),
         (["lamb-shift", "--n-cutoff", "0"], "n_cutoff"),
         (["lamb-shift", "--delta-ghz", "0"], "delta_measured"),
-        (["lamb-shift", "--tolerance", "0"], "rel_tol"),
     ],
 )
 def test_explicit_zero_is_validated_not_replaced(argv, message, capsys):

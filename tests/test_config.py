@@ -101,6 +101,21 @@ def test_bad_bounds_pair(tmp_path):
         load_config(path)
 
 
+def test_bound_outside_model_domain_carries_field_path(tmp_path):
+    path = _write_variant(
+        tmp_path, lambda t: t["fit"]["bounds"].update(omega1_ghz=[-1.0, 100.0])
+    )
+    with pytest.raises(ConfigError, match=r"fit\.bounds\.omega1_ghz\.0: omega1 must be > 0"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("n_modes", [10**6 + 1, 10**400])
+def test_mode_count_above_ceiling_carries_field_path(tmp_path, n_modes):
+    path = _write_variant(tmp_path, lambda t: t["lamb"].update(n_modes=n_modes))
+    with pytest.raises(ConfigError, match=r"lamb\.n_modes: must be <= 1000000"):
+        load_config(path)
+
+
 def test_bad_output_format(tmp_path):
     path = _write_variant(tmp_path, lambda t: t["output"].update(format="xml"))
     with pytest.raises(ConfigError, match=r"output\.format"):

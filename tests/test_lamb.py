@@ -153,8 +153,35 @@ def test_sum_validation():
         cutoff_sum(0.0)
     with pytest.raises(ValueError):
         cutoff_sum(math.inf)
-    with pytest.raises(ValueError):
-        cutoff_sum(10.0, rel_tol=0.0)
+
+
+# lambda(s) = sum over odd n of n^-s = (1 - 2^-s) zeta(s)
+LAMBDA = {
+    s: (1.0 - 2.0**-s) * z
+    for s, z in (
+        (3, 1.2020569031595942),
+        (5, 1.0369277551433699),
+        (7, 1.0083492773819228),
+        (9, 1.0020083928260822),
+    )
+}
+
+
+def test_sum_matches_small_cutoff_series():
+    # S = N^2 lambda(3) - N^4 lambda(5) + ...; the omitted N^10 term is below
+    # 1e-16 relative for N <= 1e-2
+    for nc in np.geomspace(1e-8, 1e-2, 61):
+        series = sum(
+            (-1) ** j * nc ** (2 * j + 2) * LAMBDA[2 * j + 3] for j in range(4)
+        )
+        assert cutoff_sum(nc) == pytest.approx(series, rel=1e-13)
+
+
+def test_sum_matches_asymptote_at_large_cutoff():
+    # S - asymptote = O(N^-2), negligible from N = 1e7 on; the range runs up
+    # to the largest double, where N^2 overflows
+    for nc in (1e7, 3.3e8, 1e12, 1e50, 1e200, 1.7e308):
+        assert cutoff_sum(nc) == pytest.approx(asymptotic_sum(nc), rel=1e-13)
 
 
 def test_asymptote_constant_and_value():
@@ -198,6 +225,14 @@ def test_shifts_without_cutoff_decrease_but_sum_diverges():
         n += 2
         assert n < 10**7
     assert total > bound
+
+
+def test_per_mode_shift_count_ceiling():
+    from dscqed.resonator import N_MODES_CEILING
+
+    for n_modes in (0, N_MODES_CEILING + 1):
+        with pytest.raises(ValueError, match="n_modes"):
+            per_mode_shifts(2.39, 2.57, 13.2, n_modes)
 
 
 # ---------------------------------------------------------------------------

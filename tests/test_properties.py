@@ -15,12 +15,15 @@ from dscqed import (
     coupling_strength_at,
     drive_matrix_element,
     full_report,
+    mode_wavenumbers,
     single_mode_renorm,
     solve,
     sweep,
     transition_frequency,
 )
 from dscqed.output import lines_csv, lines_json
+
+from conftest import resonator_with_ratio, root_in_branch
 
 FAST = settings(max_examples=25, deadline=None, derandomize=True)
 SLOW = settings(max_examples=15, deadline=None, derandomize=True)
@@ -155,12 +158,23 @@ def test_parity_block_structure_of_hamiltonian():
 @FAST
 @given(st.floats(min_value=0.5, max_value=5000.0, **finite))
 def test_mode_roots_bracketed_for_any_inductance_ratio(r):
-    from dscqed.resonator import _root_in_branch
-
+    m = resonator_with_ratio(r)
+    r = m.l_total / m.l_c2
+    roots = mode_wavenumbers(m, 25)
     for n in (1, 2, 3, 10, 25):
-        y = _root_in_branch(r, n)
+        y = roots[n - 1]
         assert (n - 1) * math.pi < y < (n - 1) * math.pi + math.pi / 2
         assert abs(y * math.tan(y) - r) / r < 1e-9
+
+
+@FAST
+@given(st.floats(min_value=1e-2, max_value=1e4, **finite))
+def test_array_bisection_matches_branch_oracle(r):
+    m = resonator_with_ratio(r)
+    r = m.l_total / m.l_c2
+    oracle = [root_in_branch(r, n) for n in range(1, 61)]
+    # 1e-13 absolute, or a few doubles where their spacing is coarser
+    np.testing.assert_allclose(mode_wavenumbers(m, 60), oracle, rtol=1e-15, atol=1e-13)
 
 
 @FAST

@@ -14,7 +14,10 @@ from dscqed import (
     mode_wavenumbers,
     zero_point_current,
 )
-from dscqed.resonator import TWO_PI_GHZ
+from dscqed.errors import ConvergenceError
+from dscqed.resonator import N_MODES_CEILING, TWO_PI_GHZ
+
+from conftest import resonator_with_ratio, root_in_branch
 
 
 def _model(z0=50.0, l_total=1.93e-9, bare=2.8525, l_c=231e-12, l_2=823e-12, i_q=None):
@@ -79,6 +82,39 @@ def test_roots_bracketed_with_small_residual(paper_resonator):
     for n, y in enumerate(kx, start=1):
         assert (n - 1) * math.pi < y < (n - 1) * math.pi + math.pi / 2
         assert abs(y * math.tan(y) - r) / r < 1e-9
+
+
+def test_roots_match_branch_oracle_at_bundled_device(paper_resonator):
+    kx = mode_wavenumbers(paper_resonator, 2600)
+    r = paper_resonator.l_total / paper_resonator.l_c2
+    oracle = [root_in_branch(r, n) for n in range(1, 2601)]
+    # 1e-13 absolute, or a few doubles where their spacing is coarser
+    np.testing.assert_allclose(kx, oracle, rtol=1e-15, atol=1e-13)
+
+
+def test_residual_certified_far_up_the_branches(paper_resonator):
+    # the 1e-9 residual check (inside the solve, on the branch offset) holds
+    # up to kX ~ 3e5, not only below N ~ 2600
+    kx = mode_wavenumbers(paper_resonator, 100_000)
+    r = paper_resonator.l_total / paper_resonator.l_c2
+    n = np.arange(1, len(kx) + 1)
+    assert np.all(((n - 1) * math.pi < kx) & (kx < (n - 0.5) * math.pi))
+    sample = n[::997]
+    oracle = [root_in_branch(r, int(k)) for k in sample]
+    np.testing.assert_allclose(kx[sample - 1], oracle, rtol=1e-15, atol=1e-13)
+
+
+def test_uncertified_root_raises_convergence_error():
+    # r ~ 2e10: the root sits within ~1e-10 of the tangent pole
+    with pytest.raises(ConvergenceError, match="mode-equation residual"):
+        mode_wavenumbers(resonator_with_ratio(2e10), 5)
+
+
+def test_mode_count_ceiling():
+    m = _model()
+    for n_modes in (0, N_MODES_CEILING + 1):
+        with pytest.raises(ValueError, match="n_modes"):
+            mode_wavenumbers(m, n_modes)
 
 
 def test_fundamental_matches_first_order_formula(paper_resonator):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -98,14 +99,19 @@ def main(argv=None) -> int:
         return 2
 
 
-def _emit(args, run, csv_maker, json_maker) -> int:
-    fmt = args.format or run.output.format
-    text = csv_maker() if fmt == "csv" else json_maker()
+def _emit(args, run, render, text=None) -> int:
+    """Write ``render(format)`` to the target file, or to stdout when there
+    is none.  A command with a human-readable ``text`` prints it to stdout
+    when it writes a file, and in place of ``render`` when no ``--format``
+    was given."""
     target = args.out or run.output.out
+    form = args.format or run.output.format
     if target:
-        output.write_atomic(target, text)
-    else:
+        output.write_atomic(target, render(form))
+    if text is not None and (target or args.format is None):
         sys.stdout.write(text)
+    elif not target:
+        sys.stdout.write(render(form))
     return 0
 
 
@@ -117,11 +123,7 @@ def _given(value, default):
 def _cmd_modes(args, run) -> int:
     n_modes = _given(args.n_modes, run.lamb.n_modes)
     table = resonator.mode_table(run.resonator, n_modes, run.qrm.g1, run.qrm.omega1)
-    return _emit(
-        args, run,
-        lambda: output.mode_table_csv(table),
-        lambda: output.mode_table_json(table),
-    )
+    return _emit(args, run, partial(output.table, output.MODE_FIELDS, table.rows()))
 
 
 def _cmd_couplings(args, run) -> int:
@@ -146,11 +148,7 @@ def _cmd_couplings(args, run) -> int:
         table = resonator.mode_table(m, n_modes, run.qrm.g1, run.qrm.omega1)
         for n, omega, _kx, _izpf, g in table.rows():
             rows.append((lc_ph, n, omega, g / run.qrm.g1, g))
-    return _emit(
-        args, run,
-        lambda: output.couplings_csv(rows),
-        lambda: output.couplings_json(rows),
-    )
+    return _emit(args, run, partial(output.table, output.COUPLING_FIELDS, rows))
 
 
 def _cmd_lamb(args, run) -> int:
@@ -161,19 +159,11 @@ def _cmd_lamb(args, run) -> int:
         delta_measured=_given(args.delta_ghz, run.lamb.delta_measured),
         n_modes=_given(args.n_modes, run.lamb.n_modes),
     )
-    target = args.out or run.output.out
-    if target:
-        fmt = args.format or run.output.format
-        text = output.report_csv(report) if fmt == "csv" else output.report_json(report)
-        output.write_atomic(target, text)
-        sys.stdout.write(output.report_text(report))
-    elif args.format == "json":
-        sys.stdout.write(output.report_json(report))
-    elif args.format == "csv":
-        sys.stdout.write(output.report_csv(report))
-    else:
-        sys.stdout.write(output.report_text(report))
-    return 0
+    return _emit(
+        args, run,
+        partial(output.record, report.as_dict(), "per_mode_shift"),
+        output.report_text(report),
+    )
 
 
 def _cmd_spectrum(args, run) -> int:
@@ -193,52 +183,36 @@ def _cmd_spectrum(args, run) -> int:
 
         sweep_cfg = dataclasses.replace(sweep_cfg, **replacements)
     lines = spectrum.sweep(run.qrm.delta_prime, run.qrm.omega1, run.qrm.g1, sweep_cfg)
-    return _emit(
-        args, run,
-        lambda: output.lines_csv(lines),
-        lambda: output.lines_json(lines),
-    )
+    rows = [(l.epsilon, l.i, l.j, l.label, l.frequency, l.amplitude) for l in lines]
+    return _emit(args, run, partial(output.table, output.LINE_FIELDS, rows))
 
 
 def _cmd_fit(args, run) -> int:
     data = fitting.read_peaks_csv(args.data)
-    result = fitting.fit(data, initial=run.fit.initial, bounds=run.fit.bounds)
-    return _emit(
-        args, run,
-        lambda: output.fit_result_csv(result),
-        lambda: output.fit_result_json(result),
+    result = fitting.fit(
+        data,
+        initial=run.fit.initial,
+        bounds=run.fit.bounds,
+        k_levels=run.sweep.k_levels,
+        amplitude_floor=run.sweep.amplitude_floor,
     )
+    return _emit(args, run, partial(output.record, result.as_dict(), "residual"))
 
 
 def _cmd_reproduce(args, run) -> int:
     checks = _reference_checks(run)
     widths = max(len(name) for name, *_ in checks)
-    all_ok = True
-    print(f"{'quantity'.ljust(widths)}  {'computed':>12}  {'reference':>10}  {'tol':>8}  status")
+    lines = [f"{'quantity'.ljust(widths)}  {'computed':>12}  {'reference':>10}  {'tol':>8}  status"]
     rows = []
     for name, computed, reference, tol in checks:
-        ok = abs(computed - reference) <= tol
-        all_ok &= ok
-        status = "PASS" if ok else "FAIL"
+        status = "PASS" if abs(computed - reference) <= tol else "FAIL"
         rows.append((name, computed, reference, tol, status))
-        print(
+        lines.append(
             f"{name.ljust(widths)}  {computed:12.6g}  {reference:10.6g}  "
             f"{tol:8.2g}  {status}"
         )
-    target = args.out or run.output.out
-    if target:
-        fmt = args.format or run.output.format
-        if fmt == "csv":
-            text = output.csv_text("quantity,computed,reference,tol,status", rows)
-        else:
-            text = output.json_text(
-                [
-                    {"quantity": n, "computed": c, "reference": r, "tol": t, "status": s}
-                    for n, c, r, t, s in rows
-                ]
-            ) + "\n"
-        output.write_atomic(target, text)
-    if not all_ok:
+    _emit(args, run, partial(output.table, output.CHECK_FIELDS, rows), "\n".join(lines) + "\n")
+    if any(row[-1] == "FAIL" for row in rows):
         print("reference-value mismatch", file=sys.stderr)
         return 2
     return 0

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, io_error
 from .fitting import DEFAULT_BOUNDS
 from .lamb import DEFAULT_N_MODES
 from .rabi import QrmParams
@@ -74,13 +74,15 @@ def load_config(path, strict: bool = True) -> RunConfig:
     path = os.fspath(path)
     if not os.path.exists(path):
         raise ConfigError(f"{path}: no such file")
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            mark = getattr(exc, "problem_mark", None)
-            line = mark.line + 1 if mark is not None else "?"
-            raise ConfigError(f"{path}:{line}: {getattr(exc, 'problem', exc)}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise io_error(path, exc) from None
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        line = mark.line + 1 if mark is not None else "?"
+        raise ConfigError(f"{path}:{line}: {getattr(exc, 'problem', exc)}") from None
     if raw is None:
         raise ConfigError(f"{path}:1: empty config")
     if not isinstance(raw, dict):

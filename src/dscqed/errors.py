@@ -19,3 +19,9 @@ class TruncationLimitError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """A numerical procedure exhausted its budget without converging."""
+
+
+def io_error(path, exc: Exception) -> ConfigError:
+    """ConfigError naming the file that an OSError or a UnicodeDecodeError
+    concerns."""
+    return ConfigError(f"{path}: {getattr(exc, 'strerror', None) or exc}")

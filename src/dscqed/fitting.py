@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, io_error
 from .lamb import DEFAULT_N_MODES, LambShiftReport, full_report, single_mode_renorm
 from .rabi import (
     DEFAULT_N_MAX,
@@ -44,6 +44,7 @@ from .rabi import (
     drive_matrix_element,
     eigensystem,
 )
+from .spectrum import SweepConfig
 
 DEFAULT_BOUNDS = ((1e-6, 100.0), (1e-3, 100.0), (0.0, 100.0))
 
@@ -111,48 +112,56 @@ class FitResult:
     def params(self):
         return (self.delta_prime, self.omega1, self.g1)
 
+    def as_dict(self) -> dict:
+        return {
+            "delta_prime_ghz": self.delta_prime,
+            "omega1_ghz": self.omega1,
+            "g1_ghz": self.g1,
+            "residual_rms_ghz": self.residual_rms,
+            "iterations": self.iterations,
+            "converged": self.converged,
+            "per_point_residuals_ghz": [float(r) for r in self.per_point_residuals],
+        }
+
 
 def read_peaks_csv(path) -> PeakData:
     """Load peaks from CSV with header epsilon_ghz,frequency_ghz[,label][,weight]."""
     allowed = ("epsilon_ghz", "frequency_ghz", "label", "weight")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            records = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise io_error(path, exc) from None
+    if not records:
+        raise ConfigError(f"{path}:1: empty file")
+    header = [h.strip() for h in records[0]]
+    if header[:2] != ["epsilon_ghz", "frequency_ghz"]:
+        raise ConfigError(f"{path}:1: header must start with epsilon_ghz,frequency_ghz")
+    for name in header[2:]:
+        if name not in allowed[2:]:
+            raise ConfigError(f"{path}:1: unknown column {name!r}")
+    cols = {name: k for k, name in enumerate(header)}
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    for lineno, raw in enumerate(records[1:], start=2):
+        if not raw or all(not cell.strip() for cell in raw):
+            continue
+        if len(raw) != len(header):
+            raise ConfigError(f"{path}:{lineno}: expected {len(header)} fields, got {len(raw)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}:1: empty file") from None
-        header = [h.strip() for h in header]
-        if header[:2] != ["epsilon_ghz", "frequency_ghz"]:
-            raise ConfigError(
-                f"{path}:1: header must start with epsilon_ghz,frequency_ghz"
-            )
-        for name in header[2:]:
-            if name not in allowed[2:]:
-                raise ConfigError(f"{path}:1: unknown column {name!r}")
-        cols = {name: k for k, name in enumerate(header)}
-        for lineno, raw in enumerate(reader, start=2):
-            if not raw or all(not cell.strip() for cell in raw):
-                continue
-            if len(raw) != len(header):
-                raise ConfigError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(raw)}"
-                )
+            eps = float(raw[cols["epsilon_ghz"]])
+            freq = float(raw[cols["frequency_ghz"]])
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+        label = None
+        if "label" in cols and raw[cols["label"]].strip():
+            label = raw[cols["label"]].strip()
+        weight = 1.0
+        if "weight" in cols and raw[cols["weight"]].strip():
             try:
-                eps = float(raw[cols["epsilon_ghz"]])
-                freq = float(raw[cols["frequency_ghz"]])
+                weight = float(raw[cols["weight"]])
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from None
-            label = None
-            if "label" in cols and raw[cols["label"]].strip():
-                label = raw[cols["label"]].strip()
-            weight = 1.0
-            if "weight" in cols and raw[cols["weight"]].strip():
-                try:
-                    weight = float(raw[cols["weight"]])
-                except ValueError as exc:
-                    raise ConfigError(f"{path}:{lineno}: {exc}") from None
-            rows.append((eps, freq, label, weight))
+        rows.append((eps, freq, label, weight))
     try:
         return PeakData.from_rows(rows)
     except ValueError as exc:
@@ -174,8 +183,8 @@ def model_frequency(
     label: str | None = None,
     measured: float | None = None,
     n_max: int = DEFAULT_N_MAX,
-    k_levels: int = 6,
-    amplitude_floor: float = 1e-6,
+    k_levels: int = SweepConfig.k_levels,
+    amplitude_floor: float = SweepConfig.amplitude_floor,
 ) -> float:
     """Model transition frequency at one bias point.
 
@@ -399,8 +408,8 @@ def fit(
     data: PeakData,
     initial,
     bounds=DEFAULT_BOUNDS,
-    k_levels: int = 6,
-    amplitude_floor: float = 1e-6,
+    k_levels: int = SweepConfig.k_levels,
+    amplitude_floor: float = SweepConfig.amplitude_floor,
     max_iter: int = 400,
 ) -> FitResult:
     """Weighted least squares over the peak data.
@@ -455,8 +464,8 @@ def profile_objective(
     span: float = 0.2,
     n: int = 7,
     bounds=DEFAULT_BOUNDS,
-    k_levels: int = 6,
-    amplitude_floor: float = 1e-6,
+    k_levels: int = SweepConfig.k_levels,
+    amplitude_floor: float = SweepConfig.amplitude_floor,
     max_iter: int = 150,
 ):
     """Profile the objective along one parameter around the fitted optimum,

@@ -130,8 +130,7 @@ def cutoff_sum(n_cutoff: float) -> float:
     if not (n_cutoff > 0.0 and math.isfinite(n_cutoff)):
         raise ValueError(f"n_cutoff must be positive and finite, got {n_cutoff}")
     y = 0.5 * n_cutoff
-    # (a / y) * (a / y), not ** 2, which raises OverflowError at tiny y
-    head = math.fsum(1.0 / (a * (1.0 + (a / y) * (a / y))) for a in _HEAD)
+    head = math.fsum(_head_term(a, y) for a in _HEAD)
     w = len(_HEAD) + 0.5
     t = y / w
     # log|1 + i t|, without overflowing t^2 at huge n_cutoff
@@ -144,6 +143,16 @@ def cutoff_sum(n_cutoff: float) -> float:
         for p, c in _STIRLING
     )
     return 0.5 * (head + tail)
+
+
+def _head_term(a: float, y: float) -> float:
+    """y^2 / (a (a^2 + y^2)) through whichever of y / a and a / y is below 1;
+    (a / y)^2 overflows once y < ~1e-154 a."""
+    if y < a:
+        r = y / a
+        return r * r / (a * (1.0 + r * r))
+    r = a / y
+    return 1.0 / (a * (1.0 + r * r))
 
 
 def asymptotic_sum(n_cutoff: float) -> float:

@@ -1,23 +1,32 @@
-"""Deterministic CSV / JSON emission and atomic file writes.
+"""Deterministic CSV / JSON rendering and atomic file writes.
 
-Every emitter renders floats with 12 significant digits ('.' separator, no
-locale), so the CSV and JSON forms of the same table carry byte-identical
-numeric tokens.  Files are written whole (temp file + rename); the
-``DSCQED_TMPDIR`` environment variable overrides where temp files go.
+Two renderers cover every output.  ``table`` takes field names and rows and
+gives CSV under that header or a JSON list of objects keyed by the fields
+(spectral lines, modes, couplings, the reference checks).  ``record`` takes
+one dict holding one list field and gives the JSON object or ``field,value``
+CSV with the list expanded to numbered rows (the Lamb-shift report, the fit
+result).  Floats are rendered with 12 significant digits ('.' separator, no
+locale), so the CSV and JSON forms carry byte-identical numeric tokens.
+Files are written whole (temp file + rename); the ``DSCQED_TMPDIR``
+environment variable overrides where temp files go.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import shutil
 import tempfile
 
+from .errors import ConfigError, io_error
+
 TMPDIR_ENV = "DSCQED_TMPDIR"
 
-LINES_CSV_HEADER = "epsilon_ghz,i,j,label,frequency_ghz,amplitude"
-MODES_CSV_HEADER = "n,omega_n_ghz,k_x,i_zpf_a,g_n_ghz"
-COUPLINGS_CSV_HEADER = "l_c_ph,n,omega_n_ghz,g_over_g1,g_n_ghz"
+LINE_FIELDS = ("epsilon_ghz", "i", "j", "label", "frequency_ghz", "amplitude")
+MODE_FIELDS = ("n", "omega_n_ghz", "k_x", "i_zpf_a", "g_n_ghz")
+COUPLING_FIELDS = ("l_c_ph", "n", "omega_n_ghz", "g_over_g1", "g_n_ghz")
+CHECK_FIELDS = ("quantity", "computed", "reference", "tol", "status")
 
 
 def fmt(value) -> str:
@@ -70,98 +79,53 @@ def csv_text(header: str, rows) -> str:
 
 
 def write_atomic(path, text: str) -> None:
-    """Whole-file write: temp file then rename over the target."""
+    """Whole-file write: temp file then rename over the target.
+
+    Any OSError becomes a ConfigError naming ``path``.
+    """
     path = os.fspath(path)
     directory = os.environ.get(TMPDIR_ENV) or os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(prefix=".dscqed-", dir=directory)
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=".dscqed-", dir=directory)
+    except OSError as exc:
+        raise ConfigError(
+            f"{path}: cannot create a temp file in {directory}: {exc.strerror or exc}"
+        ) from None
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
             fh.write(text)
         try:
             os.replace(tmp, path)
-        except OSError:
-            shutil.move(tmp, path)
+        except OSError as exc:
+            if exc.errno != errno.EXDEV:
+                raise
+            shutil.copyfile(tmp, path)  # temp directory on another file system
+    except OSError as exc:
+        raise io_error(path, exc) from None
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
 
 
-# ---------------------------------------------------------------------------
-# Table emitters (each comes in CSV and JSON flavors with identical numbers)
-# ---------------------------------------------------------------------------
+def table(fields, rows, form: str) -> str:
+    """A table as CSV with ``fields`` for a header, or as a JSON list of
+    objects keyed by ``fields``."""
+    if form == "csv":
+        return csv_text(",".join(fields), rows)
+    return json_text([dict(zip(fields, row)) for row in rows]) + "\n"
 
 
-def lines_csv(lines) -> str:
-    rows = (
-        (l.epsilon, l.i, l.j, l.label, l.frequency, l.amplitude) for l in lines
-    )
-    return csv_text(LINES_CSV_HEADER, rows)
-
-
-def lines_json(lines) -> str:
-    return json_text(
-        [
-            {
-                "epsilon_ghz": l.epsilon,
-                "i": l.i,
-                "j": l.j,
-                "label": l.label,
-                "frequency_ghz": l.frequency,
-                "amplitude": l.amplitude,
-            }
-            for l in lines
-        ]
-    ) + "\n"
-
-
-def mode_table_csv(table) -> str:
-    return csv_text(MODES_CSV_HEADER, table.rows())
-
-
-def mode_table_json(table) -> str:
-    return json_text(
-        [
-            {
-                "n": n,
-                "omega_n_ghz": omega,
-                "k_x": kx,
-                "i_zpf_a": izpf,
-                "g_n_ghz": g,
-            }
-            for n, omega, kx, izpf, g in table.rows()
-        ]
-    ) + "\n"
-
-
-def couplings_csv(rows) -> str:
-    return csv_text(COUPLINGS_CSV_HEADER, rows)
-
-
-def couplings_json(rows) -> str:
-    return json_text(
-        [
-            {
-                "l_c_ph": lc,
-                "n": n,
-                "omega_n_ghz": omega,
-                "g_over_g1": ratio,
-                "g_n_ghz": g,
-            }
-            for lc, n, omega, ratio, g in rows
-        ]
-    ) + "\n"
-
-
-def report_json(report) -> str:
-    return json_text(report.as_dict()) + "\n"
-
-
-def report_csv(report) -> str:
-    d = report.as_dict()
-    rows = [(k, v) for k, v in d.items() if k != "per_mode_shift"]
-    rows += [
-        (f"per_mode_shift_{n + 1}", s) for n, s in enumerate(d["per_mode_shift"])
-    ]
+def record(values: dict, item: str, form: str) -> str:
+    """One record as a JSON object, or as ``field,value`` CSV in which its
+    list field is expanded to rows ``<item>_1, <item>_2, ...``."""
+    if form == "json":
+        return json_text(values) + "\n"
+    rows = []
+    for key, value in values.items():
+        if isinstance(value, list):
+            rows += [(f"{item}_{n}", v) for n, v in enumerate(value, start=1)]
+        else:
+            rows.append((key, value))
     return csv_text("field,value", rows)
 
 
@@ -183,28 +147,3 @@ def report_text(report) -> str:
     for n, s in enumerate(report.per_mode_shift):
         lines.append(f"  mode {n + 1:3d}: {100.0 * s:9.4f} %")
     return "\n".join(lines) + "\n"
-
-
-def fit_result_json(result) -> str:
-    return json_text(_fit_result_dict(result)) + "\n"
-
-
-def fit_result_csv(result) -> str:
-    d = _fit_result_dict(result)
-    rows = [(k, v) for k, v in d.items() if k != "per_point_residuals_ghz"]
-    rows += [
-        (f"residual_{n + 1}", r) for n, r in enumerate(d["per_point_residuals_ghz"])
-    ]
-    return csv_text("field,value", rows)
-
-
-def _fit_result_dict(result) -> dict:
-    return {
-        "delta_prime_ghz": result.delta_prime,
-        "omega1_ghz": result.omega1,
-        "g1_ghz": result.g1,
-        "residual_rms_ghz": result.residual_rms,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "per_point_residuals_ghz": [float(r) for r in result.per_point_residuals],
-    }

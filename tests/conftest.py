@@ -5,6 +5,7 @@ import pytest
 
 from dscqed import PeakData, QrmParams, ResonatorModel
 from dscqed.fitting import _predicted
+from dscqed.output import LINE_FIELDS, table
 
 PAPER_TRIPLE = (0.147, 2.57, 2.39)
 
@@ -26,6 +27,13 @@ def kron_hamiltonian(p, t):
 def kron_parity(n_states):
     """Oracle composite parity sigma_x * (-1)^n as a dense matrix."""
     return np.kron(np.diag((-1.0) ** np.arange(n_states)), SIGMA_X)
+
+
+def lines_table(lines, form):
+    """Spectral lines rendered by the table renderer, as `dscqed spectrum`
+    writes them."""
+    rows = [(l.epsilon, l.i, l.j, l.label, l.frequency, l.amplitude) for l in lines]
+    return table(LINE_FIELDS, rows, form)
 
 
 def root_in_branch(r, n):

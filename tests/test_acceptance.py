@@ -27,10 +27,9 @@ from dscqed import (
     sweep,
     transition_frequency,
 )
-from dscqed.output import lines_csv
 from dscqed.resonator import coupling_strength_at
 
-from conftest import PAPER_TRIPLE, synthetic_peaks
+from conftest import PAPER_TRIPLE, lines_table, synthetic_peaks
 
 PAPER = QrmParams(0.147, 0.0, 2.57, 2.39)
 
@@ -283,8 +282,8 @@ def test_criterion_11_property_suites():
         cfg = SweepConfig(
             epsilon_grid=(-0.3, 0.0, 0.3), freq_window=(0.0, 50.0), k_levels=4
         )
-        assert lines_csv(sweep(delta, omega, g, cfg)) == lines_csv(
-            sweep(delta, omega, g, cfg)
+        assert lines_table(sweep(delta, omega, g, cfg), "csv") == lines_table(
+            sweep(delta, omega, g, cfg), "csv"
         )
         cases += 1
 

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -33,6 +36,13 @@ def test_reproduce_paper_detects_mismatch(tmp_path, capsys):
     path = _config_variant(tmp_path, lambda t: t["qrm"].update(g1_ghz=2.0))
     assert main(["reproduce-paper", "--config", path]) == 2
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_reproduce_paper_prints_requested_format(capsys):
+    assert main(["reproduce-paper", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert len(rows) == 6
+    assert all(row["status"] == "PASS" for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -370,3 +380,112 @@ def test_bundled_spectrum_call_counts(monkeypatch, capsys):
         "eigvalsh@34": 2,
         "eigvalsh@66": 2,
     }
+
+
+def test_fit_takes_line_selection_from_config(tmp_path, monkeypatch, capsys):
+    from dscqed import fitting
+
+    seen = {}
+    real_fit = fitting.fit
+
+    def spy(*args, **kwargs):
+        seen.update(kwargs)
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(fitting, "fit", spy)
+    path = _config_variant(
+        tmp_path, lambda t: t["sweep"].update(k_levels=7, amplitude_floor=2.0e-6)
+    )
+    assert main(["fit", "--data", str(synthetic_peaks_path()), "--config", path]) == 0
+    assert seen["k_levels"] == 7
+    assert seen["amplitude_floor"] == 2.0e-6
+
+
+# ---------------------------------------------------------------------------
+# one emission path
+# ---------------------------------------------------------------------------
+
+EMITTING = [
+    ["modes", "--n-modes", "5"],
+    ["couplings", "--l-c-ph", "100,231", "--n-modes", "5"],
+    ["lamb-shift"],
+    ["spectrum", "--epsilon-steps", "5"],
+    ["fit", "--data", str(synthetic_peaks_path())],
+    ["reproduce-paper"],
+]
+
+
+@pytest.mark.parametrize("form", ["csv", "json"])
+@pytest.mark.parametrize("argv", EMITTING, ids=lambda argv: argv[0])
+def test_out_file_bytes_equal_stdout_bytes(argv, form, tmp_path, capsys):
+    assert main(argv + ["--format", form]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / f"out.{form}"
+    assert main(argv + ["--format", form, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == printed.encode()
+
+
+@pytest.mark.parametrize("command, first_line", [
+    ("lamb-shift", "Lamb-shift report"),
+    ("reproduce-paper", "quantity "),
+])
+def test_text_report_printed_when_writing_a_file(command, first_line, tmp_path, capsys):
+    assert main([command]) == 0
+    text = capsys.readouterr().out
+    assert text.startswith(first_line)
+    for form in ("csv", "json"):
+        out = tmp_path / f"report.{form}"
+        assert main([command, "--out", str(out), "--format", form]) == 0
+        assert capsys.readouterr().out == text
+        assert out.read_text() != text
+
+
+@pytest.mark.parametrize("argv, named, tmpdir", [
+    (["modes", "--out", "{tmp}/no/x.csv"], "{tmp}/no/x.csv", None),
+    (["lamb-shift", "--out", "{tmp}/no/x.json"], "{tmp}/no/x.json", None),
+    (["reproduce-paper", "--out", "{tmp}/no/x.csv"], "{tmp}/no/x.csv", None),
+    (["modes", "--out", "{tmp}"], "{tmp}", None),
+    (["modes", "--out", "{tmp}/x.csv"], "{tmp}/gone", "{tmp}/gone"),
+    (["fit", "--data", "{tmp}/no.csv"], "{tmp}/no.csv", None),
+    (["fit", "--data", "{tmp}"], "{tmp}", None),
+    (["modes", "--config", "{tmp}"], "{tmp}", None),
+    (["fit", "--data", "{tmp}/peaks.csv"], "{tmp}/peaks.csv", None),
+    (["modes", "--config", "{tmp}/device.yaml"], "{tmp}/device.yaml", None),
+], ids=[
+    "out-dir-missing", "out-dir-missing-text", "out-dir-missing-table", "out-is-directory",
+    "tmpdir-missing", "data-missing", "data-is-directory", "config-is-directory",
+    "data-not-utf8", "config-not-utf8",
+])
+def test_file_errors_exit_1_naming_the_path(argv, named, tmpdir, tmp_path, monkeypatch, capsys):
+    for source, name in ((synthetic_peaks_path(), "peaks.csv"), (paper_device_path(), "device.yaml")):
+        (tmp_path / name).write_bytes(Path(source).read_bytes() + b"# \xff\n")
+    if tmpdir:
+        monkeypatch.setenv("DSCQED_TMPDIR", tmpdir.format(tmp=tmp_path))
+    else:
+        monkeypatch.delenv("DSCQED_TMPDIR", raising=False)
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert named.format(tmp=tmp_path) in captured.err
+    assert captured.err.count("\n") == 1
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.mark.parametrize("script, out, argv", [
+    ("bias_sweep.py", "spectrum_lines.csv", ["spectrum"]),
+    ("coupling_cutoff_curves.py", "coupling_curves.csv",
+     ["couplings", "--l-c-ph", "100,231,400", "--n-modes", "60"]),
+])
+def test_example_scripts_write_their_tables(script, out, argv, tmp_path, capsys):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / script)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (proc.stdout, proc.stderr) == (f"wrote {out}\n", "")
+    assert main(argv) == 0
+    assert (tmp_path / out).read_text() == capsys.readouterr().out

@@ -169,12 +169,14 @@ LAMBDA = {
 
 def test_sum_matches_small_cutoff_series():
     # S = N^2 lambda(3) - N^4 lambda(5) + ...; the omitted N^10 term is below
-    # 1e-16 relative for N <= 1e-2
-    for nc in np.geomspace(1e-8, 1e-2, 61):
+    # 1e-16 relative for N <= 1e-2.  Below N ~ 1.5e-154 S is subnormal, where
+    # only the absolute bound of two subnormal spacings can hold; the series
+    # is formed as (lambda N^(2j+1)) N so that it rounds there only once
+    for nc in np.geomspace(1e-170, 1e-2, 1681):
         series = sum(
-            (-1) ** j * nc ** (2 * j + 2) * LAMBDA[2 * j + 3] for j in range(4)
+            (-1) ** j * LAMBDA[2 * j + 3] * nc ** (2 * j + 1) * nc for j in range(4)
         )
-        assert cutoff_sum(nc) == pytest.approx(series, rel=1e-13)
+        assert cutoff_sum(nc) == pytest.approx(series, rel=1e-13, abs=1e-323)
 
 
 def test_sum_matches_asymptote_at_large_cutoff():

@@ -21,9 +21,7 @@ from dscqed import (
     sweep,
     transition_frequency,
 )
-from dscqed.output import lines_csv, lines_json
-
-from conftest import resonator_with_ratio, root_in_branch
+from conftest import lines_table, resonator_with_ratio, root_in_branch
 
 FAST = settings(max_examples=25, deadline=None, derandomize=True)
 SLOW = settings(max_examples=15, deadline=None, derandomize=True)
@@ -93,8 +91,8 @@ def test_emitted_tables_are_byte_deterministic(delta, omega, gratio):
     )
     first = sweep(delta, omega, gratio * omega, cfg)
     second = sweep(delta, omega, gratio * omega, cfg)
-    assert lines_csv(first) == lines_csv(second)
-    assert lines_json(first) == lines_json(second)
+    assert lines_table(first, "csv") == lines_table(second, "csv")
+    assert lines_table(first, "json") == lines_table(second, "json")
 
 
 @FAST

@@ -31,7 +31,6 @@ from .rabi import (
     transition_frequency,
 )
 from .resonator import (
-    DeviceMeta,
     ModeTable,
     ResonatorModel,
     coupling_strength_at,
@@ -49,7 +48,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError",
     "ConvergenceError",
-    "DeviceMeta",
     "EigenSystem",
     "FitResult",
     "FockTruncation",

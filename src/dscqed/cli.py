@@ -25,6 +25,24 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+_FIELD = {f.flag: f for f in cfg_mod.FIELDS if f.flag}
+_COMMON = ("--format", "--out")
+_EPSILON_WINDOW = ("--epsilon-min", "--epsilon-max", "--epsilon-steps")
+_METAVAR = {
+    "--l-c-ph": "X[,Y...]", "--format": "{%s}" % ",".join(_FIELD["--format"].domain), "--out": "PATH"
+}
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _add_overrides(parser, flags) -> None:
+    for flag in flags:
+        metavar = _METAVAR.get(flag, "N" if _FIELD[flag].kind is int else "X")
+        parser.add_argument(flag, metavar=metavar, help=f"sets {_FIELD[flag].path}")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="dscqed",
@@ -32,42 +50,32 @@ def _build_parser() -> _Parser:
             "Flux qubit deep-strongly coupled to a multimode quarter-wave "
             "resonator: spectra, mode structure, and gap renormalization."
         ),
-        epilog=f"Set {output.TMPDIR_ENV} to redirect temp files used for atomic writes.",
+        epilog=(
+            "A flag that sets a config key overrides that key of the --config "
+            f"file and is checked by the same rules. Set {output.TMPDIR_ENV} to "
+            "redirect temp files used for atomic writes."
+        ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="run configuration (default: bundled device)")
-    common.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
-    common.add_argument("--format", choices=("csv", "json"), help="output format")
+    _add_overrides(common, _COMMON)
 
-    p = sub.add_parser("modes", parents=[common], help="per-mode frequency / current / coupling table")
-    p.add_argument("--n-modes", type=int, metavar="N", help="number of modes (default from config)")
-
-    p = sub.add_parser("couplings", parents=[common], help="cutoff-suppressed coupling curves per coupling inductance")
-    p.add_argument("--n-modes", type=int, metavar="N")
-    p.add_argument("--l-c-ph", metavar="X[,Y...]", help="coupling inductances in pH (default: config value)")
-
-    p = sub.add_parser("lamb-shift", parents=[common], help="bare / renormalized gap report")
-    p.add_argument("--n-cutoff", type=float, metavar="X")
-    p.add_argument("--n-modes", type=int, metavar="N")
-    p.add_argument("--delta-ghz", type=float, metavar="D", help="measured renormalized gap")
-
-    p = sub.add_parser("spectrum", parents=[common], help="transition lines over a bias sweep")
-    p.add_argument("--epsilon", type=float, metavar="E", help="single bias point (GHz)")
-    p.add_argument("--epsilon-min", type=float, metavar="E")
-    p.add_argument("--epsilon-max", type=float, metavar="E")
-    p.add_argument("--epsilon-steps", type=int, metavar="N")
-    p.add_argument("--tolerance", type=float, metavar="T", help="Fock-cutoff convergence tolerance (GHz)")
-
-    p = sub.add_parser("fit", parents=[common], help="recover (delta', omega1, g1) from peak data")
-    p.add_argument("--data", required=True, metavar="CSV", help="peaks: epsilon_ghz,frequency_ghz[,label][,weight]")
-
-    p = sub.add_parser(
-        "reproduce-paper",
-        parents=[common],
-        help="check the toolkit against the published reference values",
-    )
+    for command, (_handler, text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, parents=[common], help=text)
+        _add_overrides(p, flags)
+        if command == "spectrum":
+            p.add_argument(
+                "--epsilon", metavar="X",
+                help="single bias point: sets sweep.epsilon_min_ghz and "
+                "sweep.epsilon_max_ghz to X and sweep.epsilon_steps to 1",
+            )
+        elif command == "fit":
+            p.add_argument(
+                "--data", required=True, metavar="CSV",
+                help="peaks: epsilon_ghz,frequency_ghz[,label][,weight]",
+            )
     return parser
 
 
@@ -75,28 +83,34 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        run = cfg_mod.load_config(args.config or cfg_mod.paper_device_path())
-        handler = {
-            "modes": _cmd_modes,
-            "couplings": _cmd_couplings,
-            "lamb-shift": _cmd_lamb,
-            "spectrum": _cmd_spectrum,
-            "fit": _cmd_fit,
-            "reproduce-paper": _cmd_reproduce,
-        }[args.command]
-        return handler(args, run)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except np.linalg.LinAlgError as exc:  # a ValueError subclass, but numerical
+        source = args.config or cfg_mod.paper_device_path()
+        tree = cfg_mod.read_tree(source)
+        runs = [cfg_mod.validate(tree, source, over) for over in _overrides(args)]
+        return _COMMANDS[args.command][0](args, *runs)
+    except (np.linalg.LinAlgError, ConvergenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ConvergenceError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
+
+
+def _overrides(args) -> list:
+    """The flags given, as {dotted path: (flag, text)} overrides of the
+    config; one mapping per comma-separated value of --l-c-ph."""
+    over = {}
+    for flag in _COMMON + _COMMANDS[args.command][2]:
+        if getattr(args, _dest(flag)) is not None:
+            over[_FIELD[flag].path] = (flag, getattr(args, _dest(flag)))
+    if getattr(args, "epsilon", None) is not None:
+        for flag in _EPSILON_WINDOW:
+            if getattr(args, _dest(flag)) is not None:
+                raise ConfigError(f"--epsilon: not allowed with {flag}")
+            text = "1" if flag == "--epsilon-steps" else args.epsilon
+            over[_FIELD[flag].path] = ("--epsilon", text)
+    if "device.l_c_ph" not in over:
+        return [over]
+    return [{**over, "device.l_c_ph": ("--l-c-ph", text)} for text in args.l_c_ph.split(",")]
 
 
 def _emit(args, run, render, text=None) -> int:
@@ -104,60 +118,40 @@ def _emit(args, run, render, text=None) -> int:
     is none.  A command with a human-readable ``text`` prints it to stdout
     when it writes a file, and in place of ``render`` when no ``--format``
     was given."""
-    target = args.out or run.output.out
-    form = args.format or run.output.format
+    target = run.output.out
     if target:
-        output.write_atomic(target, render(form))
+        output.write_atomic(target, render(run.output.format))
     if text is not None and (target or args.format is None):
         sys.stdout.write(text)
     elif not target:
-        sys.stdout.write(render(form))
+        sys.stdout.write(render(run.output.format))
     return 0
 
 
-def _given(value, default):
-    """The command-line value when one was passed (zero included), else the default."""
-    return default if value is None else value
-
-
 def _cmd_modes(args, run) -> int:
-    n_modes = _given(args.n_modes, run.lamb.n_modes)
-    table = resonator.mode_table(run.resonator, n_modes, run.qrm.g1, run.qrm.omega1)
+    table = resonator.mode_table(run.resonator, run.lamb.n_modes, run.qrm.g1, run.qrm.omega1)
     return _emit(args, run, partial(output.table, output.MODE_FIELDS, table.rows()))
 
 
-def _cmd_couplings(args, run) -> int:
-    n_modes = _given(args.n_modes, run.lamb.n_modes)
-    if args.l_c_ph:
-        try:
-            lc_values = [float(tok) for tok in args.l_c_ph.split(",")]
-        except ValueError:
-            raise ConfigError(f"--l-c-ph: expected numbers, got {args.l_c_ph!r}")
-    else:
-        lc_values = [run.resonator.l_c * 1e12]
+def _cmd_couplings(args, *runs) -> int:
+    if not runs[0].qrm.g1 > 0.0:  # the table is relative to g1
+        source = args.config or cfg_mod.paper_device_path()
+        raise ConfigError(f"{source}: qrm.g1_ghz: couplings needs g1 > 0, got {runs[0].qrm.g1}")
     rows = []
-    for lc_ph in lc_values:
-        m = resonator.ResonatorModel(
-            z0=run.resonator.z0,
-            l_total=run.resonator.l_total,
-            omega1_bare=run.resonator.omega1_bare,
-            l_c=lc_ph * 1e-12,
-            l_2=run.resonator.l_2,
-            i_q=run.resonator.i_q,
-        )
-        table = resonator.mode_table(m, n_modes, run.qrm.g1, run.qrm.omega1)
+    for run in runs:
+        table = resonator.mode_table(run.resonator, run.lamb.n_modes, run.qrm.g1, run.qrm.omega1)
         for n, omega, _kx, _izpf, g in table.rows():
-            rows.append((lc_ph, n, omega, g / run.qrm.g1, g))
-    return _emit(args, run, partial(output.table, output.COUPLING_FIELDS, rows))
+            rows.append((run.resonator.l_c * 1e12, n, omega, g / run.qrm.g1, g))
+    return _emit(args, runs[0], partial(output.table, output.COUPLING_FIELDS, rows))
 
 
 def _cmd_lamb(args, run) -> int:
     report = lamb.full_report(
         g1=run.qrm.g1,
         omega1=run.qrm.omega1,
-        n_cutoff=_given(args.n_cutoff, run.lamb.n_cutoff),
-        delta_measured=_given(args.delta_ghz, run.lamb.delta_measured),
-        n_modes=_given(args.n_modes, run.lamb.n_modes),
+        n_cutoff=run.lamb.n_cutoff,
+        delta_measured=run.lamb.delta_measured,
+        n_modes=run.lamb.n_modes,
     )
     return _emit(
         args, run,
@@ -167,22 +161,7 @@ def _cmd_lamb(args, run) -> int:
 
 
 def _cmd_spectrum(args, run) -> int:
-    sweep_cfg = run.sweep
-    replacements = {}
-    if args.epsilon is not None:
-        replacements["epsilon_grid"] = (args.epsilon,)
-    elif any(v is not None for v in (args.epsilon_min, args.epsilon_max, args.epsilon_steps)):
-        lo = args.epsilon_min if args.epsilon_min is not None else min(sweep_cfg.epsilon_grid)
-        hi = args.epsilon_max if args.epsilon_max is not None else max(sweep_cfg.epsilon_grid)
-        steps = args.epsilon_steps if args.epsilon_steps is not None else len(sweep_cfg.epsilon_grid)
-        replacements["epsilon_grid"] = tuple(float(e) for e in np.linspace(lo, hi, steps))
-    if args.tolerance is not None:
-        replacements["truncation_tol"] = args.tolerance
-    if replacements:
-        import dataclasses
-
-        sweep_cfg = dataclasses.replace(sweep_cfg, **replacements)
-    lines = spectrum.sweep(run.qrm.delta_prime, run.qrm.omega1, run.qrm.g1, sweep_cfg)
+    lines = spectrum.sweep(run.qrm.delta_prime, run.qrm.omega1, run.qrm.g1, run.sweep)
     rows = [(l.epsilon, l.i, l.j, l.label, l.frequency, l.amplitude) for l in lines]
     return _emit(args, run, partial(output.table, output.LINE_FIELDS, rows))
 
@@ -225,13 +204,33 @@ def _reference_checks(run):
     report = lamb.full_report(q.g1, q.omega1, run.lamb.n_cutoff, run.lamb.delta_measured)
     return [
         ("renormalized gap (GHz)", delta, 0.026, 0.001),
-        ("fundamental-mode shift (%)", 100 * (1 - delta / q.delta_prime), 82.3, 0.3),
+        ("fundamental-mode shift (%)", 100 * report.fundamental_shift, 82.3, 0.3),
         ("mode sum S", report.sum_value, 1.93, 0.01),
         ("total shift (%)", 100 * report.total_shift, 96.5, 0.3),
         ("bare gap (GHz)", report.delta0, 0.732, 0.010),
         ("cutoff frequency (GHz)", resonator.cutoff_frequency(run.resonator, lc_only=True), 34.4, 0.1),
     ]
 
+
+# subcommand: (handler, help, flags that override config keys)
+_COMMANDS = {
+    "modes": (_cmd_modes, "per-mode frequency / current / coupling table", ("--n-modes",)),
+    "couplings": (
+        _cmd_couplings,
+        "cutoff-suppressed coupling curves per coupling inductance",
+        ("--n-modes", "--l-c-ph"),
+    ),
+    "lamb-shift": (
+        _cmd_lamb, "bare / renormalized gap report", ("--n-cutoff", "--n-modes", "--delta-ghz")
+    ),
+    "spectrum": (
+        _cmd_spectrum, "transition lines over a bias sweep", _EPSILON_WINDOW + ("--tolerance",)
+    ),
+    "fit": (_cmd_fit, "recover (delta', omega1, g1) from peak data", ()),
+    "reproduce-paper": (
+        _cmd_reproduce, "check the toolkit against the published reference values", ()
+    ),
+}
 
 if __name__ == "__main__":
     sys.exit(main())

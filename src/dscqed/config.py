@@ -1,14 +1,18 @@
 """Run-configuration loading.
 
 Configs are a single YAML tree with explicit unit suffixes in key names
-(``l_c_ph``, ``omega1_ghz``); no unit inference.  Loading is strict: unknown
-keys are rejected (a flag downgrades that to a warning), parse errors carry
-line numbers, invariant violations carry the dotted field path.
+(``l_c_ph``, ``omega1_ghz``); no unit inference.  One table, ``FIELDS``,
+declares every key: its dotted path, its kind, its domain, its default and
+the command-line flag that overrides it.  Loading is strict: unknown keys
+are rejected (a flag downgrades that to a warning), parse errors carry line
+numbers, and every other refusal names ``file: dotted.path`` for a value
+from the file or ``--flag`` for a value given on the command line.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 import warnings
 from dataclasses import dataclass, replace
@@ -20,9 +24,9 @@ import yaml
 
 from .errors import ConfigError, io_error
 from .fitting import DEFAULT_BOUNDS
-from .lamb import DEFAULT_N_MODES
+from .lamb import DEFAULT_N_MODES, N_CUTOFF_MIN
 from .rabi import QrmParams
-from .resonator import N_MODES_CEILING, DeviceMeta, ResonatorModel
+from .resonator import N_MODES_CEILING, ResonatorModel
 from .spectrum import SweepConfig
 
 
@@ -41,19 +45,86 @@ class FitSettings:
 
 @dataclass(frozen=True)
 class OutputSettings:
-    format: str = "csv"
-    out: str | None = None
+    format: str
+    out: str | None
 
 
 @dataclass(frozen=True)
 class RunConfig:
     resonator: ResonatorModel
-    meta: DeviceMeta
     qrm: QrmParams
     sweep: SweepConfig
     lamb: LambSettings
     fit: FitSettings
     output: OutputSettings
+
+
+REQUIRED = object()  # the default of a key that must be given
+
+
+@dataclass(frozen=True)
+class Field:
+    """One config key.
+
+    kind    -- float, int, str, or tuple for a [low, high] pair of floats
+    default -- REQUIRED, None (the key may be absent or null), a value, or the
+               dotted path of an earlier key whose value it copies
+    domain  -- an interval such as "(0, 1e6]" for numbers (each entry of a
+               pair), the allowed words for text
+    flag    -- the command-line flag that overrides the key
+    """
+
+    path: str
+    kind: type
+    default: object
+    domain: object = None
+    flag: str | None = None
+
+
+GHZ = "[-1e6, 1e6]"
+POSITIVE = "[1e-9, 1e6]"  # a magnitude in its unit; the floor keeps ratios finite
+NON_NEGATIVE = "[0, 1e6]"
+PARAMS = ("delta_prime_ghz", "omega1_ghz", "g1_ghz")  # the fitted triple
+
+FIELDS = (
+    Field("device.z0_ohm", float, REQUIRED, POSITIVE),
+    Field("device.l_total_nh", float, REQUIRED, POSITIVE),
+    Field("device.omega1_bare_ghz", float, REQUIRED, POSITIVE),
+    Field("device.l_c_ph", float, REQUIRED, POSITIVE, "--l-c-ph"),
+    Field("device.l_2_ph", float, REQUIRED, POSITIVE),
+    Field("device.i_q_na", float, None, POSITIVE),
+    Field("device.alpha", float, REQUIRED, "(0, 1)"),
+    Field("device.e_j_ghz", float, REQUIRED, POSITIVE),
+    Field("qrm.delta_prime_ghz", float, REQUIRED, NON_NEGATIVE),
+    Field("qrm.epsilon_ghz", float, 0.0, GHZ),
+    Field("qrm.omega1_ghz", float, REQUIRED, POSITIVE),
+    Field("qrm.g1_ghz", float, REQUIRED, NON_NEGATIVE),
+    Field("sweep.epsilon_min_ghz", float, -1.0, GHZ, "--epsilon-min"),
+    Field("sweep.epsilon_max_ghz", float, 1.0, GHZ, "--epsilon-max"),
+    Field("sweep.epsilon_steps", int, 81, "[1, 1000000]", "--epsilon-steps"),
+    Field("sweep.freq_min_ghz", float, 2.0, GHZ),
+    Field("sweep.freq_max_ghz", float, 8.0, GHZ),
+    Field("sweep.k_levels", int, SweepConfig.k_levels, "[2, 1000]"),
+    Field("sweep.amplitude_floor", float, SweepConfig.amplitude_floor, NON_NEGATIVE),
+    Field("sweep.truncation_tol_ghz", float, SweepConfig.truncation_tol, "(0, 1e6]", "--tolerance"),
+    Field("lamb.n_cutoff", float, LambSettings.n_cutoff, f"[{N_CUTOFF_MIN}, 1e6]", "--n-cutoff"),
+    Field("lamb.delta_measured_ghz", float, LambSettings.delta_measured, POSITIVE, "--delta-ghz"),
+    Field("lamb.n_modes", int, LambSettings.n_modes, f"[1, {N_MODES_CEILING}]", "--n-modes"),
+    *(Field(f"fit.initial.{k}", float, f"qrm.{k}", GHZ) for k in PARAMS),
+    *(Field(f"fit.bounds.{k}", tuple, b, GHZ) for k, b in zip(PARAMS, DEFAULT_BOUNDS)),
+    Field("output.format", str, "csv", ("csv", "json"), "--format"),
+    Field("output.out", str, None, None, "--out"),
+)
+
+# (path, relation, path) pairs of keys that must be ordered
+ORDERED = (
+    ("sweep.epsilon_min_ghz", "<=", "sweep.epsilon_max_ghz"),
+    ("sweep.freq_min_ghz", "<", "sweep.freq_max_ghz"),
+)
+
+_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_PATHS = {f.path for f in FIELDS}
+_SECTIONS = {p.rsplit(".", n)[0] for p in _PATHS for n in range(1, p.count(".") + 1)}
 
 
 def paper_device_path() -> Path:
@@ -71,238 +142,177 @@ def load_config(path, strict: bool = True) -> RunConfig:
 
     ``strict=False`` downgrades unknown keys from errors to warnings.
     """
+    return validate(read_tree(path), path, strict=strict)
+
+
+def read_tree(path) -> dict:
+    """The YAML tree of the config file at ``path``; parse errors carry
+    ``path:line``."""
     path = os.fspath(path)
     if not os.path.exists(path):
         raise ConfigError(f"{path}: no such file")
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            tree = yaml.safe_load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise io_error(path, exc) from None
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         line = mark.line + 1 if mark is not None else "?"
         raise ConfigError(f"{path}:{line}: {getattr(exc, 'problem', exc)}") from None
-    if raw is None:
-        raise ConfigError(f"{path}:1: empty config")
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}:1: top level must be a mapping")
-    try:
-        return _build(raw, strict)
-    except ConfigError as exc:
+    except ValueError as exc:  # an integer literal too long to convert
         raise ConfigError(f"{path}: {exc}") from None
+    if tree is None:
+        raise ConfigError(f"{path}:1: empty config")
+    if not isinstance(tree, dict):
+        raise ConfigError(f"{path}:1: top level must be a mapping")
+    return tree
 
 
-def _build(raw: dict, strict: bool) -> RunConfig:
-    sections = ("device", "qrm", "sweep", "lamb", "fit", "output")
-    _check_keys(raw, sections, "", strict, required=("device", "qrm"))
+def validate(tree: dict, source, overrides=None, strict: bool = True) -> RunConfig:
+    """Check ``tree`` (read from ``source``) against ``FIELDS`` and build the
+    run configuration.
 
-    dev = _section(raw, "device")
-    _check_keys(
-        dev,
-        ("z0_ohm", "l_total_nh", "omega1_bare_ghz", "l_c_ph", "l_2_ph", "i_q_na",
-         "alpha", "e_j_ghz"),
-        "device",
-        strict,
-        required=("z0_ohm", "l_total_nh", "omega1_bare_ghz", "l_c_ph", "l_2_ph",
-                  "alpha", "e_j_ghz"),
-    )
-    resonator = ResonatorModel(
-        z0=_positive(dev, "device", "z0_ohm"),
-        l_total=_positive(dev, "device", "l_total_nh") * 1e-9,
-        omega1_bare=_positive(dev, "device", "omega1_bare_ghz"),
-        l_c=_positive(dev, "device", "l_c_ph") * 1e-12,
-        l_2=_positive(dev, "device", "l_2_ph") * 1e-12,
-        i_q=_positive(dev, "device", "i_q_na") * 1e-9 if "i_q_na" in dev else None,
-    )
-    alpha = _number(dev, "device", "alpha")
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"device.alpha: must lie in (0, 1), got {alpha}")
-    meta = DeviceMeta(alpha=alpha, e_j=_positive(dev, "device", "e_j_ghz"))
+    ``overrides`` maps dotted paths to ``(flag, text)`` pairs given on the
+    command line; they replace the file's values and are read by the same
+    rules, and a refusal of one names the flag instead of ``source: path``.
+    """
+    source = os.fspath(source)
+    overrides = overrides or {}
 
-    qrm_raw = _section(raw, "qrm")
-    _check_keys(
-        qrm_raw,
-        ("delta_prime_ghz", "epsilon_ghz", "omega1_ghz", "g1_ghz"),
-        "qrm",
-        strict,
-        required=("delta_prime_ghz", "omega1_ghz", "g1_ghz"),
-    )
-    delta_prime = _number(qrm_raw, "qrm", "delta_prime_ghz")
-    if delta_prime < 0.0:
-        raise ConfigError(f"qrm.delta_prime_ghz: must be >= 0, got {delta_prime}")
-    g1 = _number(qrm_raw, "qrm", "g1_ghz")
-    if g1 < 0.0:
-        raise ConfigError(f"qrm.g1_ghz: must be >= 0, got {g1}")
-    qrm = QrmParams(
-        delta_prime=delta_prime,
-        epsilon=_number(qrm_raw, "qrm", "epsilon_ghz") if "epsilon_ghz" in qrm_raw else 0.0,
-        omega1=_positive(qrm_raw, "qrm", "omega1_ghz"),
-        g1=g1,
-    )
+    def name(path):
+        return overrides[path][0] if path in overrides else f"{source}: {path}"
 
-    sweep_raw = raw.get("sweep", {})
-    _check_keys(
-        sweep_raw,
-        ("epsilon_min_ghz", "epsilon_max_ghz", "epsilon_steps", "freq_min_ghz",
-         "freq_max_ghz", "k_levels", "amplitude_floor", "truncation_tol_ghz"),
-        "sweep",
-        strict,
-    )
-    eps_min = _number(sweep_raw, "sweep", "epsilon_min_ghz") if "epsilon_min_ghz" in sweep_raw else -1.0
-    eps_max = _number(sweep_raw, "sweep", "epsilon_max_ghz") if "epsilon_max_ghz" in sweep_raw else 1.0
-    steps = _integer(sweep_raw, "sweep", "epsilon_steps", 1) if "epsilon_steps" in sweep_raw else 81
-    if eps_min > eps_max:
-        raise ConfigError(
-            f"sweep.epsilon_min_ghz: must be <= epsilon_max_ghz, got {eps_min} > {eps_max}"
-        )
-    freq_min = _number(sweep_raw, "sweep", "freq_min_ghz") if "freq_min_ghz" in sweep_raw else 2.0
-    freq_max = _number(sweep_raw, "sweep", "freq_max_ghz") if "freq_max_ghz" in sweep_raw else 8.0
-    if not freq_min < freq_max:
-        raise ConfigError(
-            f"sweep.freq_min_ghz: window requires min < max, got {freq_min}, {freq_max}"
-        )
-    k_levels = _integer(sweep_raw, "sweep", "k_levels", 2) if "k_levels" in sweep_raw else SweepConfig.k_levels
-    floor = (
-        _number(sweep_raw, "sweep", "amplitude_floor")
-        if "amplitude_floor" in sweep_raw
-        else SweepConfig.amplitude_floor
-    )
-    if floor < 0.0:
-        raise ConfigError(f"sweep.amplitude_floor: must be >= 0, got {floor}")
-    trunc_tol = (
-        _positive(sweep_raw, "sweep", "truncation_tol_ghz")
-        if "truncation_tol_ghz" in sweep_raw
-        else SweepConfig.truncation_tol
-    )
-    sweep_cfg = SweepConfig(
-        epsilon_grid=tuple(float(e) for e in np.linspace(eps_min, eps_max, steps)),
-        freq_window=(freq_min, freq_max),
-        k_levels=k_levels,
-        amplitude_floor=floor,
-        truncation_tol=trunc_tol,
-    )
-
-    lamb_raw = raw.get("lamb", {})
-    _check_keys(
-        lamb_raw, ("n_cutoff", "delta_measured_ghz", "n_modes"), "lamb", strict
-    )
-    lamb_cfg = LambSettings(
-        n_cutoff=(
-            _positive(lamb_raw, "lamb", "n_cutoff")
-            if "n_cutoff" in lamb_raw
-            else LambSettings.n_cutoff
-        ),
-        delta_measured=(
-            _positive(lamb_raw, "lamb", "delta_measured_ghz")
-            if "delta_measured_ghz" in lamb_raw
-            else LambSettings.delta_measured
-        ),
-        n_modes=(
-            _integer(lamb_raw, "lamb", "n_modes", 1, N_MODES_CEILING)
-            if "n_modes" in lamb_raw
-            else LambSettings.n_modes
-        ),
-    )
-
-    fit_raw = raw.get("fit", {})
-    _check_keys(fit_raw, ("initial", "bounds"), "fit", strict)
-    param_keys = ("delta_prime_ghz", "omega1_ghz", "g1_ghz")
-    init_raw = fit_raw.get("initial", {})
-    _check_keys(init_raw, param_keys, "fit.initial", strict)
-    initial = tuple(
-        _number(init_raw, "fit.initial", k)
-        if k in init_raw
-        else (qrm.delta_prime, qrm.omega1, qrm.g1)[n]
-        for n, k in enumerate(param_keys)
-    )
-    bounds_raw = fit_raw.get("bounds", {})
-    _check_keys(bounds_raw, param_keys, "fit.bounds", strict)
-    bounds = []
-    for n, k in enumerate(param_keys):
-        if k in bounds_raw:
-            pair = bounds_raw[k]
-            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-                raise ConfigError(f"fit.bounds.{k}: expected a [low, high] pair")
-            lo = _number(pair, f"fit.bounds.{k}", 0)
-            hi = _number(pair, f"fit.bounds.{k}", 1)
-            if not lo < hi:
-                raise ConfigError(f"fit.bounds.{k}: low must be < high, got {pair}")
-            try:  # QrmParams holds the model domain
-                replace(qrm, **{k.removesuffix("_ghz"): lo})
-            except ValueError as exc:
-                raise ConfigError(f"fit.bounds.{k}.0: {exc}") from None
-            bounds.append((lo, hi))
+    given = _flatten(tree, source, strict)
+    v = {}
+    for f in FIELDS:
+        if f.path in overrides:
+            value = _from_text(f.kind, overrides[f.path][1])
+        elif f.path in given and not (given[f.path] is None and f.default is None):
+            value = given[f.path]
+        elif f.default is REQUIRED:
+            raise ConfigError(f"{name(f.path)}: required key missing")
         else:
-            bounds.append(DEFAULT_BOUNDS[n])
-    for v, (lo, hi), k in zip(initial, bounds, param_keys):
-        if not lo <= v <= hi:
+            v[f.path] = v[f.default] if f.default in _PATHS else f.default
+            continue
+        v[f.path] = _check(f, value, name(f.path))
+    for lo, op, hi in ORDERED:
+        if not _OPS[op](v[lo], v[hi]):
+            raise ConfigError(f"{name(lo)}: {v[lo]} must be {op} {name(hi)} ({v[hi]})")
+
+    qrm = QrmParams(
+        v["qrm.delta_prime_ghz"], v["qrm.epsilon_ghz"], v["qrm.omega1_ghz"], v["qrm.g1_ghz"]
+    )
+    for k in PARAMS:
+        lo, hi = v[f"fit.bounds.{k}"]
+        try:  # QrmParams holds the model domain
+            replace(qrm, **{k.removesuffix("_ghz"): lo})
+        except ValueError as exc:
+            raise ConfigError(f"{name(f'fit.bounds.{k}')}.0: {exc}") from None
+        if not lo <= v[f"fit.initial.{k}"] <= hi:
             raise ConfigError(
-                f"fit.initial.{k}: value {v} outside bounds [{lo}, {hi}]"
+                f"{name(f'fit.initial.{k}')}: value {v[f'fit.initial.{k}']} "
+                f"outside bounds [{lo}, {hi}]"
             )
-    fit_cfg = FitSettings(initial=initial, bounds=tuple(bounds))
-
-    out_raw = raw.get("output", {})
-    _check_keys(out_raw, ("format", "out"), "output", strict)
-    fmt = out_raw.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"output.format: must be 'csv' or 'json', got {fmt!r}")
-    out_path = out_raw.get("out")
-    if out_path is not None:
-        parent = os.path.dirname(os.path.abspath(str(out_path))) or "."
-        if not os.path.isdir(parent) or not os.access(parent, os.W_OK):
-            raise ConfigError(f"output.out: directory {parent!r} is not writable")
-    output_cfg = OutputSettings(format=fmt, out=out_path)
-
+    i_q = v["device.i_q_na"]
     return RunConfig(
-        resonator=resonator,
-        meta=meta,
+        resonator=ResonatorModel(
+            z0=v["device.z0_ohm"],
+            l_total=v["device.l_total_nh"] * 1e-9,
+            omega1_bare=v["device.omega1_bare_ghz"],
+            l_c=v["device.l_c_ph"] * 1e-12,
+            l_2=v["device.l_2_ph"] * 1e-12,
+            i_q=None if i_q is None else i_q * 1e-9,
+        ),
         qrm=qrm,
-        sweep=sweep_cfg,
-        lamb=lamb_cfg,
-        fit=fit_cfg,
-        output=output_cfg,
+        sweep=SweepConfig(
+            epsilon_grid=tuple(np.linspace(
+                v["sweep.epsilon_min_ghz"], v["sweep.epsilon_max_ghz"], v["sweep.epsilon_steps"]
+            ).tolist()),
+            freq_window=(v["sweep.freq_min_ghz"], v["sweep.freq_max_ghz"]),
+            k_levels=v["sweep.k_levels"],
+            amplitude_floor=v["sweep.amplitude_floor"],
+            truncation_tol=v["sweep.truncation_tol_ghz"],
+        ),
+        lamb=LambSettings(v["lamb.n_cutoff"], v["lamb.delta_measured_ghz"], v["lamb.n_modes"]),
+        fit=FitSettings(
+            initial=tuple(v[f"fit.initial.{k}"] for k in PARAMS),
+            bounds=tuple(v[f"fit.bounds.{k}"] for k in PARAMS),
+        ),
+        output=OutputSettings(v["output.format"], v["output.out"]),
     )
 
 
-def _section(raw: dict, name: str) -> dict:
-    sec = raw.get(name)
-    if not isinstance(sec, dict):
-        raise ConfigError(f"{name}: required section missing or not a mapping")
-    return sec
+def _flatten(tree: dict, source: str, strict: bool, prefix: str = "") -> dict:
+    """The tree's values keyed by dotted path; unknown keys are refused (or,
+    not ``strict``, warned about and dropped)."""
+    flat = {}
+    for key, value in tree.items():
+        path = f"{prefix}{key}"
+        if path in _PATHS:
+            flat[path] = value
+        elif path in _SECTIONS:
+            if not isinstance(value, dict):
+                raise ConfigError(f"{source}: {path}: expected a mapping")
+            flat.update(_flatten(value, source, strict, path + "."))
+        elif strict:
+            allowed = dict.fromkeys(
+                p[len(prefix):].split(".")[0] for p in _PATHS if p.startswith(prefix)
+            )
+            raise ConfigError(f"{source}: {path}: unknown key (allowed: {', '.join(allowed)})")
+        else:
+            warnings.warn(f"{source}: {path}: unknown key ignored", stacklevel=2)
+    return flat
 
 
-def _check_keys(section, allowed, prefix, strict, required=()):
-    if not isinstance(section, dict):
-        raise ConfigError(f"{prefix or 'top level'}: expected a mapping")
-    for key in required:
-        if key not in section:
-            where = f"{prefix}.{key}" if prefix else key
-            raise ConfigError(f"{where}: required key missing")
-    for key in section:
-        if key not in allowed:
-            where = f"{prefix}.{key}" if prefix else key
-            if strict:
-                raise ConfigError(f"{where}: unknown key (allowed: {', '.join(allowed)})")
-            warnings.warn(f"{where}: unknown key ignored", stacklevel=2)
+def _from_text(kind, text):
+    """A command-line value read as ``kind``, else as a float, else left as
+    text, for ``_check`` to judge."""
+    for parse in (kind, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    return text
 
 
-def _number(section, prefix, key) -> float:
-    v = section[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+def _check(f: Field, value, name: str):
+    """``value`` of the key ``f`` checked against its kind and domain."""
+    if f.kind is tuple:
+        if not (isinstance(value, (list, tuple)) and len(value) == 2):
+            raise ConfigError(f"{name}: expected a [low, high] pair")
+        pair = tuple(_check(replace(f, kind=float), x, f"{name}.{n}") for n, x in enumerate(value))
+        if not pair[0] < pair[1]:
+            raise ConfigError(f"{name}: low must be < high, got {value}")
+        return pair
+    if f.kind is str:
+        if not isinstance(value, str) or not value:
+            raise ConfigError(f"{name}: expected non-empty text, got {value!r}")
+        if f.domain and value not in f.domain:
+            words = " or ".join(map(repr, f.domain))
+            raise ConfigError(f"{name}: must be {words}, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float) if f.kind is float else int):
         hint = ""
-        if isinstance(v, str) and _parses_as_float(v):
+        if f.kind is float and isinstance(value, str) and _parses_as_float(value):
             hint = " (YAML reads exponent notation as text unless written like 1.0e-3 or 1.0e+6)"
-        raise ConfigError(f"{prefix}.{key}: expected a number, got {v!r}{hint}")
-    try:
-        v = float(v)
-    except OverflowError:
-        raise ConfigError(
-            f"{prefix}.{key}: must be finite, got an integer too large for a float"
-        ) from None
-    if not math.isfinite(v):
-        raise ConfigError(f"{prefix}.{key}: must be finite, got {v}")
-    return v
+        noun = "a number" if f.kind is float else "an integer"
+        raise ConfigError(f"{name}: expected {noun}, got {value!r}{hint}")
+    if f.kind is float:
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(
+                f"{name}: must be finite, got an integer too large for a float"
+            ) from None
+        if not math.isfinite(value):
+            raise ConfigError(f"{name}: must be finite, got {value}")
+    low, high = (s.strip() for s in f.domain[1:-1].split(","))
+    for op, bound in ((">" if f.domain[0] == "(" else ">=", low),
+                      ("<" if f.domain[-1] == ")" else "<=", high)):
+        if not _OPS[op](value, float(bound)):
+            raise ConfigError(f"{name}: must be {op} {bound}, got {value}")
+    return value
 
 
 def _parses_as_float(text) -> bool:
@@ -310,21 +320,3 @@ def _parses_as_float(text) -> bool:
         return math.isfinite(float(text))
     except ValueError:
         return False
-
-
-def _positive(section, prefix, key) -> float:
-    v = _number(section, prefix, key)
-    if not v > 0.0:
-        raise ConfigError(f"{prefix}.{key}: must be > 0, got {v}")
-    return v
-
-
-def _integer(section, prefix, key, minimum, maximum=None) -> int:
-    v = section[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{prefix}.{key}: expected an integer, got {v!r}")
-    if v < minimum:
-        raise ConfigError(f"{prefix}.{key}: must be >= {minimum}, got {v}")
-    if maximum is not None and v > maximum:
-        raise ConfigError(f"{prefix}.{key}: must be <= {maximum}, got {v}")
-    return v

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: configuration / validation problems
-exit with 1, numerical failures (non-convergence) exit with 2.
+exit with 1, numerical failures (non-convergence, unrepresentable results)
+exit with 2.
 """
 
 
@@ -18,7 +19,8 @@ class TruncationLimitError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """A numerical procedure exhausted its budget without converging."""
+    """A numerical procedure exhausted its budget without converging, or
+    its result cannot be represented in double precision."""
 
 
 def io_error(path, exc: Exception) -> ConfigError:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConvergenceError
 from .resonator import N_MODES_CEILING
 
 EULER_GAMMA = 0.5772156649015329
@@ -26,6 +27,10 @@ EULER_GAMMA = 0.5772156649015329
 _VALIDITY_RATIO = 0.2
 
 DEFAULT_N_MODES = 30  # modes listed in a report's per-mode shifts
+
+# Smallest n_cutoff with S(n_cutoff) >= 1: below it a report with g1 > 0 would
+# put the partially renormalized gap above the bare gap.
+N_CUTOFF_MIN = 2.1658227454391343
 
 # Offsets a = k + 1/2 of the mode-sum terms summed directly, and the digamma
 # tail's Stirling series as (power p, coefficient c): 1/(2z), then
@@ -219,9 +224,13 @@ def _assemble_report(g1, omega1, n_cutoff, delta, n_modes):
         # above the bare gap -- outside the report's validity.
         raise ValueError(
             f"mode sum S({n_cutoff}) = {s:.4g} < 1: report inconsistent below "
-            "n_cutoff ~ 2.5"
+            f"n_cutoff {N_CUTOFF_MIN}"
         )
     x = 2.0 * (g1 / omega1) ** 2
+    if not -math.expm1(-x * s) < 1.0:
+        raise ConvergenceError(
+            f"total shift 1 - exp(-{x * s:.4g}) rounds to 1 in double precision"
+        )
     return LambShiftReport(
         delta0=delta * math.exp(x * s),
         delta0_prime=delta * math.exp(x),

@@ -93,6 +93,11 @@ def write_atomic(path, text: str) -> None:
         ) from None
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
+            # mkstemp makes the file 0600; give it open()'s 0666 less the umask,
+            # which can only be read by setting it (to 0077: the safe side)
+            umask = os.umask(0o077)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
             fh.write(text)
         try:
             os.replace(tmp, path)

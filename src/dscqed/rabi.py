@@ -24,6 +24,7 @@ commutes with it exactly when epsilon = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,9 @@ class QrmParams:
     g1: float
 
     def __post_init__(self):
+        for name in ("delta_prime", "epsilon", "omega1", "g1"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.delta_prime >= 0.0:
             raise ValueError(f"delta_prime must be >= 0, got {self.delta_prime}")
         if not self.omega1 > 0.0:

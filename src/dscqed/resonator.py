@@ -25,7 +25,6 @@ from .errors import ConvergenceError
 TWO_PI_GHZ = 2.0 * math.pi * 1e9  # ordinary GHz -> rad/s
 HBAR = 1.054571817e-34  # J s
 PLANCK_H = 6.62607015e-34  # J s
-PHI0 = 2.067833848e-15  # Wb
 
 # Above this inductance ratio the root sits too close to the tangent pole to
 # certify the relative residual in double precision; the root value itself is
@@ -76,19 +75,6 @@ class ResonatorModel:
     def inductance_ratio(self) -> float:
         """L_c2 / (X*l), the small parameter of the first-order mode formula."""
         return self.l_c2 / self.l_total
-
-
-@dataclass(frozen=True)
-class DeviceMeta:
-    """Junction design values carried as provenance only (nothing consumes them)."""
-
-    alpha: float
-    e_j: float
-    phi0: float = PHI0
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -196,8 +182,8 @@ def coupling_strengths(
     absolute path computes l_c * i_q * I_zpf / h instead (requires ``i_q``);
     the two agree in the ratio g_n/g_1 to O((omega1/omega_cutoff)^2).
     """
-    if not g1 > 0.0:
-        raise ValueError(f"g1 must be > 0, got {g1}")
+    if not g1 >= 0.0:
+        raise ValueError(f"g1 must be >= 0, got {g1}")
     if not omega1 > 0.0:
         raise ValueError(f"omega1 must be > 0, got {omega1}")
     modes = np.asarray(modes, dtype=float)

@@ -216,7 +216,94 @@ def test_mode_count_ceiling_exits_1(command, capsys):
     assert main([command, "--n-modes", "1000000000000"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: n_modes must be between 1 and")
+    assert captured.err == "error: --n-modes: must be <= 1000000, got 1000000000000\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["spectrum", "--epsilon", "nan"], "--epsilon"),
+    (["spectrum", "--epsilon", "inf"], "--epsilon"),
+    (["spectrum", "--epsilon", "1e300"], "--epsilon"),
+    (["spectrum", "--epsilon", "1e50"], "--epsilon"),
+    (["spectrum", "--epsilon-max", "nan"], "--epsilon-max"),
+    (["spectrum", "--epsilon-min", "2", "--epsilon-max", "1"], "--epsilon-min"),
+    (["spectrum", "--epsilon-steps=-1"], "--epsilon-steps"),
+    (["spectrum", "--epsilon-steps", "1000001"], "--epsilon-steps"),
+    (["spectrum", "--epsilon", "0.5", "--epsilon-steps", "3"], "--epsilon"),
+    (["couplings", "--l-c-ph", "1e400"], "--l-c-ph"),
+    (["couplings", "--l-c-ph="], "--l-c-ph"),
+    (["couplings", "--l-c-ph", "100,abc"], "--l-c-ph"),
+    (["lamb-shift", "--delta-ghz", "inf"], "--delta-ghz"),
+    (["lamb-shift", "--delta-ghz", "1e307"], "--delta-ghz"),
+    (["lamb-shift", "--n-cutoff", "1e300"], "--n-cutoff"),
+    (["lamb-shift", "--n-cutoff", "1"], "--n-cutoff"),
+    (["modes", "--n-modes", "2.5"], "--n-modes"),
+    (["modes", "--out="], "--out"),
+])
+def test_flag_refusals_name_the_flag(argv, flag, capsys):
+    import time
+    import warnings
+
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_flag_help_names_the_config_key(capsys):
+    from dscqed.cli import _COMMANDS
+    from dscqed.config import FIELDS
+
+    for command, (_handler, _help, flags) in _COMMANDS.items():
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for f in FIELDS:
+            if f.flag in flags + ("--format", "--out"):
+                assert f"{f.flag} " in text and f"sets {f.path}" in text
+
+
+def test_single_bias_is_a_one_point_window(capsys):
+    assert main(["spectrum", "--epsilon", "0.25"]) == 0
+    single = capsys.readouterr().out
+    argv = ["spectrum", "--epsilon-min", "0.25", "--epsilon-max", "0.25", "--epsilon-steps", "1"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == single
+
+
+def test_couplings_refuse_zero_coupling_naming_the_key(tmp_path, capsys):
+    path = _config_variant(tmp_path, lambda t: t["qrm"].update(g1_ghz=0.0))
+    assert main(["couplings", "--config", path]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: qrm.g1_ghz: ")
+    assert main(["modes", "--n-modes", "2", "--config", path]) == 0
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+def test_out_file_mode_follows_the_umask(umask, mode, tmp_path):
+    out = tmp_path / "perm.csv"
+    old = os.umask(umask)
+    try:
+        assert main(["modes", "--n-modes", "2", "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert out.stat().st_mode & 0o777 == mode
+
+
+@pytest.mark.parametrize("argv, qrm, message", [
+    (["lamb-shift"], {"omega1_ghz": 1.5, "g1_ghz": 5.0}, "numerical failure: total shift"),
+    (["reproduce-paper"], {"g1_ghz": 1000.0}, "numerical failure: total shift"),
+    (["reproduce-paper"], {"delta_prime_ghz": 0.0}, "reference-value mismatch"),
+])
+def test_unrepresentable_reports_exit_2(argv, qrm, message, tmp_path, capsys):
+    # the deep device of the benchmark's spectrum workload, a coupling that
+    # overflowed the bare gap, and a zero gap that divided by zero
+    path = _config_variant(tmp_path, lambda t: t["qrm"].update(qrm))
+    assert main(argv + ["--config", path]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_uncertified_mode_roots_exit_2(tmp_path, capsys):
@@ -295,7 +382,7 @@ def test_tmpdir_override_honored(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv, message",
+    "argv, field",
     [
         (["modes", "--n-modes", "0"], "n_modes"),
         (["couplings", "--n-modes", "0"], "n_modes"),
@@ -303,11 +390,15 @@ def test_tmpdir_override_honored(tmp_path, monkeypatch):
         (["lamb-shift", "--delta-ghz", "0"], "delta_measured"),
     ],
 )
-def test_explicit_zero_is_validated_not_replaced(argv, message, capsys):
+def test_explicit_zero_is_validated_not_replaced(argv, field, capsys):
+    # the refusal names the flag, which sets the config key of the field
+    from dscqed.config import FIELDS
+
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert message in captured.err and "must be" in captured.err
+    assert captured.err.startswith(f"error: {argv[1]}: must be")
+    assert field in {f.flag: f.path for f in FIELDS}[argv[1]]
 
 
 def test_eigensolver_failure_exits_2(monkeypatch, capsys):

@@ -19,13 +19,13 @@ def _write_variant(tmp_path, mutate):
 
 
 def test_bundled_published_constants(bundled):
+    # in nH and pH: pytest.approx's 1e-12 absolute floor would swallow any
+    # error on values of order 1e-10 H
     m = bundled.resonator
-    assert m.l_total == pytest.approx(1.93e-9)
-    assert m.l_2 == pytest.approx(823e-12)
-    assert m.l_c == pytest.approx(231e-12)
+    assert m.l_total * 1e9 == pytest.approx(1.93)
+    assert m.l_2 * 1e12 == pytest.approx(823.0)
+    assert m.l_c * 1e12 == pytest.approx(231.0)
     assert m.z0 == 50.0
-    assert bundled.meta.alpha == 0.46
-    assert bundled.meta.e_j == 397.0
     q = bundled.qrm
     assert (q.delta_prime, q.omega1, q.g1) == (0.147, 2.57, 2.39)
     assert bundled.lamb.n_cutoff == 13.2
@@ -116,6 +116,14 @@ def test_mode_count_above_ceiling_carries_field_path(tmp_path, n_modes):
         load_config(path)
 
 
+def test_overlong_integer_names_the_file(tmp_path):
+    path = tmp_path / "long.yaml"
+    text = paper_device_path().read_text()
+    path.write_text(text.replace("n_modes: 30", "n_modes: 1" + "0" * 5000))
+    with pytest.raises(ConfigError, match=f"^{path}: Exceeds the limit"):
+        load_config(path)
+
+
 def test_bad_output_format(tmp_path):
     path = _write_variant(tmp_path, lambda t: t["output"].update(format="xml"))
     with pytest.raises(ConfigError, match=r"output\.format"):
@@ -126,7 +134,25 @@ def test_optional_persistent_current(tmp_path, bundled):
     assert bundled.resonator.i_q is None
     path = _write_variant(tmp_path, lambda t: t["device"].update(i_q_na=300.0))
     cfg = load_config(path)
-    assert cfg.resonator.i_q == pytest.approx(300e-9)
+    assert cfg.resonator.i_q * 1e9 == pytest.approx(300.0)
+
+
+def test_null_optional_key_means_absent(tmp_path):
+    cfg = load_config(_write_variant(tmp_path, lambda t: t["device"].update(i_q_na=None)))
+    assert cfg.resonator.i_q is None
+
+
+def test_out_key_is_not_checked_at_load(tmp_path):
+    # write_atomic refuses an unwritable target by name when the run writes it
+    path = _write_variant(tmp_path, lambda t: t["output"].update(out="/nonexistent/x.csv"))
+    assert load_config(path).output.out == "/nonexistent/x.csv"
+
+
+def test_refusals_name_the_file_and_the_path(tmp_path):
+    path = _write_variant(tmp_path, lambda t: t["sweep"].update(epsilon_steps=0))
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value) == f"{path}: sweep.epsilon_steps: must be >= 1, got 0"
 
 
 def test_epsilon_window_ordering(tmp_path):

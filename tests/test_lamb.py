@@ -16,7 +16,8 @@ from dscqed import (
     solve,
     transition_frequency,
 )
-from dscqed.lamb import EULER_GAMMA
+from dscqed.errors import ConvergenceError
+from dscqed.lamb import EULER_GAMMA, N_CUTOFF_MIN
 
 PAPER_X = 2.0 * (2.39 / 2.57) ** 2  # fundamental-mode exponent
 
@@ -295,3 +296,18 @@ def test_report_rejects_tiny_cutoff_ratio():
     # below S = 1 the partially renormalized gap would exceed the bare one
     with pytest.raises(ValueError):
         full_report(2.39, 2.57, 1.0, 0.026)
+
+
+def test_smallest_cutoff_ratio_is_where_the_sum_reaches_one():
+    assert cutoff_sum(N_CUTOFF_MIN) >= 1.0 > cutoff_sum(math.nextafter(N_CUTOFF_MIN, 0.0))
+    full_report(2.39, 2.57, N_CUTOFF_MIN, 0.026)
+    with pytest.raises(ValueError, match="mode sum"):
+        full_report(2.39, 2.57, math.nextafter(N_CUTOFF_MIN, 0.0), 0.026)
+
+
+@pytest.mark.parametrize("g1, omega1", [(5.0, 1.5), (1e3, 2.57), (2.39, 1e-9)])
+def test_report_refuses_a_total_shift_that_rounds_to_one(g1, omega1):
+    # 2 (g1/omega1)^2 S above ~37: the shift is 1 in double precision and
+    # the bare gap grows without bound (it overflowed for large ratios)
+    with pytest.raises(ConvergenceError, match="rounds to 1"):
+        full_report(g1, omega1, 13.2, 0.026)

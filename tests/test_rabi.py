@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,6 +74,16 @@ def test_banded_assembly_matches_kron_oracle(delta, eps, omega, g, n_max):
     oracle = kron_hamiltonian(p, t)
     assert np.array_equal(h, oracle)
     assert h.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("field", range(4))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_params_refuse_non_finite_values(field, bad):
+    # nothing non-finite may reach the eigensolver
+    values = [0.1, 0.0, 1.0, 1.0]
+    values[field] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        QrmParams(*values)
 
 
 def test_truncation_ceiling():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dscqed import (
-    DeviceMeta,
     ResonatorModel,
     coupling_strength_at,
     coupling_strengths,
@@ -267,9 +266,3 @@ def test_model_rejects_nonpositive_values():
         _model(z0=0.0)
     with pytest.raises(ValueError):
         _model(l_c=-1e-12)
-
-
-def test_device_meta_alpha_range():
-    DeviceMeta(alpha=0.46, e_j=397.0)
-    with pytest.raises(ValueError):
-        DeviceMeta(alpha=1.2, e_j=397.0)

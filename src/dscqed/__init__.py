@@ -7,14 +7,13 @@ cutoff, and the resulting cascade of renormalized qubit gaps.
 """
 
 from .config import RunConfig, load_config, paper_device_path, synthetic_peaks_path
-from .errors import ConfigError, ConvergenceError, TruncationLimitError
-from .fitting import FitResult, PeakData, fit, model_frequency, read_peaks_csv, report_chain
+from .errors import ConfigError, ConvergenceError
+from .fitting import FitResult, PeakData, fit, read_peaks_csv
 from .lamb import (
     LambShiftReport,
     asymptotic_sum,
     cutoff_sum,
     full_report,
-    full_report_from_bare,
     multimode_renorm,
     per_mode_shifts,
     single_mode_renorm,
@@ -36,12 +35,11 @@ from .resonator import (
     coupling_strength_at,
     coupling_strengths,
     cutoff_frequency,
-    mode_frequencies,
     mode_table,
     mode_wavenumbers,
     zero_point_current,
 )
-from .spectrum import SpectralLine, SweepConfig, indirect_delta, sweep
+from .spectrum import SpectralLine, SweepConfig, sweep
 
 __version__ = "0.1.0"
 
@@ -59,7 +57,6 @@ __all__ = [
     "RunConfig",
     "SpectralLine",
     "SweepConfig",
-    "TruncationLimitError",
     "asymptotic_sum",
     "build_hamiltonian",
     "converged_truncation",
@@ -71,18 +68,13 @@ __all__ = [
     "eigensystem",
     "fit",
     "full_report",
-    "full_report_from_bare",
-    "indirect_delta",
     "load_config",
-    "mode_frequencies",
     "mode_table",
     "mode_wavenumbers",
-    "model_frequency",
     "multimode_renorm",
     "paper_device_path",
     "per_mode_shifts",
     "read_peaks_csv",
-    "report_chain",
     "single_mode_renorm",
     "solve",
     "sweep",

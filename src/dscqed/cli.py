@@ -8,6 +8,7 @@ failure (non-convergence or a reference-value mismatch).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from functools import partial
 
@@ -19,6 +20,12 @@ from .errors import ConfigError, ConvergenceError
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern has no exponent, so "-1e-3" would be read as
+        # a flag rather than as the value of the flag before it
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     # argparse exits with 2 on usage errors; route them through ConfigError
     # so every validation problem maps to exit code 1.
     def error(self, message):

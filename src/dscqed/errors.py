@@ -14,10 +14,6 @@ class ConfigError(ValueError):
     """
 
 
-class TruncationLimitError(ValueError):
-    """Requested Fock truncation exceeds the configured ceiling."""
-
-
 class ConvergenceError(RuntimeError):
     """A numerical procedure exhausted its budget without converging, or
     its result cannot be represented in double precision."""

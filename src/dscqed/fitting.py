@@ -33,9 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, io_error
-from .lamb import DEFAULT_N_MODES, LambShiftReport, full_report, single_mode_renorm
 from .rabi import (
-    DEFAULT_N_MAX,
     FockTruncation,
     QrmParams,
     _photons_and_spin,
@@ -73,8 +71,8 @@ class PeakData:
             raise ValueError("column lengths differ")
         if not (np.all(np.isfinite(self.epsilon)) and np.all(np.isfinite(self.frequency))):
             raise ValueError("bias and frequency values must be finite")
-        if not np.all(self.weight > 0.0):
-            raise ValueError("weights must be positive")
+        if not np.all(np.isfinite(self.weight) & (self.weight > 0.0)):
+            raise ValueError("weights must be finite and > 0")
 
     def __len__(self):
         return len(self.epsilon)
@@ -140,27 +138,25 @@ def read_peaks_csv(path) -> PeakData:
     for name in header[2:]:
         if name not in allowed[2:]:
             raise ConfigError(f"{path}:1: unknown column {name!r}")
-    cols = {name: k for k, name in enumerate(header)}
     rows = []
     for lineno, raw in enumerate(records[1:], start=2):
         if not raw or all(not cell.strip() for cell in raw):
             continue
         if len(raw) != len(header):
             raise ConfigError(f"{path}:{lineno}: expected {len(header)} fields, got {len(raw)}")
+        cell = dict(zip(header, raw))
         try:
-            eps = float(raw[cols["epsilon_ghz"]])
-            freq = float(raw[cols["frequency_ghz"]])
+            eps, freq = float(cell["epsilon_ghz"]), float(cell["frequency_ghz"])
+            if not (math.isfinite(eps) and math.isfinite(freq)):
+                raise ValueError("bias and frequency values must be finite")
+            label = cell.get("label", "").strip() or None
+            if label is not None:
+                _parse_label(label)
+            weight = float(cell["weight"]) if cell.get("weight", "").strip() else 1.0
+            if not (math.isfinite(weight) and weight > 0.0):
+                raise ValueError(f"weight must be finite and > 0, got {weight}")
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from None
-        label = None
-        if "label" in cols and raw[cols["label"]].strip():
-            label = raw[cols["label"]].strip()
-        weight = 1.0
-        if "weight" in cols and raw[cols["weight"]].strip():
-            try:
-                weight = float(raw[cols["weight"]])
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
         rows.append((eps, freq, label, weight))
     try:
         return PeakData.from_rows(rows)
@@ -175,29 +171,6 @@ def _parse_label(label: str):
     if not i < j:
         raise ValueError(f"transition label {label!r} must have i < j")
     return i, j
-
-
-def model_frequency(
-    params,
-    epsilon: float,
-    label: str | None = None,
-    measured: float | None = None,
-    n_max: int = DEFAULT_N_MAX,
-    k_levels: int = SweepConfig.k_levels,
-    amplitude_floor: float = SweepConfig.amplitude_floor,
-) -> float:
-    """Model transition frequency at one bias point.
-
-    ``params`` is the (delta_prime, omega1, g1) triple.  With a label, the
-    named transition's frequency is returned; without one, ``measured`` must
-    be given and the closest drive-allowed line from states {0, 1} is used.
-    """
-    if label is None and measured is None:
-        raise ValueError("nearest-line mode requires the measured frequency")
-    freqs, _ = _frequencies_at_bias(
-        params, epsilon, [(label, measured)], n_max, k_levels, amplitude_floor
-    )
-    return float(freqs[0])
 
 
 def _frequencies_at_bias(params, epsilon, rows, n_max, k_levels, floor, jacobian=False):
@@ -223,7 +196,7 @@ def _frequencies_at_bias(params, epsilon, rows, n_max, k_levels, floor, jacobian
     pairs = []
     for label, measured in rows:
         if label is None:
-            pairs.append(_nearest_allowed(es, trunc, measured, k_levels, floor))
+            pairs.append(_nearest_allowed(es, measured, k_levels, floor))
             continue
         pairs.append(_parse_label(label))
         if pairs[-1][1] >= len(values):
@@ -276,12 +249,12 @@ def _central_differences(params, epsilon, rows, n_max, k_levels, floor):
     return grad
 
 
-def _nearest_allowed(es, trunc, measured, k_levels, floor):
+def _nearest_allowed(es, measured, k_levels, floor):
     """Level pair (i, j) of the drive-allowed line nearest ``measured``."""
     best = None
     for i in (0, 1):
         for j in range(i + 1, k_levels):
-            if drive_matrix_element(es, i, j, trunc) <= floor:
+            if drive_matrix_element(es, i, j) <= floor:
                 continue
             key = (abs(float(es.values[j] - es.values[i]) - measured), i, j)
             if best is None or key < best:
@@ -307,9 +280,9 @@ def _predicted(params, data: PeakData, n_max: int, k_levels: int, floor: float, 
     return (pred, jac) if jacobian else pred
 
 
-def _levenberg_marquardt(residuals, x0, lo, hi, free, max_iter: int):
-    """Minimize |r(x)|^2 inside the box [lo, hi], moving only the ``free``
-    parameter indices; ``residuals(x)`` returns r and its Jacobian.
+def _levenberg_marquardt(residuals, x0, lo, hi, max_iter: int):
+    """Minimize |r(x)|^2 inside the box [lo, hi]; ``residuals(x)`` returns r
+    and its Jacobian.
 
     Each iteration solves the Gauss-Newton step damped by ``damping *
     mean(diag(J^T J))`` times the identity, as a least-squares problem.  A
@@ -331,18 +304,15 @@ def _levenberg_marquardt(residuals, x0, lo, hi, free, max_iter: int):
     trace = [cost]
     damping = _DAMPING_START
     for it in range(1, max_iter + 1):
-        j = jac[:, free]
-        mu = damping * np.mean(np.sum(j * j, axis=0))
+        mu = damping * np.mean(np.sum(jac * jac, axis=0))
         step = np.linalg.lstsq(
-            np.vstack([j, np.sqrt(mu) * np.eye(len(free))]),
-            np.concatenate([-r, np.zeros(len(free))]),
+            np.vstack([jac, np.sqrt(mu) * np.eye(len(x))]),
+            np.concatenate([-r, np.zeros(len(x))]),
             rcond=None,
         )[0]
         # a parameter sitting on a bound stays there while the step pushes out
-        outward = ((x[free] <= lo[free]) & (step < 0.0)) | ((x[free] >= hi[free]) & (step > 0.0))
-        step[outward] = 0.0
-        trial = x.copy()
-        trial[free] += step
+        step[((x <= lo) & (step < 0.0)) | ((x >= hi) & (step > 0.0))] = 0.0
+        trial = x + step
         accepted = False
         if np.all((lo <= trial) & (trial <= hi)):
             r_trial, jac_trial = residuals(trial)
@@ -362,7 +332,7 @@ def _levenberg_marquardt(residuals, x0, lo, hi, free, max_iter: int):
     return x, cost, jac, max_iter, "max_iter", trace
 
 
-def _descend(data, x0, bounds, free, k_levels, floor, max_iter):
+def _descend(data, x0, bounds, k_levels, floor, max_iter):
     """Levenberg-Marquardt on the weighted residuals at the truncation that
     converges at ``x0``, repeated from the optimum while the optimum needs a
     larger one.  ``max_iter`` bounds the iterations of all passes together.
@@ -384,7 +354,7 @@ def _descend(data, x0, bounds, free, k_levels, floor, max_iter):
     x, n_max, iterations = np.array(x0, dtype=float), converged_at(x0).n_max, 0
     while True:
         x, cost, jac, it, reason, _ = _levenberg_marquardt(
-            residuals, x, lo, hi, free, max_iter - iterations
+            residuals, x, lo, hi, max_iter - iterations
         )
         iterations += it
         trunc = converged_at(x)
@@ -436,7 +406,7 @@ def fit(
             _parse_label(lab)  # fail loudly here, not inside the descent
 
     best, _, jac, iterations, reason, trunc = _descend(
-        data, initial, bounds, [0, 1, 2], k_levels, amplitude_floor, max_iter
+        data, initial, bounds, k_levels, amplitude_floor, max_iter
     )
 
     # Correctness backstop: residuals at a converged truncation.
@@ -455,64 +425,3 @@ def fit(
         stderr=_standard_errors(jac, chi2, len(data) - 3),
         reason=reason,
     )
-
-
-def profile_objective(
-    data: PeakData,
-    result: FitResult,
-    param: str,
-    span: float = 0.2,
-    n: int = 7,
-    bounds=DEFAULT_BOUNDS,
-    k_levels: int = SweepConfig.k_levels,
-    amplitude_floor: float = SweepConfig.amplitude_floor,
-    max_iter: int = 150,
-):
-    """Profile the objective along one parameter around the fitted optimum,
-    re-optimizing the remaining two parameters at every grid point.
-
-    A flat profile flags a poorly constrained parameter, e.g. g1 when all
-    peaks sit far from the mode frequency.  Returns (values, objectives).
-    """
-    names = ("delta_prime", "omega1", "g1")
-    if param not in names:
-        raise ValueError(f"param must be one of {names}")
-    k = names.index(param)
-    free = [i for i in range(3) if i != k]
-    bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
-
-    center = result.params[k]
-    values = np.linspace(center * (1.0 - span), center * (1.0 + span), n)
-    objectives = np.empty(n)
-    # scan outward from the optimum so each refit warm-starts from a neighbor
-    warm_lo = np.array(result.params, dtype=float)
-    warm_hi = warm_lo.copy()
-    for idx in np.argsort(np.abs(values - center)):
-        warm = warm_lo if values[idx] <= center else warm_hi
-        warm[k] = values[idx]
-        x, objectives[idx], *_ = _descend(
-            data, warm, bounds, free, k_levels, amplitude_floor, max_iter
-        )
-        warm[:] = x
-    return values, objectives
-
-
-def report_chain(
-    result: FitResult,
-    n_cutoff: float,
-    measured_delta: float | None = None,
-    n_modes: int = DEFAULT_N_MODES,
-) -> LambShiftReport:
-    """Pipe fitted parameters into the renormalization report.
-
-    When ``measured_delta`` is omitted, the fully renormalized gap is
-    predicted from the fitted triple via the single-mode exponential.
-    """
-    if not result.converged:
-        raise ValueError("fit did not converge; refusing to chain the report")
-    delta = (
-        measured_delta
-        if measured_delta is not None
-        else single_mode_renorm(result.delta_prime, result.g1, result.omega1)
-    )
-    return full_report(result.g1, result.omega1, n_cutoff, delta, n_modes=n_modes)

@@ -194,25 +194,6 @@ def full_report(
     recover the bare gap, the partially renormalized gap, and all shifts."""
     if not delta_measured > 0.0:
         raise ValueError(f"delta_measured must be > 0, got {delta_measured}")
-    return _assemble_report(g1, omega1, n_cutoff, delta=delta_measured, n_modes=n_modes)
-
-
-def full_report_from_bare(
-    g1: float,
-    omega1: float,
-    n_cutoff: float,
-    delta0: float,
-    n_modes: int = DEFAULT_N_MODES,
-) -> LambShiftReport:
-    """Forward direction for synthetic studies: bare gap in, renormalized out."""
-    if not delta0 > 0.0:
-        raise ValueError(f"delta0 must be > 0, got {delta0}")
-    x = 2.0 * (g1 / omega1) ** 2
-    delta = delta0 * math.exp(-x * cutoff_sum(n_cutoff))
-    return _assemble_report(g1, omega1, n_cutoff, delta=delta, n_modes=n_modes)
-
-
-def _assemble_report(g1, omega1, n_cutoff, delta, n_modes):
     if not g1 >= 0.0:
         raise ValueError(f"g1 must be >= 0, got {g1}")
     if not omega1 > 0.0:
@@ -232,9 +213,9 @@ def _assemble_report(g1, omega1, n_cutoff, delta, n_modes):
             f"total shift 1 - exp(-{x * s:.4g}) rounds to 1 in double precision"
         )
     return LambShiftReport(
-        delta0=delta * math.exp(x * s),
-        delta0_prime=delta * math.exp(x),
-        delta=delta,
+        delta0=delta_measured * math.exp(x * s),
+        delta0_prime=delta_measured * math.exp(x),
+        delta=delta_measured,
         sum_value=s,
         n_cutoff=n_cutoff,
         per_mode_shift=tuple(float(v) for v in per_mode_shifts(g1, omega1, n_cutoff, n_modes)),

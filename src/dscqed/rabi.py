@@ -29,9 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, TruncationLimitError
+from .errors import ConvergenceError
 
-DEFAULT_N_MAX = 40
 N_MAX_CEILING = 4096
 
 # Eigenvalues closer than this (relative to the spectral radius) form a
@@ -72,9 +71,10 @@ class QrmParams:
 
 @dataclass(frozen=True)
 class FockTruncation:
-    """Photon-number cutoff: Fock states 0..n_max are kept."""
+    """Photon-number cutoff: Fock states 0..n_max are kept.  Size it with
+    converged_truncation for the parameters at hand."""
 
-    n_max: int = DEFAULT_N_MAX
+    n_max: int
 
     def __post_init__(self):
         if self.n_max < 1:
@@ -109,9 +109,7 @@ class EigenSystem:
 def build_hamiltonian(p: QrmParams, t: FockTruncation) -> np.ndarray:
     """Assemble the dense, exactly symmetric Rabi Hamiltonian in GHz."""
     if t.n_max > N_MAX_CEILING:
-        raise TruncationLimitError(
-            f"n_max={t.n_max} exceeds the ceiling {N_MAX_CEILING}"
-        )
+        raise ValueError(f"n_max={t.n_max} exceeds the ceiling {N_MAX_CEILING}")
     n, s = _photons_and_spin(t.dim)
     return _symmetric(
         -0.5 * (p.epsilon * s) + p.omega1 * n,
@@ -172,9 +170,9 @@ def eigensystem(h: np.ndarray) -> EigenSystem:
     return EigenSystem(values=values, vectors=vectors, parity=parity)
 
 
-def solve(p: QrmParams, t: FockTruncation | None = None) -> EigenSystem:
-    """Build and diagonalize in one step (default truncation if omitted)."""
-    return eigensystem(build_hamiltonian(p, t or FockTruncation()))
+def solve(p: QrmParams, t: FockTruncation) -> EigenSystem:
+    """Build and diagonalize in one step."""
+    return eigensystem(build_hamiltonian(p, t))
 
 
 def _resolve_parity(h, values, vectors):
@@ -241,14 +239,12 @@ def transition_frequency(es: EigenSystem, i: int, j: int) -> float:
     return float(es.values[j] - es.values[i])
 
 
-def drive_matrix_element(es: EigenSystem, i: int, j: int, t: FockTruncation) -> float:
+def drive_matrix_element(es: EigenSystem, i: int, j: int) -> float:
     """|<i| (a + a^dag) |j>| for a drive applied through the mode."""
     if not (0 <= i < es.dim and 0 <= j < es.dim):
         raise IndexError(f"state indices out of range for dim {es.dim}")
-    if es.dim != t.dim:
-        raise ValueError(f"eigensystem dim {es.dim} != truncation dim {t.dim}")
-    n, _ = _photons_and_spin(t.dim)
-    x = _symmetric(np.zeros(t.dim), [(2, np.sqrt(n[:-2] + 1.0))])
+    n, _ = _photons_and_spin(es.dim)
+    x = _symmetric(np.zeros(es.dim), [(2, np.sqrt(n[:-2] + 1.0))])
     return float(abs(es.vectors[:, i] @ x @ es.vectors[:, j]))
 
 

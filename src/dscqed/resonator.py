@@ -138,11 +138,6 @@ def mode_wavenumbers(m: ResonatorModel, n_modes: int) -> np.ndarray:
     return roots
 
 
-def mode_frequencies(m: ResonatorModel, n_modes: int) -> np.ndarray:
-    """Mode frequencies in GHz; odd multiples of the fundamental in the ideal limit."""
-    return m.omega1_bare * mode_wavenumbers(m, n_modes) / (0.5 * math.pi)
-
-
 def zero_point_current(m: ResonatorModel, omega_n) -> np.ndarray | float:
     """RMS ground-state current at the coupled end for mode frequency omega_n (GHz).
 

@@ -53,13 +53,15 @@ class SpectralLine:
     j: int
     frequency: float
     amplitude: float
-    label: str
 
     def __post_init__(self):
         if self.frequency < 0.0:
             raise ValueError(f"frequency must be >= 0, got {self.frequency}")
-        if self.label != f"{self.i}{self.j}":
-            raise ValueError(f"label {self.label!r} does not match ({self.i},{self.j})")
+
+    @property
+    def label(self) -> str:
+        """Transition label "ij", e.g. "03"."""
+        return f"{self.i}{self.j}"
 
 
 def sweep(delta_prime: float, omega1: float, g1: float, cfg: SweepConfig) -> list:
@@ -82,17 +84,8 @@ def sweep(delta_prime: float, omega1: float, g1: float, cfg: SweepConfig) -> lis
             for j in range(i + 1, cfg.k_levels):
                 f = float(es.values[j] - es.values[i])
                 if lo <= f <= hi:
-                    amp = drive_matrix_element(es, i, j, trunc)
-                    lines.append(
-                        SpectralLine(
-                            epsilon=float(eps),
-                            i=i,
-                            j=j,
-                            frequency=f,
-                            amplitude=amp,
-                            label=f"{i}{j}",
-                        )
-                    )
+                    amp = drive_matrix_element(es, i, j)
+                    lines.append(SpectralLine(float(eps), i, j, f, amp))
     return lines
 
 
@@ -106,31 +99,3 @@ def _grid_truncation(delta_prime, omega1, g1, grid, cfg):
         )
         n_max = max(n_max, t.n_max)
     return FockTruncation(n_max)
-
-
-def indirect_delta(lines, agreement_tol: float = 1e-9) -> float:
-    """Recover the 0-1 splitting from the higher lines at one bias point:
-    (f03 - f13) and (f02 - f12) must agree within ``agreement_tol`` GHz and
-    their mean is returned.
-
-    Pass a larger tolerance for noisy line lists; exact theory lines satisfy
-    the default.
-    """
-    lines = list(lines)
-    if not lines:
-        raise ValueError("no lines given")
-    eps = {line.epsilon for line in lines}
-    if len(eps) != 1:
-        raise ValueError(f"lines span several bias values: {sorted(eps)}")
-    by_pair = {(line.i, line.j): line.frequency for line in lines}
-    for pair in ((0, 3), (1, 3), (0, 2), (1, 2)):
-        if pair not in by_pair:
-            raise ValueError(f"missing transition {pair[0]}{pair[1]}")
-    d1 = by_pair[(0, 3)] - by_pair[(1, 3)]
-    d2 = by_pair[(0, 2)] - by_pair[(1, 2)]
-    if abs(d1 - d2) > agreement_tol:
-        raise ValueError(
-            f"inconsistent differences: f03-f13 = {d1}, f02-f12 = {d2} "
-            f"(tolerance {agreement_tol})"
-        )
-    return 0.5 * (d1 + d2)

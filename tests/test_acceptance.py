@@ -100,9 +100,9 @@ def test_criterion_06_selection_rules():
     t = FockTruncation(40)
     es = solve(PAPER, t)
     forbidden = max(
-        drive_matrix_element(es, 0, 2, t), drive_matrix_element(es, 1, 3, t)
+        drive_matrix_element(es, 0, 2), drive_matrix_element(es, 1, 3)
     )
-    allowed = min(drive_matrix_element(es, 0, 3, t), drive_matrix_element(es, 1, 2, t))
+    allowed = min(drive_matrix_element(es, 0, 3), drive_matrix_element(es, 1, 2))
     ok = forbidden <= 1e-10 and allowed > 1e-3
     assert _line(
         6, ok, f"forbidden elements <= {forbidden:.1e}, allowed >= {allowed:.3f}"

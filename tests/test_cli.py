@@ -345,6 +345,43 @@ def test_fit_malformed_csv_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("column, value", [
+    (3, "inf"), (3, "nan"), (3, "0"), (3, "-1"),
+    (2, "bad"), (2, "30"),
+    (1, "nan"), (0, "-inf"),
+])
+def test_peak_row_refusals_name_file_and_line(column, value, tmp_path, capfd):
+    # the 5th data row (line 6) of the bundled set, one cell changed; capfd
+    # also sees what the eigensolver's Fortran would print to fd 1
+    lines = Path(synthetic_peaks_path()).read_text().splitlines(keepends=True)
+    cells = lines[5].rstrip("\n").split(",")
+    cells[column] = value
+    lines[5] = ",".join(cells) + "\n"
+    path = tmp_path / "peaks.csv"
+    path.write_text("".join(lines))
+    assert main(["fit", "--data", str(path)]) == 1
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}:6: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--epsilon", "-1e-3"), ("--epsilon-min", "-1e-3"), ("--epsilon-min", "-2.5E-1"),
+])
+def test_negative_exponent_value_is_read_as_the_value(flag, value, capsys):
+    argv = ["spectrum", "--epsilon-steps", "3"] if flag == "--epsilon-min" else ["spectrum"]
+    assert main(argv + [f"{flag}={value}"]) == 0
+    joined = capsys.readouterr()
+    assert main(argv + [flag, value]) == 0
+    assert capsys.readouterr() == joined
+
+
+def test_non_numeric_dash_value_is_still_a_flag(capsys):
+    assert main(["spectrum", "--epsilon", "-x"]) == 1
+    assert capsys.readouterr().err == "error: argument --epsilon: expected one argument\n"
+
+
 # ---------------------------------------------------------------------------
 # exit codes and plumbing
 # ---------------------------------------------------------------------------

@@ -5,29 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dscqed import ConfigError, PeakData, fit, model_frequency, read_peaks_csv, report_chain
-from dscqed.fitting import FitResult, _levenberg_marquardt, _predicted, profile_objective
+from dscqed import ConfigError, PeakData, fit, read_peaks_csv
+from dscqed.fitting import _levenberg_marquardt, _predicted
 
 from conftest import PAPER_TRIPLE, synthetic_peaks
 
 BOUNDS = ((0.01, 1.0), (1.0, 5.0), (0.5, 5.0))
-
-
-def _single_branch_data(label="01", biases=np.linspace(-0.4, 0.4, 9)):
-    labels = tuple(label for _ in biases)
-    shell = PeakData(
-        epsilon=np.asarray(biases, dtype=float),
-        frequency=np.zeros(len(biases)),
-        label=labels,
-        weight=np.ones(len(biases)),
-    )
-    freqs = _predicted(PAPER_TRIPLE, shell, 40, 6, 1e-6)
-    return PeakData(
-        epsilon=np.asarray(biases, dtype=float),
-        frequency=freqs,
-        label=labels,
-        weight=np.ones(len(biases)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -35,9 +18,17 @@ def _single_branch_data(label="01", biases=np.linspace(-0.4, 0.4, 9)):
 # ---------------------------------------------------------------------------
 
 
+def _model_frequency(params, epsilon, label=None, measured=0.0):
+    """Model frequency of one labeled row, or of the drive-allowed line
+    nearest ``measured`` for an unlabeled one, at n_max 40 (the row is
+    repeated to make up PeakData's three)."""
+    rows = PeakData(np.full(3, epsilon), np.full(3, measured), (label,) * 3, np.ones(3))
+    return float(_predicted(params, rows, 40, 6, 1e-6)[0])
+
+
 def test_decoupled_01_branch_is_hyperbola():
     for eps in (0.0, 0.2, -0.7):
-        got = model_frequency((0.147, 2.57, 0.0), eps, label="01")
+        got = _model_frequency((0.147, 2.57, 0.0), eps, label="01")
         assert got == pytest.approx(math.hypot(0.147, eps), abs=1e-10)
 
 
@@ -45,28 +36,23 @@ def test_labeled_transition_matches_eigensystem(paper_params):
     from dscqed import FockTruncation, solve, transition_frequency
 
     es = solve(paper_params, FockTruncation(40))
-    got = model_frequency(PAPER_TRIPLE, 0.0, label="03")
+    got = _model_frequency(PAPER_TRIPLE, 0.0, label="03")
     assert got == pytest.approx(transition_frequency(es, 0, 3), abs=1e-12)
 
 
 def test_nearest_line_prefers_closer_branch():
-    f12 = model_frequency(PAPER_TRIPLE, 0.3, label="12")
-    f03 = model_frequency(PAPER_TRIPLE, 0.3, label="03")
+    f12 = _model_frequency(PAPER_TRIPLE, 0.3, label="12")
+    f03 = _model_frequency(PAPER_TRIPLE, 0.3, label="03")
     assert f12 != f03
-    got = model_frequency(PAPER_TRIPLE, 0.3, measured=f12 + 1e-4)
+    got = _model_frequency(PAPER_TRIPLE, 0.3, measured=f12 + 1e-4)
     assert got == pytest.approx(f12, abs=1e-12)
 
 
 def test_unknown_label_rejected():
-    with pytest.raises(ValueError):
-        model_frequency(PAPER_TRIPLE, 0.0, label="bad")
-    with pytest.raises(ValueError):
-        model_frequency(PAPER_TRIPLE, 0.0, label="30")
-
-
-def test_nearest_mode_needs_measured_value():
-    with pytest.raises(ValueError):
-        model_frequency(PAPER_TRIPLE, 0.0)
+    for label in ("bad", "30"):
+        data = PeakData.from_rows([(-0.1, 2.5, label), (0.0, 2.6, "03"), (0.1, 2.7, "03")])
+        with pytest.raises(ValueError, match="transition label"):
+            fit(data, initial=(0.15, 2.6, 2.4), bounds=BOUNDS)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +184,7 @@ def test_levenberg_marquardt_is_monotone():
 
     lo, hi = np.full(2, -5.0), np.full(2, 5.0)
     x, f_best, _, _, reason, trace = _levenberg_marquardt(
-        residuals, [-1.2, 1.0], lo, hi, [0, 1], 600
+        residuals, [-1.2, 1.0], lo, hi, 600
     )
     assert reason in ("cost", "step")
     assert f_best < 1e-9
@@ -245,84 +231,6 @@ def test_hellmann_feynman_jacobian_matches_central_differences(delta, omega, g, 
             assert np.all(err <= 1e-6 * (1.0 + np.abs(fd[smooth]))), (k, jac[:, k], fd)
 
 
-def test_flat_profile_flags_unconstrained_coupling():
-    # a single branch far below the mode frequency cannot pin g1: the
-    # profiled objective stays flat over +-20% while a multi-branch fit
-    # rises by orders of magnitude
-    data = _single_branch_data()
-    res = fit(data, initial=PAPER_TRIPLE, bounds=BOUNDS)
-    _, flat = profile_objective(data, res, "g1", span=0.2, n=5, bounds=BOUNDS)
-    assert float(np.max(flat)) < 1e-8
-
-    rich = synthetic_peaks(PAPER_TRIPLE)
-    res2 = fit(rich, initial=PAPER_TRIPLE, bounds=BOUNDS)
-    _, sharp = profile_objective(rich, res2, "g1", span=0.2, n=5, bounds=BOUNDS)
-    assert float(np.max(sharp)) > 1e-6
-
-
-# ---------------------------------------------------------------------------
-# Report chaining
-# ---------------------------------------------------------------------------
-
-
-def _paper_fit_result():
-    return FitResult(
-        delta_prime=0.147,
-        omega1=2.57,
-        g1=2.39,
-        residual_rms=0.0,
-        per_point_residuals=np.zeros(3),
-        iterations=0,
-        converged=True,
-        stderr=(0.0, 0.0, 0.0),
-        reason="cost",
-    )
-
-
-def test_chain_reproduces_published_numbers():
-    rep = report_chain(_paper_fit_result(), n_cutoff=13.2, measured_delta=0.026)
-    assert abs(rep.total_shift - 0.965) <= 0.003
-    assert abs(rep.delta0 - 0.732) <= 0.010
-
-
-def test_chain_predicts_measured_splitting():
-    rep = report_chain(_paper_fit_result(), n_cutoff=13.2)
-    assert abs(rep.delta - 0.026) <= 0.001
-
-
-def test_chain_without_coupling():
-    res = FitResult(
-        delta_prime=0.147,
-        omega1=2.57,
-        g1=0.0,
-        residual_rms=0.0,
-        per_point_residuals=np.zeros(3),
-        iterations=0,
-        converged=True,
-        stderr=(0.0, 0.0, 0.0),
-        reason="cost",
-    )
-    rep = report_chain(res, n_cutoff=13.2)
-    assert rep.total_shift == 0.0
-    assert rep.delta0 == rep.delta == 0.147
-
-
-def test_chain_requires_convergence():
-    res = FitResult(
-        delta_prime=0.147,
-        omega1=2.57,
-        g1=2.39,
-        residual_rms=0.1,
-        per_point_residuals=np.zeros(3),
-        iterations=400,
-        converged=False,
-        stderr=(0.0, 0.0, 0.0),
-        reason="max_iter",
-    )
-    with pytest.raises(ValueError):
-        report_chain(res, n_cutoff=13.2)
-
-
 # ---------------------------------------------------------------------------
 # Peak CSV ingestion
 # ---------------------------------------------------------------------------
@@ -354,6 +262,13 @@ def test_read_peaks_bad_number_carries_line(tmp_path):
     path.write_text("epsilon_ghz,frequency_ghz\n0.0,2.61\n0.1,oops\n0.2,2.3\n")
     with pytest.raises(ConfigError, match=r":3:"):
         read_peaks_csv(path)
+
+
+@pytest.mark.parametrize("weight", [math.inf, math.nan, 0.0, -1.0])
+def test_peak_data_refuses_bad_weights(weight):
+    rows = [(-0.1, 2.5, "03", 1.0), (0.0, 2.6, "03", weight), (0.1, 2.7, "03", 1.0)]
+    with pytest.raises(ValueError, match="weights must be finite and > 0"):
+        PeakData.from_rows(rows)
 
 
 def test_read_peaks_unknown_column(tmp_path):

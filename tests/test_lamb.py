@@ -9,7 +9,6 @@ from dscqed import (
     asymptotic_sum,
     cutoff_sum,
     full_report,
-    full_report_from_bare,
     multimode_renorm,
     per_mode_shifts,
     single_mode_renorm,
@@ -268,8 +267,8 @@ def test_report_no_coupling():
 
 
 def test_report_forward_direction_round_trip():
-    fwd = full_report_from_bare(2.39, 2.57, 13.2, delta0=0.7)
-    back = full_report(2.39, 2.57, 13.2, fwd.delta)
+    delta = 0.7 * math.exp(-2.0 * (2.39 / 2.57) ** 2 * cutoff_sum(13.2))
+    back = full_report(2.39, 2.57, 13.2, delta)
     assert back.delta0 == pytest.approx(0.7, rel=1e-12)
 
 

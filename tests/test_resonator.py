@@ -8,7 +8,6 @@ from dscqed import (
     coupling_strength_at,
     coupling_strengths,
     cutoff_frequency,
-    mode_frequencies,
     mode_table,
     mode_wavenumbers,
     zero_point_current,
@@ -70,7 +69,7 @@ def test_ideal_quarter_wave_limit():
     kx = mode_wavenumbers(m, 5)
     expected = np.array([n * math.pi - math.pi / 2 for n in range(1, 6)])
     assert np.max(np.abs(kx - expected)) < 1e-12
-    freqs = mode_frequencies(m, 5)
+    freqs = mode_table(m, 5, 2.39, 2.57).omega_ghz
     assert np.allclose(freqs / m.omega1_bare, [1, 3, 5, 7, 9], atol=1e-12)
 
 
@@ -133,14 +132,14 @@ def test_first_order_formula_in_its_regime():
 
 
 def test_mode_frequencies_strictly_increasing(paper_resonator):
-    freqs = mode_frequencies(paper_resonator, 30)
+    freqs = mode_table(paper_resonator, 30, 2.39, 2.57).omega_ghz
     assert np.all(np.diff(freqs) > 0.0)
 
 
 def test_loaded_fundamental_and_cutoff_ratio(paper_resonator):
     # the bundled bare value puts the loaded fundamental at 2.61 GHz, giving
     # the published cutoff ratio 13.2 with the L_c-only cutoff
-    w1 = mode_frequencies(paper_resonator, 1)[0]
+    w1 = mode_table(paper_resonator, 1, 2.39, 2.57).omega_ghz[0]
     assert abs(w1 - 2.61) < 0.005
     n_cutoff = cutoff_frequency(paper_resonator, lc_only=True) / w1
     assert abs(n_cutoff - 13.2) < 0.05
@@ -229,7 +228,7 @@ def test_larger_coupling_inductance_lowers_cutoff():
 
 def test_absolute_and_scaled_paths_agree_in_ratio(paper_resonator):
     m = _model(i_q=300e-9)
-    modes = mode_frequencies(m, 10)
+    modes = mode_table(m, 10, 2.39, 2.57).omega_ghz
     scaled = coupling_strengths(m, 2.39, modes[0], modes)
     absolute = coupling_strengths(m, 2.39, modes[0], modes, absolute=True)
     ratio_scaled = scaled / scaled[0]

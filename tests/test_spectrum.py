@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dscqed import SpectralLine, SweepConfig, indirect_delta, sweep
+from dscqed import SweepConfig, sweep
 
 PAPER = dict(delta_prime=0.147, omega1=2.57, g1=2.39)
 
@@ -84,11 +84,6 @@ def test_sweep_config_validation():
         SweepConfig(epsilon_grid=(0.0,), freq_window=(2.0, 8.0), k_levels=1)
 
 
-def test_spectral_line_label_consistency():
-    with pytest.raises(ValueError):
-        SpectralLine(epsilon=0.0, i=0, j=3, frequency=2.0, amplitude=0.1, label="02")
-
-
 def test_sweep_propagates_truncation_failure(monkeypatch):
     import dscqed.rabi as rabi_mod
     from dscqed import ConvergenceError
@@ -99,74 +94,3 @@ def test_sweep_propagates_truncation_failure(monkeypatch):
     )
     with pytest.raises(ConvergenceError):
         sweep(0.147, 2.57, 2.39, cfg)
-
-
-# ---------------------------------------------------------------------------
-# Indirect splitting recovery
-# ---------------------------------------------------------------------------
-
-
-def test_indirect_equals_direct_splitting():
-    lines = paper_sweep([0.3], window=(0.0, 20.0))
-    got = indirect_delta([l for l in lines if l.epsilon == 0.3])
-    direct = {l.label: l.frequency for l in lines}
-    assert got == pytest.approx(direct["03"] - direct["13"], abs=1e-12)
-
-
-def test_indirect_published_value_at_symmetry_point():
-    lines = paper_sweep([0.0], window=(0.0, 20.0))
-    assert abs(indirect_delta(lines) - 0.026) <= 0.001
-
-
-def test_indirect_with_noise_monte_carlo():
-    lines = paper_sweep([0.0], window=(0.0, 20.0))
-    needed = {(0, 3), (1, 3), (0, 2), (1, 2)}
-    base = [l for l in lines if (l.i, l.j) in needed]
-    truth = indirect_delta(base)
-    rng = np.random.default_rng(7)
-    errors = []
-    for _ in range(300):
-        noisy = [
-            SpectralLine(
-                epsilon=l.epsilon,
-                i=l.i,
-                j=l.j,
-                frequency=l.frequency + 0.001 * rng.standard_normal(),
-                amplitude=l.amplitude,
-                label=l.label,
-            )
-            for l in base
-        ]
-        errors.append(indirect_delta(noisy, agreement_tol=0.02) - truth)
-    rms = float(np.sqrt(np.mean(np.square(errors))))
-    assert rms <= 0.002  # 1 MHz per line -> ~1 MHz on the recovered splitting
-
-
-def test_indirect_missing_transition():
-    lines = [l for l in paper_sweep([0.0], window=(0.0, 20.0)) if l.label != "12"]
-    with pytest.raises(ValueError):
-        indirect_delta(lines)
-
-
-def test_indirect_rejects_mixed_bias():
-    lines = paper_sweep([0.1, 0.2], window=(0.0, 20.0))
-    with pytest.raises(ValueError):
-        indirect_delta(lines)
-
-
-def test_indirect_agreement_tolerance():
-    lines = paper_sweep([0.2], window=(0.0, 20.0))
-    noisy = [
-        SpectralLine(
-            epsilon=l.epsilon,
-            i=l.i,
-            j=l.j,
-            frequency=l.frequency + (0.01 if l.label == "03" else 0.0),
-            amplitude=l.amplitude,
-            label=l.label,
-        )
-        for l in lines
-    ]
-    with pytest.raises(ValueError):
-        indirect_delta(noisy)  # default 1e-9 GHz agreement
-    assert indirect_delta(noisy, agreement_tol=0.05) > 0.0

@@ -27,9 +27,10 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     # argparse exits with 2 on usage errors; route them through ConfigError
-    # so every validation problem maps to exit code 1.
+    # so every validation problem maps to exit code 1, naming the flag as
+    # "--flag: ..." like every other flag refusal.
     def error(self, message):
-        raise ConfigError(message)
+        raise ConfigError(message.removeprefix("argument "))
 
 
 _FIELD = {f.flag: f for f in cfg_mod.FIELDS if f.flag}

@@ -3,10 +3,10 @@
 Configs are a single YAML tree with explicit unit suffixes in key names
 (``l_c_ph``, ``omega1_ghz``); no unit inference.  One table, ``FIELDS``,
 declares every key: its dotted path, its kind, its domain, its default and
-the command-line flag that overrides it.  Loading is strict: unknown keys
-are rejected (a flag downgrades that to a warning), parse errors carry line
-numbers, and every other refusal names ``file: dotted.path`` for a value
-from the file or ``--flag`` for a value given on the command line.
+the command-line flag that overrides it.  Unknown keys are rejected, parse
+errors carry line numbers, and every other refusal names
+``file: dotted.path`` for a value from the file or ``--flag`` for a value
+given on the command line.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import operator
 import os
-import warnings
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -137,12 +136,9 @@ def synthetic_peaks_path() -> Path:
     return Path(str(resources.files("dscqed").joinpath("data/synthetic_peaks.csv")))
 
 
-def load_config(path, strict: bool = True) -> RunConfig:
-    """Parse and fully validate a run configuration.
-
-    ``strict=False`` downgrades unknown keys from errors to warnings.
-    """
-    return validate(read_tree(path), path, strict=strict)
+def load_config(path) -> RunConfig:
+    """Parse and fully validate a run configuration."""
+    return validate(read_tree(path), path)
 
 
 def read_tree(path) -> dict:
@@ -169,7 +165,7 @@ def read_tree(path) -> dict:
     return tree
 
 
-def validate(tree: dict, source, overrides=None, strict: bool = True) -> RunConfig:
+def validate(tree: dict, source, overrides=None) -> RunConfig:
     """Check ``tree`` (read from ``source``) against ``FIELDS`` and build the
     run configuration.
 
@@ -183,7 +179,7 @@ def validate(tree: dict, source, overrides=None, strict: bool = True) -> RunConf
     def name(path):
         return overrides[path][0] if path in overrides else f"{source}: {path}"
 
-    given = _flatten(tree, source, strict)
+    given = _flatten(tree, source)
     v = {}
     for f in FIELDS:
         if f.path in overrides:
@@ -243,9 +239,8 @@ def validate(tree: dict, source, overrides=None, strict: bool = True) -> RunConf
     )
 
 
-def _flatten(tree: dict, source: str, strict: bool, prefix: str = "") -> dict:
-    """The tree's values keyed by dotted path; unknown keys are refused (or,
-    not ``strict``, warned about and dropped)."""
+def _flatten(tree: dict, source: str, prefix: str = "") -> dict:
+    """The tree's values keyed by dotted path; unknown keys are refused."""
     flat = {}
     for key, value in tree.items():
         path = f"{prefix}{key}"
@@ -254,14 +249,12 @@ def _flatten(tree: dict, source: str, strict: bool, prefix: str = "") -> dict:
         elif path in _SECTIONS:
             if not isinstance(value, dict):
                 raise ConfigError(f"{source}: {path}: expected a mapping")
-            flat.update(_flatten(value, source, strict, path + "."))
-        elif strict:
+            flat.update(_flatten(value, source, path + "."))
+        else:
             allowed = dict.fromkeys(
                 p[len(prefix):].split(".")[0] for p in _PATHS if p.startswith(prefix)
             )
             raise ConfigError(f"{source}: {path}: unknown key (allowed: {', '.join(allowed)})")
-        else:
-            warnings.warn(f"{source}: {path}: unknown key ignored", stacklevel=2)
     return flat
 
 

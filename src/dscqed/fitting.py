@@ -18,10 +18,11 @@ together.  An unlabeled row takes the gradient of the line it was matched
 to.  A level closer than _DEGENERATE_TOL to a neighbour has no well-defined
 eigenvector, so rows using one take central differences instead.
 
-The Fock truncation is sized by converged_truncation at the start point, and
-the descent is repeated from its optimum while the optimum needs a larger
-one.  The reported residuals are recomputed at the truncation that converges
-at the optimum.
+The Fock truncation is sized as the sweep sizes it, at zero bias and at the
+data's largest |bias|, first at the start point; the descent is repeated
+from its optimum while the optimum needs a larger one.  The reported
+residuals are the descent's own at the optimum, so they come from a
+truncation no smaller than the one that converges there.
 """
 
 from __future__ import annotations
@@ -38,11 +39,10 @@ from .rabi import (
     QrmParams,
     _photons_and_spin,
     build_hamiltonian,
-    converged_truncation,
     drive_matrix_element,
     eigensystem,
 )
-from .spectrum import SweepConfig
+from .spectrum import SweepConfig, _grid_truncation
 
 DEFAULT_BOUNDS = ((1e-6, 100.0), (1e-3, 100.0), (0.0, 100.0))
 
@@ -178,30 +178,22 @@ def _frequencies_at_bias(params, epsilon, rows, n_max, k_levels, floor, jacobian
     with ``jacobian``, its gradient in (delta_prime, omega1, g1).
 
     Labeled rows give the named transition; unlabeled rows give the
-    drive-allowed line nearest their measured frequency.  When every row is
-    labeled and no gradient is asked for, only the eigenvalues are computed.
+    drive-allowed line nearest their measured frequency, so a bias with one
+    diagonalizes through ``eigensystem`` and any other through a bare eigh.
     Returns (frequencies, gradients or None).
     """
     delta_prime, omega1, g1 = params
-    trunc = FockTruncation(n_max)
-    h = build_hamiltonian(QrmParams(delta_prime, epsilon, omega1, g1), trunc)
+    h = build_hamiltonian(QrmParams(delta_prime, epsilon, omega1, g1), FockTruncation(n_max))
     es = None
     if any(label is None for label, _ in rows):
         es = eigensystem(h)
         values, vectors = es.values, es.vectors
-    elif jacobian:
-        values, vectors = np.linalg.eigh(h)
     else:
-        values = np.linalg.eigvalsh(h)
-    pairs = []
-    for label, measured in rows:
-        if label is None:
-            pairs.append(_nearest_allowed(es, measured, k_levels, floor))
-            continue
-        pairs.append(_parse_label(label))
-        if pairs[-1][1] >= len(values):
-            raise ValueError(f"label {label!r} outside the computed spectrum")
-    i, j = np.array(pairs).T
+        values, vectors = np.linalg.eigh(h)
+    i, j = np.array([
+        _nearest_allowed(es, measured, k_levels, floor) if label is None else _parse_label(label)
+        for label, measured in rows
+    ]).T
     freqs = values[j] - values[i]
     if not jacobian:
         return freqs, None
@@ -293,10 +285,11 @@ def _levenberg_marquardt(residuals, x0, lo, hi, max_iter: int):
     corner of the box that is a local minimum.  A parameter that starts on a
     bound stays on it while the step points out of the box.
 
-    Returns (x, cost, jacobian, iterations, reason, trace): trace holds the
-    cost after every accepted step; reason is "cost" (an accepted step lowered
-    the cost by at most _COST_RTOL relative), "step" (a step no longer than
-    _STEP_RTOL relative to |x|) or "max_iter".
+    Returns (x, r, jacobian, iterations, reason, trace), with r and the
+    jacobian at x: trace holds the cost after every accepted step; reason is
+    "cost" (an accepted step lowered the cost by at most _COST_RTOL
+    relative), "step" (a step no longer than _STEP_RTOL relative to |x|) or
+    "max_iter".
     """
     x = np.array(x0, dtype=float)
     r, jac = residuals(x)
@@ -324,43 +317,44 @@ def _levenberg_marquardt(residuals, x0, lo, hi, max_iter: int):
             trace.append(cost)
             damping *= 0.1
             if decrease <= _COST_RTOL * cost:
-                return x, cost, jac, it, "cost", trace
+                return x, r, jac, it, "cost", trace
         else:
             damping *= 10.0
         if np.linalg.norm(step) <= _STEP_RTOL * (np.linalg.norm(x) + _STEP_RTOL):
-            return x, cost, jac, it, "step", trace
-    return x, cost, jac, max_iter, "max_iter", trace
+            return x, r, jac, it, "step", trace
+    return x, r, jac, max_iter, "max_iter", trace
 
 
 def _descend(data, x0, bounds, k_levels, floor, max_iter):
     """Levenberg-Marquardt on the weighted residuals at the truncation that
     converges at ``x0``, repeated from the optimum while the optimum needs a
-    larger one.  ``max_iter`` bounds the iterations of all passes together.
+    larger one.  A truncation converges at x when the lowest ``k_levels``
+    levels settle to _TRUNCATION_TOL both at zero bias and at the data's
+    largest |bias|, as in ``spectrum.sweep``.  ``max_iter`` bounds the
+    iterations of all passes together.
 
-    Returns (x, cost, weighted jacobian, iterations, reason, truncation
-    converged at x).
+    Returns (x, weighted residuals, weighted jacobian, iterations, reason),
+    all from the last pass, whose truncation is no smaller than the one that
+    converges at x.
     """
     lo, hi = (np.array(b) for b in zip(*bounds))
     root_w = np.sqrt(data.weight)
 
     def converged_at(x):
-        p = QrmParams(x[0], 0.0, x[1], x[2])
-        return converged_truncation(p, k_levels=k_levels, tol=_TRUNCATION_TOL)
+        return _grid_truncation(*x, data.epsilon, k_levels, _TRUNCATION_TOL).n_max
 
     def residuals(x):
         pred, jac = _predicted(tuple(x), data, n_max, k_levels, floor, jacobian=True)
         return root_w * (pred - data.frequency), root_w[:, None] * jac
 
-    x, n_max, iterations = np.array(x0, dtype=float), converged_at(x0).n_max, 0
+    x, n_max, iterations = np.array(x0, dtype=float), converged_at(x0), 0
     while True:
-        x, cost, jac, it, reason, _ = _levenberg_marquardt(
-            residuals, x, lo, hi, max_iter - iterations
-        )
+        x, r, jac, it, reason, _ = _levenberg_marquardt(residuals, x, lo, hi, max_iter - iterations)
         iterations += it
-        trunc = converged_at(x)
-        if trunc.n_max <= n_max:
-            return x, cost, jac, iterations, reason, trunc
-        n_max = trunc.n_max
+        needed = converged_at(x)
+        if needed <= n_max:
+            return x, r, jac, iterations, reason
+        n_max = needed
 
 
 def _standard_errors(jac, chi2, dof):
@@ -401,25 +395,25 @@ def fit(
         raise ValueError(f"lower bounds outside the model domain: {exc}") from None
     if np.all(data.epsilon == data.epsilon[0]):
         raise ValueError("degenerate data: all bias values are equal")
-    for lab in data.label:
-        if lab is not None:
-            _parse_label(lab)  # fail loudly here, not inside the descent
+    # fail loudly here, not inside the descent; the truncation search
+    # certifies only the lowest k_levels levels
+    for row, label in enumerate(data.label, start=1):
+        if label is not None and _parse_label(label)[1] >= k_levels:
+            raise ValueError(
+                f"row {row}: transition label {label!r} needs j < k_levels ({k_levels})"
+            )
 
-    best, _, jac, iterations, reason, trunc = _descend(
+    best, r, jac, iterations, reason = _descend(
         data, initial, bounds, k_levels, amplitude_floor, max_iter
     )
-
-    # Correctness backstop: residuals at a converged truncation.
-    pred = _predicted(tuple(best), data, trunc.n_max, k_levels, amplitude_floor)
-    residuals = pred - data.frequency
-    chi2 = float(np.sum(data.weight * residuals**2))
+    chi2 = float(r @ r)
     rms = float(np.sqrt(chi2 / np.sum(data.weight)))
     return FitResult(
         delta_prime=float(best[0]),
         omega1=float(best[1]),
         g1=float(best[2]),
         residual_rms=rms,
-        per_point_residuals=residuals,
+        per_point_residuals=r / np.sqrt(data.weight),
         iterations=iterations,
         converged=reason != "max_iter",
         stderr=_standard_errors(jac, chi2, len(data) - 3),

@@ -32,6 +32,7 @@ import numpy as np
 from .errors import ConvergenceError
 
 N_MAX_CEILING = 4096
+_N_MAX_START = 8  # first n_max of the truncation search
 
 # Eigenvalues closer than this (relative to the spectral radius) form a
 # degenerate cluster when resolving parity.  Must stay below the 1e-9
@@ -248,11 +249,9 @@ def drive_matrix_element(es: EigenSystem, i: int, j: int) -> float:
     return float(abs(es.vectors[:, i] @ x @ es.vectors[:, j]))
 
 
-def converged_truncation(
-    p: QrmParams, k_levels: int, tol: float, start: int = 8
-) -> FockTruncation:
-    """Smallest n_max in a doubling schedule whose lowest k_levels eigenvalues
-    move by less than ``tol`` (GHz) when n_max doubles.
+def converged_truncation(p: QrmParams, k_levels: int, tol: float) -> FockTruncation:
+    """Smallest n_max in a doubling schedule from _N_MAX_START whose lowest
+    k_levels eigenvalues move by less than ``tol`` (GHz) when n_max doubles.
 
     Raises ConvergenceError when the ceiling is reached without converging.
     """
@@ -260,7 +259,7 @@ def converged_truncation(
         raise ValueError(f"k_levels must be >= 2, got {k_levels}")
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    n = start
+    n = _N_MAX_START
     while 2 * (n + 1) < k_levels:
         n *= 2
     prev = np.linalg.eigvalsh(build_hamiltonian(p, FockTruncation(n)))[:k_levels]

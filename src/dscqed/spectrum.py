@@ -74,7 +74,7 @@ def sweep(delta_prime: float, omega1: float, g1: float, cfg: SweepConfig) -> lis
     still emitted (classification is the consumer's business).
     """
     grid = np.sort(np.asarray(cfg.epsilon_grid, dtype=float))
-    trunc = _grid_truncation(delta_prime, omega1, g1, grid, cfg)
+    trunc = _grid_truncation(delta_prime, omega1, g1, grid, cfg.k_levels, cfg.truncation_tol)
     lo, hi = cfg.freq_window
 
     lines = []
@@ -89,13 +89,11 @@ def sweep(delta_prime: float, omega1: float, g1: float, cfg: SweepConfig) -> lis
     return lines
 
 
-def _grid_truncation(delta_prime, omega1, g1, grid, cfg):
+def _grid_truncation(delta_prime, omega1, g1, biases, k_levels, tol):
+    """The larger of the truncations that converge (lowest ``k_levels``
+    eigenvalues to ``tol`` GHz) at zero bias and at the largest |bias|."""
     n_max = 1
-    for eps in {0.0, float(np.max(np.abs(grid)))}:
-        t = converged_truncation(
-            QrmParams(delta_prime, eps, omega1, g1),
-            k_levels=cfg.k_levels,
-            tol=cfg.truncation_tol,
-        )
+    for eps in {0.0, float(np.max(np.abs(biases)))}:
+        t = converged_truncation(QrmParams(delta_prime, eps, omega1, g1), k_levels, tol)
         n_max = max(n_max, t.n_max)
     return FockTruncation(n_max)

@@ -64,13 +64,10 @@ def test_negative_frequency_carries_field_path(tmp_path):
         load_config(path)
 
 
-def test_unknown_key_strict_vs_lenient(tmp_path):
+def test_unknown_key_refused(tmp_path):
     path = _write_variant(tmp_path, lambda t: t["device"].update(bogus=1.0))
     with pytest.raises(ConfigError, match=r"device\.bogus"):
         load_config(path)
-    with pytest.warns(UserWarning, match=r"device\.bogus"):
-        cfg = load_config(path, strict=False)
-    assert cfg.resonator.z0 == 50.0
 
 
 def test_missing_required_key(tmp_path):

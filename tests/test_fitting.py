@@ -55,6 +55,14 @@ def test_unknown_label_rejected():
             fit(data, initial=(0.15, 2.6, 2.4), bounds=BOUNDS)
 
 
+def test_label_above_k_levels_rejected():
+    # the truncation search certifies only the lowest k_levels levels
+    data = PeakData.from_rows([(-0.1, 2.5, "03"), (0.0, 2.6, "04"), (0.1, 2.7, "03")])
+    with pytest.raises(ValueError, match=r"row 2: transition label '04' needs j < k_levels \(4\)"):
+        fit(data, initial=(0.15, 2.6, 2.4), bounds=BOUNDS, k_levels=4)
+    assert fit(data, initial=(0.15, 2.6, 2.4), bounds=BOUNDS, k_levels=5).iterations >= 1
+
+
 # ---------------------------------------------------------------------------
 # Fit round trips
 # ---------------------------------------------------------------------------
@@ -176,6 +184,20 @@ def test_start_on_a_bound_moves_the_other_parameters():
     assert res.delta_prime != initial[0] and res.omega1 != initial[1]
 
 
+def test_zero_noise_round_trip_at_wide_bias():
+    # eps = 10 needs n_max 32 where eps = 0 needs 16: the truncation is sized
+    # at the largest |bias| too.  The data come from n_max 128.
+    eps = np.repeat(np.linspace(-10.0, 10.0, 21), 4)
+    labels = ("03", "12", "02", "13") * 21
+    shell = PeakData(eps, np.zeros(len(eps)), labels, np.ones(len(eps)))
+    data = PeakData(eps, _predicted(PAPER_TRIPLE, shell, 128, 6, 1e-6), labels, np.ones(len(eps)))
+    res = fit(data, initial=(0.147 * 1.2, 2.57 * 0.8, 2.39 * 1.2), bounds=BOUNDS)
+    assert res.converged
+    for got, true in zip(res.params, PAPER_TRIPLE):
+        assert abs(got / true - 1.0) < 1e-9
+    assert res.residual_rms < 1e-10
+
+
 def test_levenberg_marquardt_is_monotone():
     # Rosenbrock as least squares: r = (1 - x, 10 (y - x^2))
     def residuals(x):
@@ -183,11 +205,11 @@ def test_levenberg_marquardt_is_monotone():
         return r, np.array([[-1.0, 0.0], [-20.0 * x[0], 10.0]])
 
     lo, hi = np.full(2, -5.0), np.full(2, 5.0)
-    x, f_best, _, _, reason, trace = _levenberg_marquardt(
+    x, r, _, _, reason, trace = _levenberg_marquardt(
         residuals, [-1.2, 1.0], lo, hi, 600
     )
     assert reason in ("cost", "step")
-    assert f_best < 1e-9
+    assert r @ r < 1e-9
     assert np.allclose(x, 1.0, atol=1e-6)
     assert all(b <= a for a, b in zip(trace, trace[1:]))
 

@@ -36,10 +36,10 @@ from dscqed.config import FIELDS
 BUNDLED = yaml.safe_load(paper_device_path().read_text())
 FIELD = {f.path: f for f in FIELDS}
 VALIDITY_WARNING = "the exponential formula assumes delta0 << omega"
-# "--flag:", argparse's "argument --flag:" and "unrecognized arguments: --flag",
-# "file: dotted.path:" or "file:line:"
+# "--flag:", argparse's "unrecognized arguments: --flag", "file: dotted.path:"
+# or "file:line:"
 NAMED = re.compile(
-    r"error: ((argument |unrecognized arguments: )?--[a-z][a-z-]*"
+    r"error: ((unrecognized arguments: )?--[a-z][a-z-]*"
     r"|\S+: [a-z_]+(\.[a-z0-9_]+)+|\S+:\d+)[:.=\n]"
 )
 

@@ -175,7 +175,7 @@ def _cmd_spectrum(args, run) -> int:
 
 
 def _cmd_fit(args, run) -> int:
-    data = fitting.read_peaks_csv(args.data)
+    data = fitting.read_peaks_csv(args.data, run.sweep.k_levels)
     result = fitting.fit(
         data,
         initial=run.fit.initial,

@@ -3,8 +3,9 @@ spectral peaks by a bounded Levenberg-Marquardt descent on the Rabi spectrum.
 
 Data rows carry a bias, a frequency, an optional transition label ("03",
 "12", ...) and an optional positive weight.  Labeled rows are matched to the
-named transition; unlabeled rows fall back to the nearest drive-allowed line,
-which can be unstable near avoided crossings -- down-weight such points.
+named transition; unlabeled rows fall back to the nearest drive-allowed line
+of ``rabi.solve``'s spectrum, which can be unstable near avoided crossings --
+down-weight such points.
 
 H is linear in the three parameters, so by the Hellmann-Feynman theorem each
 level's gradient is dE_k/dtheta = <k| dH/dtheta |k>, with
@@ -40,7 +41,7 @@ from .rabi import (
     _photons_and_spin,
     build_hamiltonian,
     drive_matrix_element,
-    eigensystem,
+    solve,
 )
 from .spectrum import SweepConfig, _grid_truncation
 
@@ -122,8 +123,9 @@ class FitResult:
         }
 
 
-def read_peaks_csv(path) -> PeakData:
-    """Load peaks from CSV with header epsilon_ghz,frequency_ghz[,label][,weight]."""
+def read_peaks_csv(path, k_levels: int = SweepConfig.k_levels) -> PeakData:
+    """Load peaks from CSV with header epsilon_ghz,frequency_ghz[,label][,weight];
+    labels are checked against ``k_levels`` as ``fit`` checks them."""
     allowed = ("epsilon_ghz", "frequency_ghz", "label", "weight")
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -151,7 +153,7 @@ def read_peaks_csv(path) -> PeakData:
                 raise ValueError("bias and frequency values must be finite")
             label = cell.get("label", "").strip() or None
             if label is not None:
-                _parse_label(label)
+                _parse_label(label, k_levels)
             weight = float(cell["weight"]) if cell.get("weight", "").strip() else 1.0
             if not (math.isfinite(weight) and weight > 0.0):
                 raise ValueError(f"weight must be finite and > 0, got {weight}")
@@ -164,12 +166,15 @@ def read_peaks_csv(path) -> PeakData:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _parse_label(label: str):
+def _parse_label(label: str, k_levels: int):
+    """(i, j) of a label "ij"; the truncation certifies only levels j < k_levels."""
     if len(label) < 2 or not label.isdigit():
         raise ValueError(f"transition label {label!r} is not of the form 'ij'")
     i, j = int(label[0]), int(label[1:])
     if not i < j:
         raise ValueError(f"transition label {label!r} must have i < j")
+    if j >= k_levels:
+        raise ValueError(f"transition label {label!r} needs j < k_levels ({k_levels})")
     return i, j
 
 
@@ -179,19 +184,20 @@ def _frequencies_at_bias(params, epsilon, rows, n_max, k_levels, floor, jacobian
 
     Labeled rows give the named transition; unlabeled rows give the
     drive-allowed line nearest their measured frequency, so a bias with one
-    diagonalizes through ``eigensystem`` and any other through a bare eigh.
+    diagonalizes through ``solve`` and any other through a bare eigh.
     Returns (frequencies, gradients or None).
     """
     delta_prime, omega1, g1 = params
-    h = build_hamiltonian(QrmParams(delta_prime, epsilon, omega1, g1), FockTruncation(n_max))
+    p, t = QrmParams(delta_prime, epsilon, omega1, g1), FockTruncation(n_max)
     es = None
     if any(label is None for label, _ in rows):
-        es = eigensystem(h)
+        es = solve(p, t)
         values, vectors = es.values, es.vectors
     else:
-        values, vectors = np.linalg.eigh(h)
+        values, vectors = np.linalg.eigh(build_hamiltonian(p, t))
     i, j = np.array([
-        _nearest_allowed(es, measured, k_levels, floor) if label is None else _parse_label(label)
+        _parse_label(label, k_levels) if label is not None
+        else _nearest_allowed(es, measured, k_levels, floor)
         for label, measured in rows
     ]).T
     freqs = values[j] - values[i]
@@ -395,13 +401,13 @@ def fit(
         raise ValueError(f"lower bounds outside the model domain: {exc}") from None
     if np.all(data.epsilon == data.epsilon[0]):
         raise ValueError("degenerate data: all bias values are equal")
-    # fail loudly here, not inside the descent; the truncation search
-    # certifies only the lowest k_levels levels
+    # fail loudly here, not inside the descent
     for row, label in enumerate(data.label, start=1):
-        if label is not None and _parse_label(label)[1] >= k_levels:
-            raise ValueError(
-                f"row {row}: transition label {label!r} needs j < k_levels ({k_levels})"
-            )
+        if label is not None:
+            try:
+                _parse_label(label, k_levels)
+            except ValueError as exc:
+                raise ValueError(f"row {row}: {exc}") from None
 
     best, r, jac, iterations, reason = _descend(
         data, initial, bounds, k_levels, amplitude_floor, max_iter

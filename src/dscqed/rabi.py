@@ -1,5 +1,5 @@
 """Truncated quantum Rabi model: Hamiltonian assembly, dense diagonalization,
-parity resolution and drive selection rules.
+parity labels and drive selection rules.
 
 All energies are ordinary frequencies in GHz.  The Hamiltonian acting on a
 two-level system biased by ``epsilon`` with tunnel gap ``delta_prime``,
@@ -17,9 +17,12 @@ In this basis H has three bands and is assembled from them directly:
                number (rows k = 2n), zero between photon numbers
     offset 2   g1 * s * sqrt(n + 1) between |n, q> and |n + 1, q>
 
-The parity sigma_x * (-1)^n is a signed permutation: it swaps the two qubit
-states of each photon number, (Pi v)[k] = (-1)^(k // 2) * v[k ^ 1].  H
-commutes with it exactly when epsilon = 0.
+At epsilon = 0, H commutes with the parity sigma_x * (-1)^n (Braak, PRL 107,
+100401, 2011).  Its eigenstates |p, n> = (|n, 0> + p (-1)^n |n, 1>) / sqrt(2),
+p = +-1, split H into two tridiagonal chains, one per parity:
+
+    diagonal       omega1 * n - p * (-1)^n * delta_prime / 2
+    off-diagonal   g1 * sqrt(n + 1) between |p, n> and |p, n + 1>
 """
 
 from __future__ import annotations
@@ -33,14 +36,7 @@ from .errors import ConvergenceError
 
 N_MAX_CEILING = 4096
 _N_MAX_START = 8  # first n_max of the truncation search
-
-# Eigenvalues closer than this (relative to the spectral radius) form a
-# degenerate cluster when resolving parity.  Must stay below the 1e-9
-# residual contract so that rotating inside a cluster cannot break it.
-_CLUSTER_RTOL = 1e-10
-
-# Commutator threshold (Frobenius, relative) for detecting the parity symmetry.
-_COMMUTE_RTOL = 1e-12
+_STRAY_WEIGHT = 5e-9  # weight off its chain: parity expectation 1e-8 from +-1
 
 
 @dataclass(frozen=True)
@@ -80,6 +76,8 @@ class FockTruncation:
     def __post_init__(self):
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
+        if self.n_max > N_MAX_CEILING:
+            raise ValueError(f"n_max={self.n_max} exceeds the ceiling {N_MAX_CEILING}")
 
     @property
     def n_states(self) -> int:
@@ -94,8 +92,8 @@ class FockTruncation:
 class EigenSystem:
     """Sorted eigenvalues, eigenvector columns, and per-state parity.
 
-    ``parity[k]`` is +1 or -1 when the parity symmetry holds (bias epsilon
-    exactly zero); ``None`` marks a mixed-parity state.
+    ``parity[k]`` is +1 or -1, the parity chain holding the state, when
+    ``solve`` ran at bias epsilon exactly zero; otherwise it is ``None``.
     """
 
     values: np.ndarray
@@ -109,8 +107,6 @@ class EigenSystem:
 
 def build_hamiltonian(p: QrmParams, t: FockTruncation) -> np.ndarray:
     """Assemble the dense, exactly symmetric Rabi Hamiltonian in GHz."""
-    if t.n_max > N_MAX_CEILING:
-        raise ValueError(f"n_max={t.n_max} exceeds the ceiling {N_MAX_CEILING}")
     n, s = _photons_and_spin(t.dim)
     return _symmetric(
         -0.5 * (p.epsilon * s) + p.omega1 * n,
@@ -138,20 +134,25 @@ def _symmetric(diag, bands):
     return h
 
 
-def _parity(v):
-    """Apply the composite parity sigma_x * (-1)^n along axis 0: row k of the
-    result is (-1)^(k // 2) times row k ^ 1 of ``v``."""
-    k = np.arange(v.shape[0])
-    return (v[k ^ 1].T * (1.0 - 2.0 * ((k >> 1) & 1))).T
+def _parity_chains(p: QrmParams, t: FockTruncation) -> np.ndarray:
+    """H at epsilon = 0 in the parity basis: the chain p = +1 on rows
+    0..n_max, the chain p = -1 below it, no element between them."""
+    n = np.arange(t.n_states, dtype=float)
+    split = 0.5 * p.delta_prime * (-1.0) ** n
+    hop = p.g1 * np.sqrt(n[1:])
+    return _symmetric(
+        np.concatenate([p.omega1 * n - split, p.omega1 * n + split]),
+        [(1, np.concatenate([hop, [0.0], hop]))],
+    )
 
 
 def eigensystem(h: np.ndarray) -> EigenSystem:
     """Diagonalize a real symmetric matrix with a deterministic convention.
 
     Eigenvalues ascend; each eigenvector's largest-magnitude coefficient is
-    positive (first occurrence on ties).  When the matrix commutes with the
-    composite parity operator, degenerate clusters are rotated into parity
-    eigenstates and labeled +1/-1; otherwise all labels are None.
+    positive (first occurrence on ties).  The pairs must be orthonormal to
+    1e-10 with residuals within 1e-9 * max|eigenvalue|.  No state is
+    labeled: every parity is None.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -165,55 +166,33 @@ def eigensystem(h: np.ndarray) -> EigenSystem:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
 
-    parity = _resolve_parity(h, values, vectors)
     _fix_signs(vectors)
     _validate(h, values, vectors)
-    return EigenSystem(values=values, vectors=vectors, parity=parity)
+    return EigenSystem(values=values, vectors=vectors, parity=(None,) * len(values))
 
 
 def solve(p: QrmParams, t: FockTruncation) -> EigenSystem:
-    """Build and diagonalize in one step."""
-    return eigensystem(build_hamiltonian(p, t))
+    """Build and diagonalize H with the conventions of ``eigensystem``.
 
-
-def _resolve_parity(h, values, vectors):
-    dim = h.shape[0]
-    if dim % 2 != 0:
-        return (None,) * dim
-    h_norm = max(np.linalg.norm(h), 1e-300)
-    # |H - Pi H Pi| equals the commutator norm |H Pi - Pi H|: Pi is orthogonal
-    if np.linalg.norm(h - _parity(_parity(h).T).T) > _COMMUTE_RTOL * h_norm:
-        return (None,) * dim
-
-    # Rotate each (near-)degenerate cluster into the parity eigenbasis so
-    # every stored vector carries a sharp +-1 label.
-    spread = max(np.max(np.abs(values)), 1e-300)
-    tol = _CLUSTER_RTOL * spread
-    labels = [None] * dim
-    start = 0
-    for stop in range(1, dim + 1):
-        if stop < dim and values[stop] - values[stop - 1] <= tol:
-            continue
-        block = vectors[:, start:stop]
-        if stop - start > 1:
-            overlap = block.T @ _parity(block)
-            s, u = np.linalg.eigh(0.5 * (overlap + overlap.T))
-            block = block @ u
-            vectors[:, start:stop] = block
-            expect = s
-        else:
-            expect = np.array([block[:, 0] @ _parity(block[:, 0])])
-        for k, e in enumerate(expect):
-            if abs(e - 1.0) <= 1e-8:
-                labels[start + k] = 1
-            elif abs(e + 1.0) <= 1e-8:
-                labels[start + k] = -1
-            else:
-                raise ConvergenceError(
-                    f"parity expectation {e} not within 1e-8 of +-1 despite symmetry"
-                )
-        start = stop
-    return tuple(labels)
+    At epsilon = 0 the matrix diagonalized is the pair of parity chains, so
+    each state lies on one chain, is labeled by it and keeps its energy
+    order; the vectors are mapped back to the composite basis.  A vector
+    with more than _STRAY_WEIGHT off its chain raises ConvergenceError.
+    """
+    if p.epsilon != 0.0:
+        return eigensystem(build_hamiltonian(p, t))
+    es = eigensystem(_parity_chains(p, t))
+    top, bot = es.vectors[: t.n_states], es.vectors[t.n_states :]
+    w_top, w_bot = np.sum(top * top, axis=0), np.sum(bot * bot, axis=0)
+    if np.max(np.minimum(w_top, w_bot)) > _STRAY_WEIGHT:
+        raise ConvergenceError(
+            f"an eigenvector has more than {_STRAY_WEIGHT} of its weight off its parity chain"
+        )
+    vectors = np.empty_like(es.vectors)
+    vectors[0::2] = (top + bot) / math.sqrt(2.0)
+    vectors[1::2] = (-1.0) ** np.arange(t.n_states)[:, None] * (top - bot) / math.sqrt(2.0)
+    _fix_signs(vectors)  # the convention holds in the basis returned
+    return EigenSystem(es.values, vectors, tuple(1 if w > 0.5 else -1 for w in w_top))
 
 
 def _fix_signs(vectors):
@@ -241,12 +220,13 @@ def transition_frequency(es: EigenSystem, i: int, j: int) -> float:
 
 
 def drive_matrix_element(es: EigenSystem, i: int, j: int) -> float:
-    """|<i| (a + a^dag) |j>| for a drive applied through the mode."""
+    """|<i| (a + a^dag) |j>| for a drive applied through the mode: a product
+    with the offset-2 band sqrt(n + 1) of a + a^dag, both triangles."""
     if not (0 <= i < es.dim and 0 <= j < es.dim):
         raise IndexError(f"state indices out of range for dim {es.dim}")
     n, _ = _photons_and_spin(es.dim)
-    x = _symmetric(np.zeros(es.dim), [(2, np.sqrt(n[:-2] + 1.0))])
-    return float(abs(es.vectors[:, i] @ x @ es.vectors[:, j]))
+    vi, vj = es.vectors[:, i], es.vectors[:, j]
+    return float(abs(np.sqrt(n[:-2] + 1.0) @ (vi[:-2] * vj[2:] + vi[2:] * vj[:-2])))
 
 
 def converged_truncation(p: QrmParams, k_levels: int, tol: float) -> FockTruncation:

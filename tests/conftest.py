@@ -29,6 +29,13 @@ def kron_parity(n_states):
     return np.kron(np.diag((-1.0) ** np.arange(n_states)), SIGMA_X)
 
 
+def dense_drive_element(es, i, j):
+    """Oracle |<i| (a + a^dag) |j>| as a product with the dense quadrature."""
+    a = np.diag(np.sqrt(np.arange(1.0, es.dim // 2)), 1)
+    x = np.kron(a + a.T, np.eye(2))
+    return float(abs(es.vectors[:, i] @ x @ es.vectors[:, j]))
+
+
 def lines_table(lines, form):
     """Spectral lines rendered by the table renderer, as `dscqed spectrum`
     writes them."""

@@ -365,17 +365,19 @@ def test_peak_row_refusals_name_file_and_line(column, value, tmp_path, capfd):
 
 
 def test_fit_refuses_a_label_above_k_levels(tmp_path, capsys):
-    # the 2nd data row of the bundled set relabeled to level 6 of k_levels 6
+    # the 2nd data row of the bundled set relabeled to level 6 of k_levels 6,
+    # after a blank line: the refusal names the file line, not the data row
     lines = Path(synthetic_peaks_path()).read_text().splitlines(keepends=True)
     cells = lines[2].split(",")
     cells[2] = "06"
     lines[2] = ",".join(cells)
+    lines.insert(2, "\n")
     path = tmp_path / "peaks.csv"
     path.write_text("".join(lines))
     assert main(["fit", "--data", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: row 2: transition label '06' needs j < k_levels (6)\n"
+    assert captured.err == f"error: {path}:4: transition label '06' needs j < k_levels (6)\n"
 
 
 @pytest.mark.parametrize("flag, value", [

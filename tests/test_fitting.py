@@ -286,6 +286,15 @@ def test_read_peaks_bad_number_carries_line(tmp_path):
         read_peaks_csv(path)
 
 
+def test_read_peaks_label_above_k_levels_carries_line(tmp_path):
+    # the rule fit applies by row, applied where the row is read
+    path = tmp_path / "peaks.csv"
+    path.write_text("epsilon_ghz,frequency_ghz,label\n0.0,2.61,03\n0.1,2.7,04\n0.2,2.3,12\n")
+    with pytest.raises(ConfigError, match=r":3: transition label '04' needs j < k_levels \(4\)$"):
+        read_peaks_csv(path, k_levels=4)
+    assert read_peaks_csv(path, k_levels=5).label == ("03", "04", "12")
+
+
 @pytest.mark.parametrize("weight", [math.inf, math.nan, 0.0, -1.0])
 def test_peak_data_refuses_bad_weights(weight):
     rows = [(-0.1, 2.5, "03", 1.0), (0.0, 2.6, "03", weight), (0.1, 2.7, "03", 1.0)]

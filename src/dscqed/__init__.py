@@ -27,7 +27,6 @@ from .rabi import (
     drive_matrix_element,
     eigensystem,
     solve,
-    transition_frequency,
 )
 from .resonator import (
     ModeTable,
@@ -79,6 +78,5 @@ __all__ = [
     "solve",
     "sweep",
     "synthetic_peaks_path",
-    "transition_frequency",
     "zero_point_current",
 ]

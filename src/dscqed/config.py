@@ -210,7 +210,6 @@ def validate(tree: dict, source, overrides=None) -> RunConfig:
                 f"{name(f'fit.initial.{k}')}: value {v[f'fit.initial.{k}']} "
                 f"outside bounds [{lo}, {hi}]"
             )
-    i_q = v["device.i_q_na"]
     return RunConfig(
         resonator=ResonatorModel(
             z0=v["device.z0_ohm"],
@@ -218,7 +217,6 @@ def validate(tree: dict, source, overrides=None) -> RunConfig:
             omega1_bare=v["device.omega1_bare_ghz"],
             l_c=v["device.l_c_ph"] * 1e-12,
             l_2=v["device.l_2_ph"] * 1e-12,
-            i_q=None if i_q is None else i_q * 1e-9,
         ),
         qrm=qrm,
         sweep=SweepConfig(

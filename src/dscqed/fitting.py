@@ -14,10 +14,16 @@ level's gradient is dE_k/dtheta = <k| dH/dtheta |k>, with
     dH/d omega1      = n_hat                 diagonal
     dH/d g1          = sigma_z (a + a^dag)   offset-2 band
 
-One eigh per distinct bias thus gives the residuals and their exact Jacobian
-together.  An unlabeled row takes the gradient of the line it was matched
-to.  A level closer than _DEGENERATE_TOL to a neighbour has no well-defined
-eigenvector, so rows using one take central differences instead.
+so the eigenvectors give the residuals' exact Jacobian with the residuals.
+The parity P = sigma_x (-1)^n maps H(epsilon) to H(-epsilon) and commutes
+with all three dH/dtheta, so the levels and their gradients are even in the
+bias.  The biases whose rows are all labeled are therefore diagonalized at
+their distinct |bias| only, all in one stacked eigh per evaluation (chunked
+to _STACK_BYTES); a bias with an unlabeled row is diagonalized on its own
+through ``solve``, and the row takes the gradient of the line it was
+matched to.  A level closer than _DEGENERATE_TOL to a neighbour has no
+well-defined eigenvector, so rows using one take central differences
+instead, through the same evaluation path.
 
 The Fock truncation is sized as the sweep sizes it, at zero bias and at the
 data's largest |bias|, first at the start point; the descent is repeated
@@ -38,8 +44,8 @@ from .errors import ConfigError, io_error
 from .rabi import (
     FockTruncation,
     QrmParams,
+    _hamiltonians,
     _photons_and_spin,
-    build_hamiltonian,
     drive_matrix_element,
     solve,
 )
@@ -51,8 +57,9 @@ _TRUNCATION_TOL = 1e-8  # GHz, movement of the lowest k_levels on doubling n_max
 _DEGENERATE_TOL = 1e-6  # GHz, level spacing below which gradients are differenced
 _FD_STEP = 1e-6  # step of those differences, relative to max(|x|, 1 GHz)
 _DAMPING_START = 1e-3  # initial damping, relative to mean(diag(J^T J))
-_COST_RTOL = 1e-10  # relative cost decrease of an accepted step at convergence
+_COST_RTOL = 1e-10  # relative cost change, actual and predicted, at convergence
 _STEP_RTOL = 1e-10  # step length relative to |x| at convergence
+_STACK_BYTES = 1 << 25  # most bytes of Hamiltonians diagonalized in one stack
 
 
 @dataclass(frozen=True)
@@ -178,73 +185,182 @@ def _parse_label(label: str, k_levels: int):
     return i, j
 
 
-def _frequencies_at_bias(params, epsilon, rows, n_max, k_levels, floor, jacobian=False):
-    """Model frequency of each (label, measured) row at one bias point and,
-    with ``jacobian``, its gradient in (delta_prime, omega1, g1).
+@dataclass(frozen=True)
+class _Layout:
+    """The data rows grouped for evaluation, with their labels parsed; built
+    once per fit.
 
-    Labeled rows give the named transition; unlabeled rows give the
-    drive-allowed line nearest their measured frequency, so a bias with one
-    diagonalizes through ``solve`` and any other through a bare eigh.
-    Returns (frequencies, gradients or None).
+    Biases whose rows are all labeled are evaluated together at their
+    distinct |bias| (``stacked``): row ``rows[m]`` is the transition
+    (``i[m]``, ``j[m]``) at bias ``stacked[at[m]]``.  Every other bias is
+    one entry of ``solved``: (bias, its row indices, each row's parsed
+    label or None, each row's measured frequency).
     """
-    delta_prime, omega1, g1 = params
-    p, t = QrmParams(delta_prime, epsilon, omega1, g1), FockTruncation(n_max)
-    es = None
-    if any(label is None for label, _ in rows):
-        es = solve(p, t)
-        values, vectors = es.values, es.vectors
-    else:
-        values, vectors = np.linalg.eigh(build_hamiltonian(p, t))
-    i, j = np.array([
-        _parse_label(label, k_levels) if label is not None
-        else _nearest_allowed(es, measured, k_levels, floor)
-        for label, measured in rows
-    ]).T
-    freqs = values[j] - values[i]
+
+    n_rows: int
+    k_levels: int
+    stacked: np.ndarray
+    rows: np.ndarray
+    at: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    solved: tuple
+
+
+def _layout(data: PeakData, k_levels: int) -> _Layout:
+    """Group ``data`` for evaluation; a malformed label raises ValueError
+    naming its row."""
+    pairs = []
+    for row, label in enumerate(data.label, start=1):
+        try:
+            pairs.append(None if label is None else _parse_label(label, k_levels))
+        except ValueError as exc:
+            raise ValueError(f"row {row}: {exc}") from None
+    unlabeled = np.unique(data.epsilon[[pair is None for pair in pairs]])
+    rows = np.nonzero(~np.isin(data.epsilon, unlabeled))[0]
+    stacked, at = np.unique(np.abs(data.epsilon[rows]), return_inverse=True)
+    i, j = np.array([pairs[k] for k in rows], dtype=int).reshape(-1, 2).T
+    solved = []
+    for eps in unlabeled:
+        idx = np.nonzero(data.epsilon == eps)[0]
+        solved.append((float(eps), idx, [pairs[k] for k in idx], data.frequency[idx]))
+    return _Layout(len(data), k_levels, stacked, rows, at, i, j, tuple(solved))
+
+
+def _predicted(params, layout: _Layout, n_max: int, floor: float, jacobian=False):
+    """Model frequencies for every data row; with ``jacobian``,
+    (frequencies, (rows, 3) gradient matrix).  An unlabeled row gives the
+    drive-allowed line nearest its measured frequency and the gradient of
+    that line."""
+    pred = np.empty(layout.n_rows)
+    jac = np.empty((layout.n_rows, 3)) if jacobian else None
+    if layout.rows.size:
+        pred[layout.rows], grad = _stacked_frequencies(params, layout, n_max, jacobian)
+        if jacobian:
+            jac[layout.rows] = grad
+    for eps, idx, pairs, measured in layout.solved:
+        pred[idx], grad = _solved_frequencies(
+            params, eps, pairs, measured, n_max, layout.k_levels, floor, jacobian
+        )
+        if jacobian:
+            jac[idx] = grad
+    return (pred, jac) if jacobian else pred
+
+
+def _stacked_frequencies(params, layout, n_max, jacobian):
+    """Frequencies (and gradients or None) of the rows of the all-labeled
+    biases, from one stacked eigensolve over their distinct |bias|."""
+    at, i, j = layout.at, layout.i, layout.j
+    k = j.max() + 1 if jacobian else 0
+    values, level_grad = _stacked_levels(params, layout.stacked, n_max, k)
+    freqs = values[at, j] - values[at, i]
     if not jacobian:
         return freqs, None
-    level_grad = _level_gradients(vectors[:, : j.max() + 1])
-    grad = level_grad[j] - level_grad[i]
-    close = np.diff(values) < _DEGENERATE_TOL
-    degenerate = np.append(close, False) | np.insert(close, 0, False)
-    fallback = degenerate[i] | degenerate[j]
+    grad = level_grad[at, j] - level_grad[at, i]
+    near = _degenerate(values)
+    fallback = near[at, i] | near[at, j]
     if fallback.any():
-        grad[fallback] = _central_differences(
-            params, epsilon, [r for r, f in zip(rows, fallback) if f], n_max, k_levels, floor
-        )
+        sub, sub_at = np.unique(at[fallback], return_inverse=True)
+        fi, fj = i[fallback], j[fallback]
+
+        def frequencies(x):
+            v = _stacked_levels(x, layout.stacked[sub], n_max, 0)[0]
+            return v[sub_at, fj] - v[sub_at, fi]
+
+        grad[fallback] = _central_differences(frequencies, params)
     return freqs, grad
+
+
+def _stacked_levels(params, biases, n_max, k):
+    """Eigenvalues (biases, dim) of H at each bias and, for k > 0, the
+    Hellmann-Feynman gradients (biases, k, 3) of the lowest k levels.  The
+    biases are diagonalized in chunks of at most _STACK_BYTES of matrices,
+    one stacked eigensolve each."""
+    delta_prime, omega1, g1 = params
+    t = FockTruncation(n_max)
+    chunk = max(1, _STACK_BYTES // (8 * t.dim * t.dim))
+    values, grads = [], []
+    for start in range(0, len(biases), chunk):
+        h = _hamiltonians(delta_prime, biases[start : start + chunk], omega1, g1, t)
+        if k:
+            v, vectors = np.linalg.eigh(h)
+            grads.append(_level_gradients(vectors[..., :k]))
+        else:
+            v = np.linalg.eigvalsh(h)
+        values.append(v)
+    return np.concatenate(values), (np.concatenate(grads) if k else None)
+
+
+def _solved_frequencies(params, epsilon, pairs, measured, n_max, k_levels, floor, jacobian):
+    """Frequencies (and gradients or None) of the rows of one bias with an
+    unlabeled row, diagonalized through ``solve``: a labeled row
+    ((i, j) in ``pairs``) gives the named transition, an unlabeled one
+    (None) the drive-allowed line nearest its measured frequency."""
+    delta_prime, omega1, g1 = params
+    es = solve(QrmParams(delta_prime, epsilon, omega1, g1), FockTruncation(n_max))
+    i, j = np.array([
+        pair if pair is not None else _nearest_allowed(es, m, k_levels, floor)
+        for pair, m in zip(pairs, measured)
+    ]).T
+    freqs = es.values[j] - es.values[i]
+    if not jacobian:
+        return freqs, None
+    level_grad = _level_gradients(es.vectors[:, : j.max() + 1])
+    grad = level_grad[j] - level_grad[i]
+    near = _degenerate(es.values)
+    fallback = near[i] | near[j]
+    if fallback.any():
+        sub_pairs = [pair for pair, f in zip(pairs, fallback) if f]
+        sub_measured = measured[fallback]
+
+        def frequencies(x):
+            return _solved_frequencies(
+                x, epsilon, sub_pairs, sub_measured, n_max, k_levels, floor, False
+            )[0]
+
+        grad[fallback] = _central_differences(frequencies, params)
+    return freqs, grad
+
+
+def _degenerate(values):
+    """Whether each level lies closer than _DEGENERATE_TOL to a neighbour;
+    such a level has no well-defined eigenvector."""
+    close = np.diff(values, axis=-1) < _DEGENERATE_TOL
+    pad = np.zeros(close.shape[:-1] + (1,), dtype=bool)
+    return np.concatenate([close, pad], axis=-1) | np.concatenate([pad, close], axis=-1)
 
 
 def _level_gradients(v):
     """Hellmann-Feynman gradients <k| dH/dtheta |k> of the eigenvector
-    columns of ``v``, one row (d/d delta_prime, d/d omega1, d/d g1) per
-    column, each a product with one band of dH (both triangles counted)."""
-    n, s = _photons_and_spin(v.shape[0])
+    columns of ``v`` (..., dim, k), one row (d/d delta_prime, d/d omega1,
+    d/d g1) per column, (..., k, 3); each is a product with one band of dH
+    (both triangles counted)."""
+    n, s = _photons_and_spin(v.shape[-2])
     return np.stack(
         [
-            -np.sum(v[0::2] * v[1::2], axis=0),
+            -np.sum(v[..., 0::2, :] * v[..., 1::2, :], axis=-2),
             n @ (v * v),
-            2.0 * ((s[:-2] * np.sqrt(n[:-2] + 1.0)) @ (v[:-2] * v[2:])),
+            2.0 * ((s[:-2] * np.sqrt(n[:-2] + 1.0)) @ (v[..., :-2, :] * v[..., 2:, :])),
         ],
-        axis=1,
+        axis=-1,
     )
 
 
-def _central_differences(params, epsilon, rows, n_max, k_levels, floor):
-    """Central differences of the rows' model frequencies in each parameter
-    (unlabeled rows pick their nearest line again at every point).  The
-    spectrum is even in delta_prime and g1 (conjugation by sigma_z or
-    (-1)^n flips their sign), so abs() keeps the lower point valid at zero."""
-    grad = np.empty((len(rows), 3))
+def _central_differences(frequencies, params):
+    """Central differences of ``frequencies(x)`` in each parameter (unlabeled
+    rows pick their nearest line again at every point).  The spectrum is
+    even in delta_prime and g1 (conjugation by sigma_z or (-1)^n flips
+    their sign), so abs() keeps the lower point valid at zero."""
+    grad = []
     for p in range(3):
         step = _FD_STEP * max(abs(params[p]), 1.0)
         ends = []
         for sign in (1.0, -1.0):
             x = list(params)
             x[p] = abs(x[p] + sign * step)
-            ends.append(_frequencies_at_bias(x, epsilon, rows, n_max, k_levels, floor)[0])
-        grad[:, p] = (ends[0] - ends[1]) / (2.0 * step)
-    return grad
+            ends.append(frequencies(x))
+        grad.append((ends[0] - ends[1]) / (2.0 * step))
+    return np.stack(grad, axis=-1)
 
 
 def _nearest_allowed(es, measured, k_levels, floor):
@@ -262,22 +378,6 @@ def _nearest_allowed(es, measured, k_levels, floor):
     return best[1:]
 
 
-def _predicted(params, data: PeakData, n_max: int, k_levels: int, floor: float, jacobian=False):
-    """Model frequencies for every data row, diagonalizing once per bias;
-    with ``jacobian``, (frequencies, (rows, 3) gradient matrix)."""
-    pred = np.empty(len(data))
-    jac = np.empty((len(data), 3)) if jacobian else None
-    for eps in np.unique(data.epsilon):
-        idx = np.nonzero(data.epsilon == eps)[0]
-        rows = [(data.label[k], float(data.frequency[k])) for k in idx]
-        pred[idx], grad = _frequencies_at_bias(
-            params, float(eps), rows, n_max, k_levels, floor, jacobian
-        )
-        if jacobian:
-            jac[idx] = grad
-    return (pred, jac) if jacobian else pred
-
-
 def _levenberg_marquardt(residuals, x0, lo, hi, max_iter: int):
     """Minimize |r(x)|^2 inside the box [lo, hi]; ``residuals(x)`` returns r
     and its Jacobian.
@@ -292,10 +392,11 @@ def _levenberg_marquardt(residuals, x0, lo, hi, max_iter: int):
     bound stays on it while the step points out of the box.
 
     Returns (x, r, jacobian, iterations, reason, trace), with r and the
-    jacobian at x: trace holds the cost after every accepted step; reason is
-    "cost" (an accepted step lowered the cost by at most _COST_RTOL
-    relative), "step" (a step no longer than _STEP_RTOL relative to |x|) or
-    "max_iter".
+    jacobian at x, the best point evaluated: trace holds the cost after
+    every accepted step; reason is "cost" (a trial, accepted or not, whose
+    actual and predicted cost changes are both at most _COST_RTOL of the
+    cost: the rest is roundoff, as in MINPACK's ftol test), "step" (a step
+    no longer than _STEP_RTOL relative to |x|) or "max_iter".
     """
     x = np.array(x0, dtype=float)
     r, jac = residuals(x)
@@ -312,29 +413,33 @@ def _levenberg_marquardt(residuals, x0, lo, hi, max_iter: int):
         # a parameter sitting on a bound stays there while the step pushes out
         step[((x <= lo) & (step < 0.0)) | ((x >= hi) & (step > 0.0))] = 0.0
         trial = x + step
-        accepted = False
+        accepted = roundoff = False
         if np.all((lo <= trial) & (trial <= hi)):
             r_trial, jac_trial = residuals(trial)
             cost_trial = float(r_trial @ r_trial)
+            linear = r + jac @ step  # the model the step minimized
+            roundoff = (
+                abs(cost - cost_trial) <= _COST_RTOL * cost
+                and abs(cost - float(linear @ linear)) <= _COST_RTOL * cost
+            )
             accepted = cost_trial < cost
         if accepted:
-            decrease = cost - cost_trial
             x, r, jac, cost = trial, r_trial, jac_trial, cost_trial
             trace.append(cost)
             damping *= 0.1
-            if decrease <= _COST_RTOL * cost:
-                return x, r, jac, it, "cost", trace
         else:
             damping *= 10.0
+        if roundoff:
+            return x, r, jac, it, "cost", trace
         if np.linalg.norm(step) <= _STEP_RTOL * (np.linalg.norm(x) + _STEP_RTOL):
             return x, r, jac, it, "step", trace
     return x, r, jac, max_iter, "max_iter", trace
 
 
-def _descend(data, x0, bounds, k_levels, floor, max_iter):
+def _descend(data, layout, x0, bounds, floor, max_iter):
     """Levenberg-Marquardt on the weighted residuals at the truncation that
     converges at ``x0``, repeated from the optimum while the optimum needs a
-    larger one.  A truncation converges at x when the lowest ``k_levels``
+    larger one.  A truncation converges at x when the lowest k_levels
     levels settle to _TRUNCATION_TOL both at zero bias and at the data's
     largest |bias|, as in ``spectrum.sweep``.  ``max_iter`` bounds the
     iterations of all passes together.
@@ -347,10 +452,10 @@ def _descend(data, x0, bounds, k_levels, floor, max_iter):
     root_w = np.sqrt(data.weight)
 
     def converged_at(x):
-        return _grid_truncation(*x, data.epsilon, k_levels, _TRUNCATION_TOL).n_max
+        return _grid_truncation(*x, data.epsilon, layout.k_levels, _TRUNCATION_TOL).n_max
 
     def residuals(x):
-        pred, jac = _predicted(tuple(x), data, n_max, k_levels, floor, jacobian=True)
+        pred, jac = _predicted(tuple(x), layout, n_max, floor, jacobian=True)
         return root_w * (pred - data.frequency), root_w[:, None] * jac
 
     x, n_max, iterations = np.array(x0, dtype=float), converged_at(x0), 0
@@ -401,16 +506,9 @@ def fit(
         raise ValueError(f"lower bounds outside the model domain: {exc}") from None
     if np.all(data.epsilon == data.epsilon[0]):
         raise ValueError("degenerate data: all bias values are equal")
-    # fail loudly here, not inside the descent
-    for row, label in enumerate(data.label, start=1):
-        if label is not None:
-            try:
-                _parse_label(label, k_levels)
-            except ValueError as exc:
-                raise ValueError(f"row {row}: {exc}") from None
-
+    layout = _layout(data, k_levels)  # fails loudly here, not inside the descent
     best, r, jac, iterations, reason = _descend(
-        data, initial, bounds, k_levels, amplitude_floor, max_iter
+        data, layout, initial, bounds, amplitude_floor, max_iter
     )
     chi2 = float(r @ r)
     rms = float(np.sqrt(chi2 / np.sum(data.weight)))

@@ -107,12 +107,18 @@ class EigenSystem:
 
 def build_hamiltonian(p: QrmParams, t: FockTruncation) -> np.ndarray:
     """Assemble the dense, exactly symmetric Rabi Hamiltonian in GHz."""
+    return _hamiltonians(p.delta_prime, p.epsilon, p.omega1, p.g1, t)
+
+
+def _hamiltonians(delta_prime, epsilon, omega1, g1, t):
+    """H at every bias of the array ``epsilon``, stacked along its axes
+    (shape epsilon.shape + (dim, dim)); a scalar bias gives one matrix."""
     n, s = _photons_and_spin(t.dim)
     return _symmetric(
-        -0.5 * (p.epsilon * s) + p.omega1 * n,
+        -0.5 * np.multiply.outer(epsilon, s) + omega1 * n,
         [
-            (1, np.where(s[:-1] > 0.0, -0.5 * p.delta_prime, 0.0)),
-            (2, p.g1 * (np.sqrt(n[:-2] + 1.0) * s[:-2])),
+            (1, np.where(s[:-1] > 0.0, -0.5 * delta_prime, 0.0)),
+            (2, g1 * (np.sqrt(n[:-2] + 1.0) * s[:-2])),
         ],
     )
 
@@ -124,13 +130,17 @@ def _photons_and_spin(dim):
 
 
 def _symmetric(diag, bands):
-    """Dense symmetric matrix with ``diag`` on the diagonal and each
-    (offset, values) band mirrored about it.  Zero entries are stored as
-    +0.0 (never -0.0), as a sum of operator products would store them."""
-    h = np.diag(diag)
+    """Dense symmetric matrices with ``diag`` (..., dim) on the diagonal and
+    each (offset, values) band mirrored about it, stacked along the leading
+    axes of ``diag``.  Zero entries are stored as +0.0 (never -0.0), as a
+    sum of operator products would store them."""
+    dim = diag.shape[-1]
+    h = np.zeros(diag.shape + (dim,))
+    i = np.arange(dim)
+    h[..., i, i] = diag
     for offset, values in bands:
         i = np.arange(len(values))
-        h[i, i + offset] = h[i + offset, i] = values + 0.0
+        h[..., i, i + offset] = h[..., i + offset, i] = values + 0.0
     return h
 
 
@@ -210,13 +220,6 @@ def _validate(h, values, vectors):
     resid = h @ vectors - vectors * values
     if np.max(np.linalg.norm(resid, axis=0)) > 1e-9 * h_norm:
         raise ConvergenceError("eigenpair residual exceeds 1e-9 * |H|")
-
-
-def transition_frequency(es: EigenSystem, i: int, j: int) -> float:
-    """Transition frequency E_j - E_i in GHz for state indices i < j."""
-    if not 0 <= i < j < es.dim:
-        raise IndexError(f"need 0 <= i < j < {es.dim}, got i={i}, j={j}")
-    return float(es.values[j] - es.values[i])
 
 
 def drive_matrix_element(es: EigenSystem, i: int, j: int) -> float:

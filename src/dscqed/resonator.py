@@ -24,7 +24,6 @@ from .errors import ConvergenceError
 
 TWO_PI_GHZ = 2.0 * math.pi * 1e9  # ordinary GHz -> rad/s
 HBAR = 1.054571817e-34  # J s
-PLANCK_H = 6.62607015e-34  # J s
 
 # Above this inductance ratio the root sits too close to the tangent pole to
 # certify the relative residual in double precision; the root value itself is
@@ -48,8 +47,6 @@ class ResonatorModel:
     omega1_bare -- unloaded fundamental pi/(2 X sqrt(c l)) as ordinary GHz
     l_c         -- coupling junction inductance, H
     l_2         -- large-junction pair inductance, H
-    i_q         -- qubit persistent current, A (optional; only the absolute
-                   coupling path needs it)
     """
 
     z0: float
@@ -57,14 +54,11 @@ class ResonatorModel:
     omega1_bare: float
     l_c: float
     l_2: float
-    i_q: float | None = None
 
     def __post_init__(self):
         for name in ("z0", "l_total", "omega1_bare", "l_c", "l_2"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.i_q is not None and not self.i_q > 0.0:
-            raise ValueError(f"i_q must be > 0 when given, got {self.i_q}")
 
     @property
     def l_c2(self) -> float:
@@ -164,29 +158,14 @@ def coupling_strength_at(omega_ghz, g1: float, omega1: float, omega_cutoff_ghz: 
     return float(out) if out.ndim == 0 else out
 
 
-def coupling_strengths(
-    m: ResonatorModel,
-    g1: float,
-    omega1: float,
-    modes,
-    absolute: bool = False,
-) -> np.ndarray:
-    """Per-mode couplings in GHz for the given mode frequencies (GHz).
-
-    Default path scales ``g1`` by the cutoff-suppressed sqrt(omega) law.  The
-    absolute path computes l_c * i_q * I_zpf / h instead (requires ``i_q``);
-    the two agree in the ratio g_n/g_1 to O((omega1/omega_cutoff)^2).
-    """
+def coupling_strengths(m: ResonatorModel, g1: float, omega1: float, modes) -> np.ndarray:
+    """Per-mode couplings in GHz for the given mode frequencies (GHz): ``g1``
+    scaled by the cutoff-suppressed sqrt(omega) law."""
     if not g1 >= 0.0:
         raise ValueError(f"g1 must be >= 0, got {g1}")
     if not omega1 > 0.0:
         raise ValueError(f"omega1 must be > 0, got {omega1}")
-    modes = np.asarray(modes, dtype=float)
-    if absolute:
-        if m.i_q is None:
-            raise ValueError("absolute coupling path requires the model's i_q")
-        return m.l_c * m.i_q * zero_point_current(m, modes) / (PLANCK_H * 1e9)
-    return coupling_strength_at(modes, g1, omega1, cutoff_frequency(m))
+    return coupling_strength_at(np.asarray(modes, dtype=float), g1, omega1, cutoff_frequency(m))
 
 
 def mode_table(m: ResonatorModel, n_modes: int, g1: float, omega1: float) -> ModeTable:

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from dscqed import PeakData, QrmParams, ResonatorModel
-from dscqed.fitting import _predicted
+from dscqed.resonator import zero_point_current
+from dscqed.fitting import _layout, _predicted
 from dscqed.output import LINE_FIELDS, table
 
 PAPER_TRIPLE = (0.147, 2.57, 2.39)
+PLANCK_H = 6.62607015e-34  # J s
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -29,11 +31,31 @@ def kron_parity(n_states):
     return np.kron(np.diag((-1.0) ** np.arange(n_states)), SIGMA_X)
 
 
+def transition_frequency(es, i, j):
+    """Oracle transition frequency E_j - E_i in GHz for state indices i < j."""
+    if not 0 <= i < j < es.dim:
+        raise IndexError(f"need 0 <= i < j < {es.dim}, got i={i}, j={j}")
+    return float(es.values[j] - es.values[i])
+
+
+def absolute_couplings(m, i_q, modes):
+    """Oracle per-mode couplings l_c * i_q * I_zpf / h in GHz for a qubit
+    persistent current ``i_q`` (A); they agree with ``coupling_strengths``
+    in the ratio g_n/g_1 to O((omega1/omega_cutoff)^2)."""
+    return m.l_c * i_q * zero_point_current(m, np.asarray(modes, dtype=float)) / (PLANCK_H * 1e9)
+
+
 def dense_drive_element(es, i, j):
     """Oracle |<i| (a + a^dag) |j>| as a product with the dense quadrature."""
     a = np.diag(np.sqrt(np.arange(1.0, es.dim // 2)), 1)
     x = np.kron(a + a.T, np.eye(2))
     return float(abs(es.vectors[:, i] @ x @ es.vectors[:, j]))
+
+
+def predicted(params, data, n_max, jacobian=False):
+    """The fit's model frequencies (and Jacobian) for every row of ``data``
+    at k_levels 6 and amplitude floor 1e-6."""
+    return _predicted(params, _layout(data, 6), n_max, 1e-6, jacobian)
 
 
 def lines_table(lines, form):
@@ -116,7 +138,7 @@ def synthetic_peaks(triple, noise_sigma=0.0, seed=0, n_branch=9, quad_repeats=0)
         label=labels,
         weight=np.ones(len(rows)),
     )
-    clean = _predicted(triple, shell, n_max=40, k_levels=6, floor=1e-6)
+    clean = predicted(triple, shell, 40)
     if noise_sigma:
         rng = np.random.default_rng(seed)
         clean = clean + noise_sigma * rng.standard_normal(len(rows))

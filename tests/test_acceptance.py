@@ -25,11 +25,10 @@ from dscqed import (
     single_mode_renorm,
     solve,
     sweep,
-    transition_frequency,
 )
 from dscqed.resonator import coupling_strength_at
 
-from conftest import PAPER_TRIPLE, lines_table, synthetic_peaks
+from conftest import PAPER_TRIPLE, lines_table, synthetic_peaks, transition_frequency
 
 PAPER = QrmParams(0.147, 0.0, 2.57, 2.39)
 

@@ -128,15 +128,18 @@ def test_bad_output_format(tmp_path):
 
 
 def test_optional_persistent_current(tmp_path, bundled):
-    assert bundled.resonator.i_q is None
+    # metadata only, like e_j_ghz: accepted, checked against its domain,
+    # and without effect on the run
     path = _write_variant(tmp_path, lambda t: t["device"].update(i_q_na=300.0))
-    cfg = load_config(path)
-    assert cfg.resonator.i_q * 1e9 == pytest.approx(300.0)
+    assert load_config(path) == bundled
+    path = _write_variant(tmp_path, lambda t: t["device"].update(i_q_na=0.0))
+    with pytest.raises(ConfigError, match=r"device\.i_q_na"):
+        load_config(path)
 
 
-def test_null_optional_key_means_absent(tmp_path):
+def test_null_optional_key_means_absent(tmp_path, bundled):
     cfg = load_config(_write_variant(tmp_path, lambda t: t["device"].update(i_q_na=None)))
-    assert cfg.resonator.i_q is None
+    assert cfg == bundled
 
 
 def test_out_key_is_not_checked_at_load(tmp_path):

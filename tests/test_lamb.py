@@ -13,10 +13,11 @@ from dscqed import (
     per_mode_shifts,
     single_mode_renorm,
     solve,
-    transition_frequency,
 )
 from dscqed.errors import ConvergenceError
 from dscqed.lamb import EULER_GAMMA, N_CUTOFF_MIN
+
+from conftest import transition_frequency
 
 PAPER_X = 2.0 * (2.39 / 2.57) ** 2  # fundamental-mode exponent
 

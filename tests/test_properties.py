@@ -19,9 +19,8 @@ from dscqed import (
     single_mode_renorm,
     solve,
     sweep,
-    transition_frequency,
 )
-from conftest import lines_table, resonator_with_ratio, root_in_branch
+from conftest import lines_table, resonator_with_ratio, root_in_branch, transition_frequency
 
 FAST = settings(max_examples=25, deadline=None, derandomize=True)
 SLOW = settings(max_examples=15, deadline=None, derandomize=True)

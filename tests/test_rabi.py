@@ -14,10 +14,10 @@ from dscqed import (
     drive_matrix_element,
     eigensystem,
     solve,
-    transition_frequency,
 )
+from dscqed.rabi import _hamiltonians
 
-from conftest import dense_drive_element, kron_hamiltonian, kron_parity
+from conftest import dense_drive_element, kron_hamiltonian, kron_parity, transition_frequency
 
 T40 = FockTruncation(40)
 
@@ -71,6 +71,25 @@ def test_banded_assembly_matches_kron_oracle(delta, eps, omega, g, n_max):
     oracle = kron_hamiltonian(p, t)
     assert np.array_equal(h, oracle)
     assert h.tobytes() == oracle.tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.floats(min_value=0.0, max_value=5.0, **_finite),
+    st.lists(st.floats(min_value=-5.0, max_value=5.0, **_finite), min_size=1, max_size=6),
+    st.floats(min_value=1e-3, max_value=10.0, **_finite),
+    st.floats(min_value=0.0, max_value=10.0, **_finite),
+    st.integers(min_value=1, max_value=64),
+)
+def test_stacked_assembly_is_build_hamiltonian_bias_by_bias(delta, biases, omega, g, n_max):
+    # the fit's stack along a leading bias axis, mirrored biases and both
+    # signed zeros included, is the one-bias assembly bitwise
+    biases = np.array(biases + [-b for b in biases] + [0.0, -0.0])
+    t = FockTruncation(n_max)
+    stack = _hamiltonians(delta, biases, omega, g, t)
+    assert stack.shape == (len(biases), t.dim, t.dim)
+    for eps, h in zip(biases, stack):
+        assert h.tobytes() == build_hamiltonian(QrmParams(delta, float(eps), omega, g), t).tobytes()
 
 
 @pytest.mark.parametrize("field", range(4))

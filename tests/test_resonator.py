@@ -15,13 +15,11 @@ from dscqed import (
 from dscqed.errors import ConvergenceError
 from dscqed.resonator import N_MODES_CEILING, TWO_PI_GHZ
 
-from conftest import resonator_with_ratio, root_in_branch
+from conftest import absolute_couplings, resonator_with_ratio, root_in_branch
 
 
-def _model(z0=50.0, l_total=1.93e-9, bare=2.8525, l_c=231e-12, l_2=823e-12, i_q=None):
-    return ResonatorModel(
-        z0=z0, l_total=l_total, omega1_bare=bare, l_c=l_c, l_2=l_2, i_q=i_q
-    )
+def _model(z0=50.0, l_total=1.93e-9, bare=2.8525, l_c=231e-12, l_2=823e-12):
+    return ResonatorModel(z0=z0, l_total=l_total, omega1_bare=bare, l_c=l_c, l_2=l_2)
 
 
 # ---------------------------------------------------------------------------
@@ -227,18 +225,13 @@ def test_larger_coupling_inductance_lowers_cutoff():
 
 
 def test_absolute_and_scaled_paths_agree_in_ratio(paper_resonator):
-    m = _model(i_q=300e-9)
+    m = _model()
     modes = mode_table(m, 10, 2.39, 2.57).omega_ghz
     scaled = coupling_strengths(m, 2.39, modes[0], modes)
-    absolute = coupling_strengths(m, 2.39, modes[0], modes, absolute=True)
+    absolute = absolute_couplings(m, 300e-9, modes)
     ratio_scaled = scaled / scaled[0]
     ratio_absolute = absolute / absolute[0]
     assert np.max(np.abs(ratio_scaled / ratio_absolute - 1.0)) < 0.01
-
-
-def test_absolute_path_requires_persistent_current(paper_resonator):
-    with pytest.raises(ValueError):
-        coupling_strengths(paper_resonator, 2.39, 2.57, [2.57], absolute=True)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,9 @@ import re
 import sys
 from functools import partial
 
-import numpy as np
-
 from . import config as cfg_mod
 from . import fitting, lamb, output, resonator, spectrum
+from ._lazy import np
 from .errors import ConfigError, ConvergenceError
 
 
@@ -95,10 +94,13 @@ def main(argv=None) -> int:
         tree = cfg_mod.read_tree(source)
         runs = [cfg_mod.validate(tree, source, over) for over in _overrides(args)]
         return _COMMANDS[args.command][0](args, *runs)
+    except ConfigError as exc:  # ahead of the clause that would import numpy
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (np.linalg.LinAlgError, ConvergenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:  # ConfigError included
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from .errors import ConfigError, io_error
@@ -220,9 +219,9 @@ def validate(tree: dict, source, overrides=None) -> RunConfig:
         ),
         qrm=qrm,
         sweep=SweepConfig(
-            epsilon_grid=tuple(np.linspace(
+            epsilon_grid=_linspace(
                 v["sweep.epsilon_min_ghz"], v["sweep.epsilon_max_ghz"], v["sweep.epsilon_steps"]
-            ).tolist()),
+            ),
             freq_window=(v["sweep.freq_min_ghz"], v["sweep.freq_max_ghz"]),
             k_levels=v["sweep.k_levels"],
             amplitude_floor=v["sweep.amplitude_floor"],
@@ -235,6 +234,23 @@ def validate(tree: dict, source, overrides=None) -> RunConfig:
         ),
         output=OutputSettings(v["output.format"], v["output.out"]),
     )
+
+
+def _linspace(start: float, stop: float, num: int) -> tuple:
+    """``tuple(np.linspace(start, stop, num).tolist())`` without numpy, in
+    numpy's arithmetic: k * step + start and the last point set to ``stop``,
+    or k / div * delta + start where step underflows to zero."""
+    if num == 1:
+        return (0.0 * (stop - start) + start,)
+    div = num - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0.0:
+        points = [k / div * delta + start for k in range(num)]
+    else:
+        points = [k * step + start for k in range(num)]
+    points[-1] = stop
+    return tuple(points)
 
 
 def _flatten(tree: dict, source: str, prefix: str = "") -> dict:

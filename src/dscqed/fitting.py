@@ -38,8 +38,7 @@ import csv
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .errors import ConfigError, io_error
 from .rabi import (
     FockTruncation,
@@ -298,9 +297,9 @@ def _solved_frequencies(params, epsilon, pairs, measured, n_max, k_levels, floor
     (None) the drive-allowed line nearest its measured frequency."""
     delta_prime, omega1, g1 = params
     es = solve(QrmParams(delta_prime, epsilon, omega1, g1), FockTruncation(n_max))
+    lines = _allowed_lines(es, k_levels, floor) if None in pairs else None
     i, j = np.array([
-        pair if pair is not None else _nearest_allowed(es, m, k_levels, floor)
-        for pair, m in zip(pairs, measured)
+        pair if pair is not None else _nearest(lines, m) for pair, m in zip(pairs, measured)
     ]).T
     freqs = es.values[j] - es.values[i]
     if not jacobian:
@@ -363,19 +362,24 @@ def _central_differences(frequencies, params):
     return np.stack(grad, axis=-1)
 
 
-def _nearest_allowed(es, measured, k_levels, floor):
-    """Level pair (i, j) of the drive-allowed line nearest ``measured``."""
-    best = None
-    for i in (0, 1):
-        for j in range(i + 1, k_levels):
-            if drive_matrix_element(es, i, j) <= floor:
-                continue
-            key = (abs(float(es.values[j] - es.values[i]) - measured), i, j)
-            if best is None or key < best:
-                best = key
-    if best is None:
+def _allowed_lines(es, k_levels, floor):
+    """(frequency, i, j) of every drive-allowed line from states {0, 1}
+    within ``k_levels``: one drive amplitude per line, however many rows
+    of the bias are matched against them."""
+    lines = [
+        (float(es.values[j] - es.values[i]), i, j)
+        for i in (0, 1)
+        for j in range(i + 1, k_levels)
+        if not drive_matrix_element(es, i, j) <= floor
+    ]
+    if not lines:
         raise ValueError("no drive-allowed transition within k_levels")
-    return best[1:]
+    return lines
+
+
+def _nearest(lines, measured):
+    """Level pair (i, j) of the line of ``lines`` nearest ``measured``."""
+    return min((abs(f - measured), i, j) for f, i, j in lines)[1:]
 
 
 def _levenberg_marquardt(residuals, x0, lo, hi, max_iter: int):

@@ -15,8 +15,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConvergenceError
 from .resonator import N_MODES_CEILING
 
@@ -167,9 +165,7 @@ def asymptotic_sum(n_cutoff: float) -> float:
     return 0.25 * (2.0 * EULER_GAMMA + math.log(4.0)) + 0.5 * math.log(n_cutoff)
 
 
-def per_mode_shifts(
-    g1: float, omega1: float, n_cutoff: float, n_modes: int
-) -> np.ndarray:
+def per_mode_shifts(g1: float, omega1: float, n_cutoff: float, n_modes: int) -> tuple:
     """Relative shift each mode alone would induce, 1 - exp(-2 g_n^2/omega_n^2).
 
     Mode frequencies are taken as odd multiples of omega1 with the scaled
@@ -179,8 +175,12 @@ def per_mode_shifts(
         raise ValueError(f"n_modes must be between 1 and {N_MODES_CEILING}, got {n_modes}")
     if not omega1 > 0.0:
         raise ValueError(f"omega1 must be > 0, got {omega1}")
-    n = np.arange(1, 2 * n_modes, 2, dtype=float)
-    return -np.expm1(-2.0 * (g1 / omega1) ** 2 * (1.0 / (n * (1.0 + (n / n_cutoff) ** 2))))
+    x = -2.0 * (g1 / omega1) ** 2
+    shifts = []
+    for n in range(1, 2 * n_modes, 2):
+        r = n / n_cutoff
+        shifts.append(-math.expm1(x * (1.0 / (n * (1.0 + r * r)))))
+    return tuple(shifts)
 
 
 def full_report(
@@ -218,7 +218,7 @@ def full_report(
         delta=delta_measured,
         sum_value=s,
         n_cutoff=n_cutoff,
-        per_mode_shift=tuple(float(v) for v in per_mode_shifts(g1, omega1, n_cutoff, n_modes)),
+        per_mode_shift=per_mode_shifts(g1, omega1, n_cutoff, n_modes),
         total_shift=float(-math.expm1(-x * s)),
         fundamental_shift=float(-math.expm1(-x)),
     )

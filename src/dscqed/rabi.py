@@ -30,8 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .errors import ConvergenceError
 
 N_MAX_CEILING = 4096
@@ -236,12 +235,20 @@ def converged_truncation(p: QrmParams, k_levels: int, tol: float) -> FockTruncat
     """Smallest n_max in a doubling schedule from _N_MAX_START whose lowest
     k_levels eigenvalues move by less than ``tol`` (GHz) when n_max doubles.
 
-    Raises ConvergenceError when the ceiling is reached without converging.
+    Raises ConvergenceError when the ceiling is reached without converging,
+    and before any eigensolve when the ground state holds more photons than
+    the search can return at ``tol`` (see _ground_state_displacement).
     """
     if k_levels < 2:
         raise ValueError(f"k_levels must be >= 2, got {k_levels}")
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
+    photons, quantum = _ground_state_displacement(p)
+    if photons > N_MAX_CEILING // 2 and tol < 0.5 * quantum:
+        raise ConvergenceError(
+            f"the ground state holds about {photons:.4g} photons, beyond n_max="
+            f"{N_MAX_CEILING // 2}, the largest truncation the search can return"
+        )
     n = _N_MAX_START
     while 2 * (n + 1) < k_levels:
         n *= 2
@@ -254,3 +261,24 @@ def converged_truncation(p: QrmParams, k_levels: int, tol: float) -> FockTruncat
     raise ConvergenceError(
         f"lowest {k_levels} eigenvalues not settled to {tol} GHz at n_max={N_MAX_CEILING}"
     )
+
+
+def _ground_state_displacement(p: QrmParams):
+    """Mean-field photon number of the ground state at epsilon = 0, and the
+    quantum (GHz) of its soft mode.
+
+    For s = delta_prime * omega1 / (4 g1^2) < 1 the state is displaced by
+    (g1/omega1)^2 (1 - s^2) photons and the mode along the displacement has
+    frequency omega1 * sqrt(1 - s^2); for s >= 1 it is not displaced.  A
+    truncation below the displacement cuts through the state, and doubling
+    it moves the lowest level by about one soft quantum, so the doubling
+    search cannot settle to less than half a quantum when the displacement
+    exceeds N_MAX_CEILING // 2.  A bias adds photons and stiffens the soft
+    mode, so the estimate at epsilon = 0 errs towards searching.
+    """
+    four_g2 = 4.0 * p.g1 * p.g1
+    if not p.delta_prime * p.omega1 < four_g2:  # s >= 1, written so g1 = 0 divides nothing
+        return 0.0, p.omega1
+    s = p.delta_prime * p.omega1 / four_g2
+    ratio = p.g1 / p.omega1
+    return ratio * ratio * (1.0 - s * s), p.omega1 * math.sqrt(1.0 - s * s)

@@ -16,10 +16,10 @@ appear individually.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .errors import ConvergenceError
 
 TWO_PI_GHZ = 2.0 * math.pi * 1e9  # ordinary GHz -> rad/s
@@ -34,7 +34,7 @@ N_MODES_CEILING = 10**6  # most modes any per-mode array is built for
 
 # Non-negative doubles order like their int64 bit patterns: halving the
 # pattern interval [0, bits(pi/2)] < 2^62 collapses it in 62 steps.
-_HALF_PI_BITS = np.float64(0.5 * math.pi).view(np.int64)
+_HALF_PI_BITS = struct.unpack("<q", struct.pack("<d", 0.5 * math.pi))[0]
 _BISECTION_STEPS = 62
 
 
@@ -116,7 +116,7 @@ def mode_wavenumbers(m: ResonatorModel, n_modes: int) -> np.ndarray:
     r = m.l_total / m.l_c2
     base = math.pi * np.arange(n_modes)
     lo = np.zeros(n_modes, dtype=np.int64)
-    hi = np.full(n_modes, _HALF_PI_BITS)
+    hi = np.full(n_modes, _HALF_PI_BITS, dtype=np.int64)
     for _ in range(_BISECTION_STEPS):
         mid = (lo + hi) >> 1
         u = mid.view(np.float64)

@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
+import dscqed
 from dscqed import paper_device_path, synthetic_peaks_path
 from dscqed.cli import main
 
@@ -41,6 +44,29 @@ def test_reproduce_paper_prints_requested_format(capsys):
     rows = json.loads(capsys.readouterr().out)
     assert len(rows) == 6
     assert all(row["status"] == "PASS" for row in rows)
+
+
+def test_scalar_commands_run_without_numpy(tmp_path):
+    # lamb-shift and reproduce-paper compute scalars, and a refused config
+    # stops before any array: a fresh process running them never imports
+    # numpy, which the first array operation then does
+    bad = _config_variant(tmp_path, lambda t: t["qrm"].update(omega1_ghz="fast"))
+    script = (
+        "import contextlib, io, sys\n"
+        "from dscqed.cli import main\n"
+        "def run(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        return main(list(argv))\n"
+        "codes = [run('lamb-shift'), run('lamb-shift', '--format', 'json'), run('reproduce-paper'),\n"
+        f"         run('lamb-shift', '--config', {bad!r})]\n"
+        "print(codes, 'numpy._core' in sys.modules)\n"
+        "print(run('spectrum', '--epsilon', '0.3'), 'numpy._core' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(dscqed.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.stdout.splitlines() == ["[0, 0, 0, 1] False", "0 True"], proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
+import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dscqed import ConfigError, load_config, paper_device_path
+from dscqed.config import _linspace
 
 
 @pytest.fixture
@@ -37,6 +41,32 @@ def test_sweep_section_materializes_grid(bundled):
     assert grid[0] == -1.0 and grid[-1] == 1.0
     assert 0.0 in grid
     assert bundled.sweep.freq_window == (2.0, 8.0)
+
+
+_ENDS = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.floats(-1e-300, 1e-300),  # steps that underflow towards zero
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e6, -1e6]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    start=_ENDS,
+    stop=_ENDS,
+    num=st.one_of(st.sampled_from([1, 2]), st.integers(1, 10**4)),
+    same=st.booleans(),
+)
+@example(start=0.0, stop=5e-324, num=3, same=False)  # step rounds to zero
+@example(start=-5e-324, stop=5e-324, num=10**4, same=False)
+@example(start=-0.0, stop=-0.0, num=1, same=False)
+@example(start=-0.0, stop=0.0, num=2, same=False)
+@example(start=-1e6, stop=1e6, num=10**4, same=False)
+def test_grid_is_numpy_linspace_bitwise(start, stop, num, same):
+    stop = start if same else stop
+    want = tuple(np.linspace(start, stop, num).tolist())
+    got = _linspace(start, stop, num)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 def test_missing_file():

@@ -375,6 +375,23 @@ def test_mixed_labeled_and_unlabeled_biases_match_dense_oracle():
         np.testing.assert_allclose(jac[k], grads[j] - grads[i], rtol=1e-9, atol=1e-9)
 
 
+def test_unlabeled_rows_share_their_bias_drive_amplitudes(monkeypatch):
+    # each bias computes the amplitudes of its 9 candidate lines (i in
+    # {0, 1}, i < j < 6) once per evaluation, not once per unlabeled row
+    labeled = synthetic_peaks(PAPER_TRIPLE, n_branch=9)
+    data = PeakData(labeled.epsilon, labeled.frequency, (None,) * len(labeled), labeled.weight)
+    biases = len(np.unique(data.epsilon))
+    assert len(data) == 34 and biases == 9
+    calls = []
+    original = fitting.drive_matrix_element
+    monkeypatch.setattr(
+        fitting, "drive_matrix_element", lambda es, i, j: calls.append(1) or original(es, i, j)
+    )
+    freqs, _ = predicted(PAPER_TRIPLE, data, 40, jacobian=True)
+    assert len(calls) == 9 * biases
+    np.testing.assert_allclose(freqs, labeled.frequency, rtol=0.0, atol=1e-12)
+
+
 @pytest.mark.parametrize("unlabeled", [False, True])
 def test_near_degenerate_rows_take_central_differences(monkeypatch, unlabeled):
     # at g1 / omega1 = 5 and zero bias the levels pair up within 1e-20 GHz:

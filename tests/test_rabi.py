@@ -412,3 +412,27 @@ def test_converged_truncation_budget_exhausted(paper_params, monkeypatch):
     monkeypatch.setattr(rabi_mod, "N_MAX_CEILING", 8)
     with pytest.raises(ConvergenceError):
         converged_truncation(paper_params, k_levels=4, tol=1e-30)
+
+
+def test_truncation_search_refuses_an_unreachable_ground_state_before_any_eigensolve(monkeypatch):
+    # (g1/omega1)^2 = 1e4 photons in the displaced vacuum; the search can
+    # return at most n_max 2048
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: pytest.fail("an eigensolve ran"))
+    with pytest.raises(ConvergenceError, match="1e\\+04 photons"):
+        converged_truncation(QrmParams(0.147, 0.5, 1.0, 100.0), k_levels=6, tol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "delta_prime, tol, n_max",
+    [
+        (1e4, 1e-6, 64),  # delta_prime pins the qubit: no displacement, few photons
+        (1e6, 1e-6, 8),
+        (0.147, 1e6, 8),  # a tolerance above a mode quantum settles at once
+    ],
+)
+def test_truncation_search_keeps_reachable_cases_above_the_displaced_vacuum_bound(
+    delta_prime, tol, n_max
+):
+    # (g1/omega1)^2 = 2050 > 2048, yet each of these searches converges,
+    # so the a-priori test must let it run
+    assert converged_truncation(QrmParams(delta_prime, 0.5, 1.0, 45.28), 6, tol).n_max == n_max

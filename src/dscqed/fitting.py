@@ -3,9 +3,9 @@ spectral peaks by a bounded Levenberg-Marquardt descent on the Rabi spectrum.
 
 Data rows carry a bias, a frequency, an optional transition label ("03",
 "12", ...) and an optional positive weight.  Labeled rows are matched to the
-named transition; unlabeled rows fall back to the nearest drive-allowed line
-of ``rabi.solve``'s spectrum, which can be unstable near avoided crossings --
-down-weight such points.
+named transition; unlabeled rows fall back to the drive-allowed line
+nearest their measured frequency, which can be unstable near avoided
+crossings -- down-weight such points.
 
 H is linear in the three parameters, so by the Hellmann-Feynman theorem each
 level's gradient is dE_k/dtheta = <k| dH/dtheta |k>, with
@@ -16,14 +16,16 @@ level's gradient is dE_k/dtheta = <k| dH/dtheta |k>, with
 
 so the eigenvectors give the residuals' exact Jacobian with the residuals.
 The parity P = sigma_x (-1)^n maps H(epsilon) to H(-epsilon) and commutes
-with all three dH/dtheta, so the levels and their gradients are even in the
-bias.  The biases whose rows are all labeled are therefore diagonalized at
-their distinct |bias| only, all in one stacked eigh per evaluation (chunked
-to _STACK_BYTES); a bias with an unlabeled row is diagonalized on its own
-through ``solve``, and the row takes the gradient of the line it was
-matched to.  A level closer than _DEGENERATE_TOL to a neighbour has no
-well-defined eigenvector, so rows using one take central differences
-instead, through the same evaluation path.
+with all three dH/dtheta and maps the drive (a + a^dag) to minus itself, so
+the levels, their gradients and the drive amplitudes are even in the bias.
+Every row is therefore evaluated at its |bias|, all distinct |bias| in one
+stacked eigh per evaluation (chunked to _STACK_BYTES).  Zero bias enters
+the stack as the two parity chains of ``rabi``, so its eigenvectors keep
+their parity, as ``solve``'s do, and the forbidden lines of a
+near-degenerate doublet stay forbidden.  An unlabeled row takes the
+gradient of the line it was matched to.  A level closer than
+_DEGENERATE_TOL to a neighbour has no well-defined eigenvector, so rows
+using one take central differences instead, through the same evaluation.
 
 The Fock truncation is sized as the sweep sizes it, at zero bias and at the
 data's largest |bias|, first at the start point; the descent is repeated
@@ -41,14 +43,17 @@ from dataclasses import dataclass
 from ._lazy import np
 from .errors import ConfigError, io_error
 from .rabi import (
+    EigenSystem,
     FockTruncation,
     QrmParams,
+    _grid_truncation,
     _hamiltonians,
+    _parity_chains,
     _photons_and_spin,
+    _unfold,
     drive_matrix_element,
-    solve,
 )
-from .spectrum import SweepConfig, _grid_truncation
+from .spectrum import SweepConfig
 
 DEFAULT_BOUNDS = ((1e-6, 100.0), (1e-3, 100.0), (0.0, 100.0))
 
@@ -186,139 +191,99 @@ def _parse_label(label: str, k_levels: int):
 
 @dataclass(frozen=True)
 class _Layout:
-    """The data rows grouped for evaluation, with their labels parsed; built
-    once per fit.
+    """The data rows as the evaluation reads them, with their labels
+    parsed; built once per fit.
 
-    Biases whose rows are all labeled are evaluated together at their
-    distinct |bias| (``stacked``): row ``rows[m]`` is the transition
-    (``i[m]``, ``j[m]``) at bias ``stacked[at[m]]``.  Every other bias is
-    one entry of ``solved``: (bias, its row indices, each row's parsed
-    label or None, each row's measured frequency).
+    Row m is the transition (``i[m]``, ``j[m]``) at bias +-``biases[at[m]]``,
+    ``biases`` being the data's distinct |bias| in ascending order.  An
+    unlabeled row has i = j = -1 and takes the drive-allowed line nearest
+    its measured frequency ``measured[m]``.
     """
 
-    n_rows: int
-    k_levels: int
-    stacked: np.ndarray
-    rows: np.ndarray
     at: np.ndarray
+    biases: np.ndarray
     i: np.ndarray
     j: np.ndarray
-    solved: tuple
+    measured: np.ndarray
+    k_levels: int
 
 
 def _layout(data: PeakData, k_levels: int) -> _Layout:
-    """Group ``data`` for evaluation; a malformed label raises ValueError
+    """Lay ``data`` out for evaluation; a malformed label raises ValueError
     naming its row."""
     pairs = []
     for row, label in enumerate(data.label, start=1):
         try:
-            pairs.append(None if label is None else _parse_label(label, k_levels))
+            pairs.append((-1, -1) if label is None else _parse_label(label, k_levels))
         except ValueError as exc:
             raise ValueError(f"row {row}: {exc}") from None
-    unlabeled = np.unique(data.epsilon[[pair is None for pair in pairs]])
-    rows = np.nonzero(~np.isin(data.epsilon, unlabeled))[0]
-    stacked, at = np.unique(np.abs(data.epsilon[rows]), return_inverse=True)
-    i, j = np.array([pairs[k] for k in rows], dtype=int).reshape(-1, 2).T
-    solved = []
-    for eps in unlabeled:
-        idx = np.nonzero(data.epsilon == eps)[0]
-        solved.append((float(eps), idx, [pairs[k] for k in idx], data.frequency[idx]))
-    return _Layout(len(data), k_levels, stacked, rows, at, i, j, tuple(solved))
+    biases, at = np.unique(np.abs(data.epsilon), return_inverse=True)
+    i, j = np.array(pairs, dtype=int).T
+    return _Layout(at, biases, i, j, data.frequency, k_levels)
 
 
 def _predicted(params, layout: _Layout, n_max: int, floor: float, jacobian=False):
     """Model frequencies for every data row; with ``jacobian``,
-    (frequencies, (rows, 3) gradient matrix).  An unlabeled row gives the
+    (frequencies, (rows, 3) gradient matrix).  All rows come from one
+    stacked eigensolve over the distinct |bias|.  An unlabeled row gives the
     drive-allowed line nearest its measured frequency and the gradient of
     that line."""
-    pred = np.empty(layout.n_rows)
-    jac = np.empty((layout.n_rows, 3)) if jacobian else None
-    if layout.rows.size:
-        pred[layout.rows], grad = _stacked_frequencies(params, layout, n_max, jacobian)
-        if jacobian:
-            jac[layout.rows] = grad
-    for eps, idx, pairs, measured in layout.solved:
-        pred[idx], grad = _solved_frequencies(
-            params, eps, pairs, measured, n_max, layout.k_levels, floor, jacobian
-        )
-        if jacobian:
-            jac[idx] = grad
-    return (pred, jac) if jacobian else pred
-
-
-def _stacked_frequencies(params, layout, n_max, jacobian):
-    """Frequencies (and gradients or None) of the rows of the all-labeled
-    biases, from one stacked eigensolve over their distinct |bias|."""
-    at, i, j = layout.at, layout.i, layout.j
-    k = j.max() + 1 if jacobian else 0
-    values, level_grad = _stacked_levels(params, layout.stacked, n_max, k)
+    at, i, j = layout.at, layout.i.copy(), layout.j.copy()
+    unlabeled = np.nonzero(j < 0)[0]
+    k = layout.k_levels if unlabeled.size else (j.max() + 1 if jacobian else 0)
+    values, vectors = _stacked_eigenpairs(params, layout.biases, n_max, k)
+    for b in np.unique(at[unlabeled]):
+        rows = unlabeled[at[unlabeled] == b]
+        lines = _allowed_lines(values[b], vectors[b], layout.k_levels, floor)
+        i[rows], j[rows] = np.array([_nearest(lines, m) for m in layout.measured[rows]]).T
     freqs = values[at, j] - values[at, i]
     if not jacobian:
-        return freqs, None
+        return freqs
+    level_grad = _level_gradients(vectors[..., : j.max() + 1])
     grad = level_grad[at, j] - level_grad[at, i]
     near = _degenerate(values)
     fallback = near[at, i] | near[at, j]
-    if fallback.any():
-        sub, sub_at = np.unique(at[fallback], return_inverse=True)
-        fi, fj = i[fallback], j[fallback]
-
-        def frequencies(x):
-            v = _stacked_levels(x, layout.stacked[sub], n_max, 0)[0]
-            return v[sub_at, fj] - v[sub_at, fi]
-
-        grad[fallback] = _central_differences(frequencies, params)
+    if fallback.any():  # the same evaluation, on those rows and their biases
+        used, sub_at = np.unique(at[fallback], return_inverse=True)
+        sub = _Layout(
+            sub_at,
+            layout.biases[used],
+            layout.i[fallback],
+            layout.j[fallback],
+            layout.measured[fallback],
+            layout.k_levels,
+        )
+        grad[fallback] = _central_differences(lambda x: _predicted(x, sub, n_max, floor), params)
     return freqs, grad
 
 
-def _stacked_levels(params, biases, n_max, k):
-    """Eigenvalues (biases, dim) of H at each bias and, for k > 0, the
-    Hellmann-Feynman gradients (biases, k, 3) of the lowest k levels.  The
-    biases are diagonalized in chunks of at most _STACK_BYTES of matrices,
-    one stacked eigensolve each."""
+def _stacked_eigenpairs(params, biases, n_max, k):
+    """Eigenvalues (biases, dim) of H at each bias of ``biases`` (all >= 0)
+    and, for k > 0, its lowest k eigenvectors (biases, dim, k), else None.
+    Zero bias is diagonalized as the two parity chains and its vectors
+    unfolded, so each has a parity, as in ``solve``.  The biases are
+    diagonalized in chunks of at most _STACK_BYTES of matrices, one stacked
+    eigensolve each."""
     delta_prime, omega1, g1 = params
     t = FockTruncation(n_max)
     chunk = max(1, _STACK_BYTES // (8 * t.dim * t.dim))
-    values, grads = [], []
+    values, vectors = [], []
     for start in range(0, len(biases), chunk):
-        h = _hamiltonians(delta_prime, biases[start : start + chunk], omega1, g1, t)
+        part = biases[start : start + chunk]
+        h = _hamiltonians(delta_prime, part, omega1, g1, t)
+        zero = part == 0.0
+        if zero.any():
+            h[zero] = _parity_chains(QrmParams(delta_prime, 0.0, omega1, g1), t)
         if k:
-            v, vectors = np.linalg.eigh(h)
-            grads.append(_level_gradients(vectors[..., :k]))
+            v, vec = np.linalg.eigh(h)
+            vec = vec[..., :k]
+            if zero.any():
+                vec[zero] = _unfold(vec[zero], t.n_states)[0]
+            vectors.append(vec)
         else:
             v = np.linalg.eigvalsh(h)
         values.append(v)
-    return np.concatenate(values), (np.concatenate(grads) if k else None)
-
-
-def _solved_frequencies(params, epsilon, pairs, measured, n_max, k_levels, floor, jacobian):
-    """Frequencies (and gradients or None) of the rows of one bias with an
-    unlabeled row, diagonalized through ``solve``: a labeled row
-    ((i, j) in ``pairs``) gives the named transition, an unlabeled one
-    (None) the drive-allowed line nearest its measured frequency."""
-    delta_prime, omega1, g1 = params
-    es = solve(QrmParams(delta_prime, epsilon, omega1, g1), FockTruncation(n_max))
-    lines = _allowed_lines(es, k_levels, floor) if None in pairs else None
-    i, j = np.array([
-        pair if pair is not None else _nearest(lines, m) for pair, m in zip(pairs, measured)
-    ]).T
-    freqs = es.values[j] - es.values[i]
-    if not jacobian:
-        return freqs, None
-    level_grad = _level_gradients(es.vectors[:, : j.max() + 1])
-    grad = level_grad[j] - level_grad[i]
-    near = _degenerate(es.values)
-    fallback = near[i] | near[j]
-    if fallback.any():
-        sub_pairs = [pair for pair, f in zip(pairs, fallback) if f]
-        sub_measured = measured[fallback]
-
-        def frequencies(x):
-            return _solved_frequencies(
-                x, epsilon, sub_pairs, sub_measured, n_max, k_levels, floor, False
-            )[0]
-
-        grad[fallback] = _central_differences(frequencies, params)
-    return freqs, grad
+    return np.concatenate(values), (np.concatenate(vectors) if k else None)
 
 
 def _degenerate(values):
@@ -362,10 +327,12 @@ def _central_differences(frequencies, params):
     return np.stack(grad, axis=-1)
 
 
-def _allowed_lines(es, k_levels, floor):
+def _allowed_lines(values, vectors, k_levels, floor):
     """(frequency, i, j) of every drive-allowed line from states {0, 1}
-    within ``k_levels``: one drive amplitude per line, however many rows
-    of the bias are matched against them."""
+    within ``k_levels``, from one bias's eigenvalues and its lowest
+    ``k_levels`` eigenvectors: one drive amplitude per line, however many
+    rows of the bias are matched against them."""
+    es = EigenSystem(values, vectors, (None,) * len(values))
     lines = [
         (float(es.values[j] - es.values[i]), i, j)
         for i in (0, 1)

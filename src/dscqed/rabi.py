@@ -34,7 +34,7 @@ from ._lazy import np
 from .errors import ConvergenceError
 
 N_MAX_CEILING = 4096
-_N_MAX_START = 8  # first n_max of the truncation search
+_N_MAX_START = 8  # base of the truncation search's doubling schedule
 _STRAY_WEIGHT = 5e-9  # weight off its chain: parity expectation 1e-8 from +-1
 
 
@@ -191,17 +191,26 @@ def solve(p: QrmParams, t: FockTruncation) -> EigenSystem:
     if p.epsilon != 0.0:
         return eigensystem(build_hamiltonian(p, t))
     es = eigensystem(_parity_chains(p, t))
-    top, bot = es.vectors[: t.n_states], es.vectors[t.n_states :]
-    w_top, w_bot = np.sum(top * top, axis=0), np.sum(bot * bot, axis=0)
+    vectors, w_top = _unfold(es.vectors, t.n_states)
+    _fix_signs(vectors)  # the convention holds in the basis returned
+    return EigenSystem(es.values, vectors, tuple(1 if w > 0.5 else -1 for w in w_top))
+
+
+def _unfold(vectors, n_states):
+    """Eigenvector columns (..., dim, k) of ``_parity_chains`` in the
+    composite basis, and each column's weight on the chain p = +1.  A
+    column with more than _STRAY_WEIGHT off its chain raises
+    ConvergenceError."""
+    top, bot = vectors[..., :n_states, :], vectors[..., n_states:, :]
+    w_top, w_bot = np.sum(top * top, axis=-2), np.sum(bot * bot, axis=-2)
     if np.max(np.minimum(w_top, w_bot)) > _STRAY_WEIGHT:
         raise ConvergenceError(
             f"an eigenvector has more than {_STRAY_WEIGHT} of its weight off its parity chain"
         )
-    vectors = np.empty_like(es.vectors)
-    vectors[0::2] = (top + bot) / math.sqrt(2.0)
-    vectors[1::2] = (-1.0) ** np.arange(t.n_states)[:, None] * (top - bot) / math.sqrt(2.0)
-    _fix_signs(vectors)  # the convention holds in the basis returned
-    return EigenSystem(es.values, vectors, tuple(1 if w > 0.5 else -1 for w in w_top))
+    out = np.empty_like(vectors)
+    out[..., 0::2, :] = (top + bot) / math.sqrt(2.0)
+    out[..., 1::2, :] = (-1.0) ** np.arange(n_states)[:, None] * (top - bot) / math.sqrt(2.0)
+    return out, w_top
 
 
 def _fix_signs(vectors):
@@ -232,25 +241,28 @@ def drive_matrix_element(es: EigenSystem, i: int, j: int) -> float:
 
 
 def converged_truncation(p: QrmParams, k_levels: int, tol: float) -> FockTruncation:
-    """Smallest n_max in a doubling schedule from _N_MAX_START whose lowest
-    k_levels eigenvalues move by less than ``tol`` (GHz) when n_max doubles.
+    """Smallest n_max in a doubling schedule whose lowest k_levels
+    eigenvalues move by less than ``tol`` (GHz) when n_max doubles.  The
+    schedule starts at the first _N_MAX_START * 2^k at or above the ground
+    state's photon number (see _ground_state_displacement), so no tolerance
+    accepts a truncation that cuts through that state.
 
     Raises ConvergenceError when the ceiling is reached without converging,
     and before any eigensolve when the ground state holds more photons than
-    the search can return at ``tol`` (see _ground_state_displacement).
+    N_MAX_CEILING // 2, the largest truncation the search can return.
     """
     if k_levels < 2:
         raise ValueError(f"k_levels must be >= 2, got {k_levels}")
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    photons, quantum = _ground_state_displacement(p)
-    if photons > N_MAX_CEILING // 2 and tol < 0.5 * quantum:
+    photons = _ground_state_displacement(p)
+    if photons > N_MAX_CEILING // 2:
         raise ConvergenceError(
             f"the ground state holds about {photons:.4g} photons, beyond n_max="
             f"{N_MAX_CEILING // 2}, the largest truncation the search can return"
         )
     n = _N_MAX_START
-    while 2 * (n + 1) < k_levels:
+    while n < photons or 2 * (n + 1) < k_levels:
         n *= 2
     prev = np.linalg.eigvalsh(build_hamiltonian(p, FockTruncation(n)))[:k_levels]
     while 2 * n <= N_MAX_CEILING:
@@ -263,22 +275,29 @@ def converged_truncation(p: QrmParams, k_levels: int, tol: float) -> FockTruncat
     )
 
 
-def _ground_state_displacement(p: QrmParams):
-    """Mean-field photon number of the ground state at epsilon = 0, and the
-    quantum (GHz) of its soft mode.
+def _grid_truncation(delta_prime, omega1, g1, biases, k_levels, tol):
+    """The larger of the truncations that converge (lowest ``k_levels``
+    eigenvalues to ``tol`` GHz) at zero bias and at the largest |bias|."""
+    n_max = 1
+    for eps in {0.0, float(np.max(np.abs(biases)))}:
+        t = converged_truncation(QrmParams(delta_prime, eps, omega1, g1), k_levels, tol)
+        n_max = max(n_max, t.n_max)
+    return FockTruncation(n_max)
+
+
+def _ground_state_displacement(p: QrmParams) -> float:
+    """Mean-field photon number of the ground state at epsilon = 0.
 
     For s = delta_prime * omega1 / (4 g1^2) < 1 the state is displaced by
-    (g1/omega1)^2 (1 - s^2) photons and the mode along the displacement has
-    frequency omega1 * sqrt(1 - s^2); for s >= 1 it is not displaced.  A
+    (g1/omega1)^2 (1 - s^2) photons; for s >= 1 it is not displaced.  A
     truncation below the displacement cuts through the state, and doubling
-    it moves the lowest level by about one soft quantum, so the doubling
-    search cannot settle to less than half a quantum when the displacement
-    exceeds N_MAX_CEILING // 2.  A bias adds photons and stiffens the soft
-    mode, so the estimate at epsilon = 0 errs towards searching.
+    it moves the lowest level by about one quantum of the soft mode,
+    omega1 * sqrt(1 - s^2).  A bias adds photons, so the estimate at
+    epsilon = 0 errs towards a smaller start.
     """
     four_g2 = 4.0 * p.g1 * p.g1
     if not p.delta_prime * p.omega1 < four_g2:  # s >= 1, written so g1 = 0 divides nothing
-        return 0.0, p.omega1
+        return 0.0
     s = p.delta_prime * p.omega1 / four_g2
     ratio = p.g1 / p.omega1
-    return ratio * ratio * (1.0 - s * s), p.omega1 * math.sqrt(1.0 - s * s)
+    return ratio * ratio * (1.0 - s * s)

@@ -11,13 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._lazy import np
-from .rabi import (
-    FockTruncation,
-    QrmParams,
-    converged_truncation,
-    drive_matrix_element,
-    solve,
-)
+from .rabi import QrmParams, _grid_truncation, drive_matrix_element, solve
 
 
 @dataclass(frozen=True)
@@ -86,13 +80,3 @@ def sweep(delta_prime: float, omega1: float, g1: float, cfg: SweepConfig) -> lis
                     amp = drive_matrix_element(es, i, j)
                     lines.append(SpectralLine(float(eps), i, j, f, amp))
     return lines
-
-
-def _grid_truncation(delta_prime, omega1, g1, biases, k_levels, tol):
-    """The larger of the truncations that converge (lowest ``k_levels``
-    eigenvalues to ``tol`` GHz) at zero bias and at the largest |bias|."""
-    n_max = 1
-    for eps in {0.0, float(np.max(np.abs(biases)))}:
-        t = converged_truncation(QrmParams(delta_prime, eps, omega1, g1), k_levels, tol)
-        n_max = max(n_max, t.n_max)
-    return FockTruncation(n_max)

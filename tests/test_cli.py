@@ -533,9 +533,12 @@ def test_bundled_spectrum_call_counts(monkeypatch, capsys):
         monkeypatch.setattr(
             np.linalg, kind, counted(fn, lambda h, *_, kind=kind: f"{kind}@{h.shape[-1]}")
         )
-    monkeypatch.setattr(rabi, "eigensystem", counted(rabi.eigensystem, lambda *_: "eigensystem"))
-    for name in ("drive_matrix_element", "converged_truncation"):
-        monkeypatch.setattr(spectrum, name, counted(getattr(spectrum, name), lambda *_, n=name: n))
+    for mod, name in (
+        (rabi, "eigensystem"),
+        (spectrum, "drive_matrix_element"),
+        (rabi, "converged_truncation"),
+    ):
+        monkeypatch.setattr(mod, name, counted(getattr(mod, name), lambda *_, n=name: n))
 
     assert main(["spectrum"]) == 0
     capsys.readouterr()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dscqed import ConfigError, FockTruncation, PeakData, QrmParams, fit, read_peaks_csv
+from dscqed import ConfigError, FockTruncation, PeakData, QrmParams, fit, read_peaks_csv, solve
 from dscqed import fitting
 from dscqed.fitting import _layout, _levenberg_marquardt
 
@@ -14,6 +14,7 @@ from conftest import (
     SIGMA_X,
     SIGMA_Z,
     kron_hamiltonian,
+    kron_parity,
     predicted,
     synthetic_peaks,
 )
@@ -338,7 +339,7 @@ def test_stacked_kernel_matches_dense_eigh_at_both_signs():
     biases = (-0.9, -0.4, -0.05, 0.0, 0.05, 0.4, 0.9, 2.5)
     data = _labeled(biases, labels)
     layout = _layout(data, 6)
-    assert layout.solved == () and layout.stacked.tolist() == [0.0, 0.05, 0.4, 0.9, 2.5]
+    assert layout.biases.tolist() == [0.0, 0.05, 0.4, 0.9, 2.5] and np.all(layout.j >= 0)
     params = (0.3, 2.2, 1.9)
     freqs, jac = predicted(params, data, 40, jacobian=True)
     for k, eps in enumerate(data.epsilon):
@@ -348,9 +349,12 @@ def test_stacked_kernel_matches_dense_eigh_at_both_signs():
         np.testing.assert_allclose(jac[k], grads[j] - grads[i], rtol=1e-9, atol=1e-9)
 
 
-def test_mixed_labeled_and_unlabeled_biases_match_dense_oracle():
-    # biases with an unlabeled row are solved one by one; the rest share
-    # the stack.  Unlabeled rows sit 0.1 MHz from the allowed line they name.
+def test_mixed_labeled_and_unlabeled_biases_match_dense_oracle(monkeypatch):
+    # labeled and unlabeled rows share one eigh over the distinct |bias|
+    # (0, 0.3, 0.6), and nothing goes through solve.  Unlabeled rows sit
+    # 0.1 MHz from the allowed line they name.
+    from dscqed import rabi
+
     params = PAPER_TRIPLE
     rows = []
     for eps, label in [(-0.6, "03"), (-0.6, "12"), (0.6, "02"), (0.3, "13"), (0.0, "03")]:
@@ -365,9 +369,17 @@ def test_mixed_labeled_and_unlabeled_biases_match_dense_oracle():
         np.array([r[0] for r in rows]), np.array(measured), tuple(r[1] for r in rows), np.ones(len(rows))
     )
     layout = _layout(data, 6)
-    assert [s[0] for s in layout.solved] == [-0.3, 0.0, 0.3, 0.6]
-    assert layout.stacked.tolist() == [0.6] and sorted(layout.rows) == [0, 1]
+    assert layout.biases.tolist() == [0.0, 0.3, 0.6]
+    assert layout.at.tolist() == [2, 2, 2, 1, 0, 1, 1, 0, 2]
+    assert np.nonzero(layout.j < 0)[0].tolist() == [5, 6, 7, 8]
+    assert layout.measured.tolist() == measured
+    solves = []
+    original = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: solves.append(h.shape) or original(h))
+    monkeypatch.setattr(rabi, "solve", lambda *_: pytest.fail("solve ran"))
+    assert not hasattr(fitting, "solve")
     freqs, jac = predicted(params, data, 40, jacobian=True)
+    assert solves == [(3, 82, 82)]
     for k, (eps, _, line) in enumerate(rows):
         values, grads = _dense_levels(params, eps, 40)
         i, j = int(line[0]), int(line[1])
@@ -375,13 +387,28 @@ def test_mixed_labeled_and_unlabeled_biases_match_dense_oracle():
         np.testing.assert_allclose(jac[k], grads[j] - grads[i], rtol=1e-9, atol=1e-9)
 
 
+def test_zero_bias_kernel_vectors_keep_their_parity():
+    # at g1 / omega1 = 5 the doublets are degenerate to roundoff: an eigh of
+    # H(0) mixes their parities, the parity chains do not
+    params, n_max = (1.0, 1.0, 5.0), 64
+    _, vectors = fitting._stacked_eigenpairs(params, np.array([0.0]), n_max, 6)
+    parity = kron_parity(n_max + 1)
+    es = solve(QrmParams(params[0], 0.0, params[1], params[2]), FockTruncation(n_max))
+    for k in range(6):
+        v = vectors[0, :, k]
+        label = 1 if v @ parity @ v > 0.0 else -1
+        assert np.max(np.abs(parity @ v - label * v)) <= 1e-8
+        assert label == es.parity[k]
+
+
 def test_unlabeled_rows_share_their_bias_drive_amplitudes(monkeypatch):
-    # each bias computes the amplitudes of its 9 candidate lines (i in
-    # {0, 1}, i < j < 6) once per evaluation, not once per unlabeled row
+    # each distinct |bias| computes the amplitudes of its 9 candidate lines
+    # (i in {0, 1}, i < j < 6) once per evaluation, not once per unlabeled
+    # row nor once per sign of the bias
     labeled = synthetic_peaks(PAPER_TRIPLE, n_branch=9)
     data = PeakData(labeled.epsilon, labeled.frequency, (None,) * len(labeled), labeled.weight)
-    biases = len(np.unique(data.epsilon))
-    assert len(data) == 34 and biases == 9
+    biases = len(np.unique(np.abs(data.epsilon)))
+    assert len(data) == 34 and biases < len(np.unique(data.epsilon)) == 9
     calls = []
     original = fitting.drive_matrix_element
     monkeypatch.setattr(
@@ -395,8 +422,7 @@ def test_unlabeled_rows_share_their_bias_drive_amplitudes(monkeypatch):
 @pytest.mark.parametrize("unlabeled", [False, True])
 def test_near_degenerate_rows_take_central_differences(monkeypatch, unlabeled):
     # at g1 / omega1 = 5 and zero bias the levels pair up within 1e-20 GHz:
-    # rows on them are differenced, through the stack when all rows of the
-    # bias are labeled and through solve otherwise
+    # rows on them are differenced, labeled or not
     params, n_max = (1.0, 1.0, 5.0), 64
     values = _dense_levels(params, 0.0, n_max)[0]
     assert values[1] - values[0] < 1e-6
@@ -455,7 +481,7 @@ def test_one_bias_per_chunk_gives_identical_results(monkeypatch):
         assert a.tobytes() == b.tobytes()
     # one eigh per evaluation over the distinct |bias|, or one per bias
     biases = len(np.unique(np.abs(data.epsilon)))
-    assert len(layout.stacked) == biases < len(np.unique(data.epsilon))
+    assert len(layout.biases) == biases < len(np.unique(data.epsilon))
     assert stacked[3][0] == (biases, 82, 82) and chunked[3][:biases] == [(1, 82, 82)] * biases
     assert len(chunked[3]) == biases * len(stacked[3])
 

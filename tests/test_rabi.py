@@ -427,7 +427,6 @@ def test_truncation_search_refuses_an_unreachable_ground_state_before_any_eigens
     [
         (1e4, 1e-6, 64),  # delta_prime pins the qubit: no displacement, few photons
         (1e6, 1e-6, 8),
-        (0.147, 1e6, 8),  # a tolerance above a mode quantum settles at once
     ],
 )
 def test_truncation_search_keeps_reachable_cases_above_the_displaced_vacuum_bound(
@@ -436,3 +435,17 @@ def test_truncation_search_keeps_reachable_cases_above_the_displaced_vacuum_boun
     # (g1/omega1)^2 = 2050 > 2048, yet each of these searches converges,
     # so the a-priori test must let it run
     assert converged_truncation(QrmParams(delta_prime, 0.5, 1.0, 45.28), 6, tol).n_max == n_max
+
+
+def test_truncation_search_refuses_an_unreachable_ground_state_at_any_tolerance(monkeypatch):
+    # (g1/omega1)^2 = 2050 > 2048: a tolerance above a mode quantum would
+    # settle at n_max 8, inside the displaced vacuum
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: pytest.fail("an eigensolve ran"))
+    with pytest.raises(ConvergenceError, match="2050 photons"):
+        converged_truncation(QrmParams(0.147, 0.5, 1.0, 45.28), 6, tol=1e6)
+
+
+def test_truncation_search_starts_at_the_ground_state_photon_number():
+    # the deep device's ground state holds about 11 photons: a loose
+    # tolerance stops at the first size of the schedule above that, not at 8
+    assert converged_truncation(QrmParams(0.15, 0.0, 1.5, 5.0), 6, tol=10.0).n_max == 16

@@ -19,13 +19,14 @@ The parity P = sigma_x (-1)^n maps H(epsilon) to H(-epsilon) and commutes
 with all three dH/dtheta and maps the drive (a + a^dag) to minus itself, so
 the levels, their gradients and the drive amplitudes are even in the bias.
 Every row is therefore evaluated at its |bias|, all distinct |bias| in one
-stacked eigh per evaluation (chunked to _STACK_BYTES).  Zero bias enters
-the stack as the two parity chains of ``rabi``, so its eigenvectors keep
-their parity, as ``solve``'s do, and the forbidden lines of a
-near-degenerate doublet stay forbidden.  An unlabeled row takes the
-gradient of the line it was matched to.  A level closer than
-_DEGENERATE_TOL to a neighbour has no well-defined eigenvector, so rows
-using one take central differences instead, through the same evaluation.
+stacked eigensolve per evaluation by ``rabi``'s kernel, the one ``solve``
+uses: the eigenpairs kept are checked as ``eigensystem`` checks them, and
+zero bias enters the stack as the two parity chains, so its eigenvectors
+keep their parity and the forbidden lines of a near-degenerate doublet stay
+forbidden.  An unlabeled row takes the gradient of the line it was matched
+to.  A level closer than _DEGENERATE_TOL to a neighbour has no well-defined
+eigenvector, so rows using one take central differences instead, through
+the same evaluation.
 
 The Fock truncation is sized as the sweep sizes it, at zero bias and at the
 data's largest |bias|, first at the start point; the descent is repeated
@@ -46,11 +47,9 @@ from .rabi import (
     EigenSystem,
     FockTruncation,
     QrmParams,
+    _eigenpairs,
     _grid_truncation,
-    _hamiltonians,
-    _parity_chains,
     _photons_and_spin,
-    _unfold,
     drive_matrix_element,
 )
 from .spectrum import SweepConfig
@@ -63,7 +62,6 @@ _FD_STEP = 1e-6  # step of those differences, relative to max(|x|, 1 GHz)
 _DAMPING_START = 1e-3  # initial damping, relative to mean(diag(J^T J))
 _COST_RTOL = 1e-10  # relative cost change, actual and predicted, at convergence
 _STEP_RTOL = 1e-10  # step length relative to |x| at convergence
-_STACK_BYTES = 1 << 25  # most bytes of Hamiltonians diagonalized in one stack
 
 
 @dataclass(frozen=True)
@@ -231,7 +229,8 @@ def _predicted(params, layout: _Layout, n_max: int, floor: float, jacobian=False
     at, i, j = layout.at, layout.i.copy(), layout.j.copy()
     unlabeled = np.nonzero(j < 0)[0]
     k = layout.k_levels if unlabeled.size else (j.max() + 1 if jacobian else 0)
-    values, vectors = _stacked_eigenpairs(params, layout.biases, n_max, k)
+    t = FockTruncation(n_max)
+    values, vectors, _ = _eigenpairs(params[0], layout.biases, params[1], params[2], t, k)
     for b in np.unique(at[unlabeled]):
         rows = unlabeled[at[unlabeled] == b]
         lines = _allowed_lines(values[b], vectors[b], layout.k_levels, floor)
@@ -255,35 +254,6 @@ def _predicted(params, layout: _Layout, n_max: int, floor: float, jacobian=False
         )
         grad[fallback] = _central_differences(lambda x: _predicted(x, sub, n_max, floor), params)
     return freqs, grad
-
-
-def _stacked_eigenpairs(params, biases, n_max, k):
-    """Eigenvalues (biases, dim) of H at each bias of ``biases`` (all >= 0)
-    and, for k > 0, its lowest k eigenvectors (biases, dim, k), else None.
-    Zero bias is diagonalized as the two parity chains and its vectors
-    unfolded, so each has a parity, as in ``solve``.  The biases are
-    diagonalized in chunks of at most _STACK_BYTES of matrices, one stacked
-    eigensolve each."""
-    delta_prime, omega1, g1 = params
-    t = FockTruncation(n_max)
-    chunk = max(1, _STACK_BYTES // (8 * t.dim * t.dim))
-    values, vectors = [], []
-    for start in range(0, len(biases), chunk):
-        part = biases[start : start + chunk]
-        h = _hamiltonians(delta_prime, part, omega1, g1, t)
-        zero = part == 0.0
-        if zero.any():
-            h[zero] = _parity_chains(QrmParams(delta_prime, 0.0, omega1, g1), t)
-        if k:
-            v, vec = np.linalg.eigh(h)
-            vec = vec[..., :k]
-            if zero.any():
-                vec[zero] = _unfold(vec[zero], t.n_states)[0]
-            vectors.append(vec)
-        else:
-            v = np.linalg.eigvalsh(h)
-        values.append(v)
-    return np.concatenate(values), (np.concatenate(vectors) if k else None)
 
 
 def _degenerate(values):
@@ -475,8 +445,8 @@ def fit(
         QrmParams(bounds[0][0], 0.0, bounds[1][0], bounds[2][0])
     except ValueError as exc:
         raise ValueError(f"lower bounds outside the model domain: {exc}") from None
-    if np.all(data.epsilon == data.epsilon[0]):
-        raise ValueError("degenerate data: all bias values are equal")
+    if np.all(np.abs(data.epsilon) == abs(data.epsilon[0])):  # the spectrum is even in the bias
+        raise ValueError("degenerate data: all bias values are equal in magnitude")
     layout = _layout(data, k_levels)  # fails loudly here, not inside the descent
     best, r, jac, iterations, reason = _descend(
         data, layout, initial, bounds, amplitude_floor, max_iter

@@ -1,5 +1,5 @@
-"""Truncated quantum Rabi model: Hamiltonian assembly, dense diagonalization,
-parity labels and drive selection rules.
+"""Truncated quantum Rabi model: Hamiltonian assembly, dense diagonalization
+of one matrix or a stack, parity labels and drive selection rules.
 
 All energies are ordinary frequencies in GHz.  The Hamiltonian acting on a
 two-level system biased by ``epsilon`` with tunnel gap ``delta_prime``,
@@ -23,6 +23,9 @@ p = +-1, split H into two tridiagonal chains, one per parity:
 
     diagonal       omega1 * n - p * (-1)^n * delta_prime / 2
     off-diagonal   g1 * sqrt(n + 1) between |p, n> and |p, n + 1>
+
+``solve`` (one bias) and the fit (all the data's |bias|) share one kernel,
+``_eigenpairs``, which puts the chains in at zero bias.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .errors import ConvergenceError
 N_MAX_CEILING = 4096
 _N_MAX_START = 8  # base of the truncation search's doubling schedule
 _STRAY_WEIGHT = 5e-9  # weight off its chain: parity expectation 1e-8 from +-1
+_STACK_BYTES = 1 << 25  # most bytes of Hamiltonians diagonalized in one stack
 
 
 @dataclass(frozen=True)
@@ -91,6 +95,8 @@ class FockTruncation:
 class EigenSystem:
     """Sorted eigenvalues, eigenvector columns, and per-state parity.
 
+    ``values`` holds every eigenvalue, (..., dim) for a stack of matrices,
+    and ``vectors`` the columns of the lowest k kept, (..., dim, k).
     ``parity[k]`` is +1 or -1, the parity chain holding the state, when
     ``solve`` ran at bias epsilon exactly zero; otherwise it is ``None``.
     """
@@ -101,7 +107,8 @@ class EigenSystem:
 
     @property
     def dim(self) -> int:
-        return len(self.values)
+        """Matrix dimension, values.shape[-1]."""
+        return self.values.shape[-1]
 
 
 def build_hamiltonian(p: QrmParams, t: FockTruncation) -> np.ndarray:
@@ -155,29 +162,48 @@ def _parity_chains(p: QrmParams, t: FockTruncation) -> np.ndarray:
     )
 
 
-def eigensystem(h: np.ndarray) -> EigenSystem:
-    """Diagonalize a real symmetric matrix with a deterministic convention.
+def eigensystem(h: np.ndarray, k: int | None = None) -> EigenSystem:
+    """Diagonalize a real symmetric matrix, or a stack of them (..., dim,
+    dim), with a deterministic convention.
 
-    Eigenvalues ascend; each eigenvector's largest-magnitude coefficient is
-    positive (first occurrence on ties).  The pairs must be orthonormal to
-    1e-10 with residuals within 1e-9 * max|eigenvalue|.  No state is
-    labeled: every parity is None.
+    Every eigenvalue is kept, ascending, and the eigenvectors of the lowest
+    ``k`` (all when k is None; none when k is 0, which runs eigvalsh).  Each
+    kept eigenvector's largest-magnitude coefficient is positive (first
+    occurrence on ties).  The kept pairs must be orthonormal to 1e-10 with
+    residuals within 1e-9 * max|eigenvalue| of their matrix, a check that
+    costs O(dim^2 k) per matrix.  No state is labeled: every parity is None.
     """
     h = np.asarray(h, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    scale = max(np.max(np.abs(h)), 1e-300)
-    if np.max(np.abs(h - h.T)) > 1e-12 * scale:
-        raise ValueError("matrix is not symmetric within 1e-12 relative")
+    if h.ndim < 2 or h.shape[-2] != h.shape[-1]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {h.shape}")
+    dim = h.shape[-1]
+    k = dim if k is None else k
+    if not 0 <= k <= dim:
+        raise ValueError(f"k must be in [0, {dim}], got {k}")
+    h_t = np.swapaxes(h, -1, -2)
+    if not (h == h_t).all():  # assembled matrices are exactly symmetric
+        scale = np.maximum(np.max(np.abs(h), axis=(-2, -1)), 1e-300)
+        if np.any(np.max(np.abs(h - h_t), axis=(-2, -1)) > 1e-12 * scale):
+            raise ValueError("matrix is not symmetric within 1e-12 relative")
 
     try:
+        if k == 0:
+            values = np.linalg.eigvalsh(h)
+            return EigenSystem(values, np.empty(h.shape[:-1] + (0,)), (None,) * dim)
         values, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
 
+    vectors = vectors[..., :k]
     _fix_signs(vectors)
-    _validate(h, values, vectors)
-    return EigenSystem(values=values, vectors=vectors, parity=(None,) * len(values))
+    gram = np.swapaxes(vectors, -1, -2) @ vectors
+    if np.abs(gram - np.eye(k)).max(initial=0.0) > 1e-10:  # an empty stack passes
+        raise ConvergenceError("eigenvectors are not orthonormal to 1e-10")
+    h_norm = np.maximum(np.abs(values).max(axis=-1, keepdims=True), 1e-300)
+    resid = h @ vectors - vectors * values[..., None, :k]
+    if (np.linalg.norm(resid, axis=-2) > 1e-9 * h_norm).any():
+        raise ConvergenceError("eigenpair residual exceeds 1e-9 * |H|")
+    return EigenSystem(values=values, vectors=vectors, parity=(None,) * dim)
 
 
 def solve(p: QrmParams, t: FockTruncation) -> EigenSystem:
@@ -188,46 +214,50 @@ def solve(p: QrmParams, t: FockTruncation) -> EigenSystem:
     order; the vectors are mapped back to the composite basis.  A vector
     with more than _STRAY_WEIGHT off its chain raises ConvergenceError.
     """
-    if p.epsilon != 0.0:
-        return eigensystem(build_hamiltonian(p, t))
-    es = eigensystem(_parity_chains(p, t))
-    vectors, w_top = _unfold(es.vectors, t.n_states)
-    _fix_signs(vectors)  # the convention holds in the basis returned
-    return EigenSystem(es.values, vectors, tuple(1 if w > 0.5 else -1 for w in w_top))
+    values, vectors, parity = _eigenpairs(
+        p.delta_prime, np.array([p.epsilon]), p.omega1, p.g1, t, t.dim
+    )
+    return EigenSystem(values[0], vectors[0], parity[0])
 
 
-def _unfold(vectors, n_states):
-    """Eigenvector columns (..., dim, k) of ``_parity_chains`` in the
-    composite basis, and each column's weight on the chain p = +1.  A
-    column with more than _STRAY_WEIGHT off its chain raises
-    ConvergenceError."""
-    top, bot = vectors[..., :n_states, :], vectors[..., n_states:, :]
-    w_top, w_bot = np.sum(top * top, axis=-2), np.sum(bot * bot, axis=-2)
-    if np.max(np.minimum(w_top, w_bot)) > _STRAY_WEIGHT:
-        raise ConvergenceError(
-            f"an eigenvector has more than {_STRAY_WEIGHT} of its weight off its parity chain"
-        )
-    out = np.empty_like(vectors)
-    out[..., 0::2, :] = (top + bot) / math.sqrt(2.0)
-    out[..., 1::2, :] = (-1.0) ** np.arange(n_states)[:, None] * (top - bot) / math.sqrt(2.0)
-    return out, w_top
+def _eigenpairs(delta_prime, biases, omega1, g1, t, k):
+    """Every eigenvalue (biases, dim) of H at each bias of the 1-D array
+    ``biases``, the lowest ``k`` eigenvectors (biases, dim, k) and each
+    bias's parity tuple, as ``solve`` gives them at one bias; one
+    eigensystem call per chunk of at most _STACK_BYTES of matrices."""
+    n = t.n_states
+    chunk = max(1, _STACK_BYTES // (8 * t.dim * t.dim))
+    values, vectors, parity = [], [], []
+    for start in range(0, len(biases), chunk):
+        part = biases[start : start + chunk]
+        zeros = (part == 0.0).nonzero()[0]
+        h = _hamiltonians(delta_prime, part, omega1, g1, t)
+        if zeros.size:
+            h[zeros] = _parity_chains(QrmParams(delta_prime, 0.0, omega1, g1), t)
+        es = eigensystem(h, k)
+        parity += [(None,) * k] * len(part)
+        for b in zeros:  # unfold the chain vectors into the composite basis
+            chain = es.vectors[b]
+            top, bot = chain[:n], chain[n:]
+            w_top = np.sum(top * top, axis=0)
+            if np.minimum(w_top, np.sum(bot * bot, axis=0)).max(initial=0.0) > _STRAY_WEIGHT:
+                raise ConvergenceError(
+                    f"an eigenvector has more than {_STRAY_WEIGHT} of its weight off its parity chain"
+                )
+            even, odd = top + bot, (-1.0) ** np.arange(n)[:, None] * (top - bot)
+            chain[0::2], chain[1::2] = even / math.sqrt(2.0), odd / math.sqrt(2.0)
+            _fix_signs(chain)  # the convention holds in the basis returned
+            parity[start + b] = tuple(1 if w > 0.5 else -1 for w in w_top)
+        values.append(es.values)
+        vectors.append(es.vectors)
+    return np.concatenate(values), np.concatenate(vectors), parity
 
 
 def _fix_signs(vectors):
-    idx = np.argmax(np.abs(vectors), axis=0)
-    flip = vectors[idx, np.arange(vectors.shape[1])] < 0.0
-    vectors[:, flip] *= -1.0
-
-
-def _validate(h, values, vectors):
-    dim = h.shape[0]
-    gram = vectors.T @ vectors
-    if np.max(np.abs(gram - np.eye(dim))) > 1e-10:
-        raise ConvergenceError("eigenvectors are not orthonormal to 1e-10")
-    h_norm = max(np.max(np.abs(values)), 1e-300)
-    resid = h @ vectors - vectors * values
-    if np.max(np.linalg.norm(resid, axis=0)) > 1e-9 * h_norm:
-        raise ConvergenceError("eigenpair residual exceeds 1e-9 * |H|")
+    """Flip each column of ``vectors`` (..., dim, k) in place so that its
+    largest-magnitude coefficient is positive."""
+    top = np.abs(vectors).argmax(axis=-2)[..., None, :]
+    vectors *= np.where(np.take_along_axis(vectors, top, axis=-2) < 0.0, -1.0, 1.0)
 
 
 def drive_matrix_element(es: EigenSystem, i: int, j: int) -> float:

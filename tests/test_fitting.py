@@ -5,8 +5,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dscqed import ConfigError, FockTruncation, PeakData, QrmParams, fit, read_peaks_csv, solve
-from dscqed import fitting
+from dscqed import (
+    ConfigError,
+    ConvergenceError,
+    FockTruncation,
+    PeakData,
+    QrmParams,
+    fit,
+    read_peaks_csv,
+    solve,
+    synthetic_peaks_path,
+)
+from dscqed import fitting, rabi
+from dscqed.cli import main
 from dscqed.fitting import _layout, _levenberg_marquardt
 
 from conftest import (
@@ -156,6 +167,14 @@ def test_degenerate_bias_rejected():
     rows = [(0.1, 2.5, "03", 1.0), (0.1, 2.6, "12", 1.0), (0.1, 2.7, "02", 1.0)]
     data = PeakData.from_rows(rows)
     with pytest.raises(ValueError):
+        fit(data, initial=(0.15, 2.6, 2.4), bounds=BOUNDS)
+
+
+@pytest.mark.parametrize("biases", [(0.3, 0.3, 0.3), (0.3, -0.3, 0.3)])
+def test_equal_bias_magnitudes_rejected(biases):
+    # the spectrum is even in the bias: rows at +-0.3 hold one bias, not two
+    data = PeakData.from_rows([(eps, 2.3, "03") for eps in biases])
+    with pytest.raises(ValueError, match="degenerate data"):
         fit(data, initial=(0.15, 2.6, 2.4), bounds=BOUNDS)
 
 
@@ -353,8 +372,6 @@ def test_mixed_labeled_and_unlabeled_biases_match_dense_oracle(monkeypatch):
     # labeled and unlabeled rows share one eigh over the distinct |bias|
     # (0, 0.3, 0.6), and nothing goes through solve.  Unlabeled rows sit
     # 0.1 MHz from the allowed line they name.
-    from dscqed import rabi
-
     params = PAPER_TRIPLE
     rows = []
     for eps, label in [(-0.6, "03"), (-0.6, "12"), (0.6, "02"), (0.3, "13"), (0.0, "03")]:
@@ -391,7 +408,8 @@ def test_zero_bias_kernel_vectors_keep_their_parity():
     # at g1 / omega1 = 5 the doublets are degenerate to roundoff: an eigh of
     # H(0) mixes their parities, the parity chains do not
     params, n_max = (1.0, 1.0, 5.0), 64
-    _, vectors = fitting._stacked_eigenpairs(params, np.array([0.0]), n_max, 6)
+    delta, omega, g = params
+    _, vectors, _ = rabi._eigenpairs(delta, np.array([0.0]), omega, g, FockTruncation(n_max), 6)
     parity = kron_parity(n_max + 1)
     es = solve(QrmParams(params[0], 0.0, params[1], params[2]), FockTruncation(n_max))
     for k in range(6):
@@ -469,7 +487,7 @@ def test_one_bias_per_chunk_gives_identical_results(monkeypatch):
         return pred, jac, res, list(solves)
 
     stacked = run()
-    monkeypatch.setattr(fitting, "_STACK_BYTES", 1)
+    monkeypatch.setattr(rabi, "_STACK_BYTES", 1)
     chunked = run()
     assert stacked[2].iterations == chunked[2].iterations
     for a, b in [
@@ -484,6 +502,24 @@ def test_one_bias_per_chunk_gives_identical_results(monkeypatch):
     assert len(layout.biases) == biases < len(np.unique(data.epsilon))
     assert stacked[3][0] == (biases, 82, 82) and chunked[3][:biases] == [(1, 82, 82)] * biases
     assert len(chunked[3]) == biases * len(stacked[3])
+
+
+def test_fit_eigenpairs_are_validated(monkeypatch, capsys):
+    # a stacked eigh whose column 1 is off by 1e-6 fails eigensystem's
+    # orthonormality and residual checks, in the library and the CLI
+    original = np.linalg.eigh
+
+    def skewed(h):
+        values, vectors = original(h)
+        vectors[..., 1] += 1e-6
+        return values, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", skewed)
+    path = synthetic_peaks_path()
+    with pytest.raises(ConvergenceError):
+        fit(read_peaks_csv(path), initial=(0.15, 2.6, 2.4), bounds=BOUNDS)
+    assert main(["fit", "--data", str(path)]) == 2
+    assert "numerical failure:" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dscqed import (
     eigensystem,
     solve,
 )
-from dscqed.rabi import _hamiltonians
+from dscqed.rabi import _hamiltonians, _parity_chains
 
 from conftest import dense_drive_element, kron_hamiltonian, kron_parity, transition_frequency
 
@@ -153,6 +153,34 @@ def test_sign_convention(paper_params):
     es = solve(paper_params, T40)
     idx = np.argmax(np.abs(es.vectors), axis=0)
     assert np.all(es.vectors[idx, np.arange(es.dim)] > 0.0)
+
+
+def test_stacked_eigensystem_is_the_per_matrix_eigensystem():
+    # a stack of a parity-chain matrix and two biased Hamiltonians, lowest k
+    # vectors kept: each slice is the per-matrix result bit for bit, and k
+    # only drops columns
+    t, k = FockTruncation(20), 5
+    stack = np.stack(
+        [
+            _parity_chains(QrmParams(0.147, 0.0, 2.57, 2.39), t),
+            build_hamiltonian(QrmParams(0.147, 0.3, 2.57, 2.39), t),
+            build_hamiltonian(QrmParams(1.0, -0.7, 1.0, 5.0), t),
+        ]
+    )
+    es = eigensystem(stack, k)
+    assert es.values.shape == (3, t.dim) and es.vectors.shape == (3, t.dim, k)
+    assert es.dim == t.dim
+    for m, h in enumerate(stack):
+        one = eigensystem(h, k)
+        assert es.values[m].tobytes() == one.values.tobytes()
+        assert es.vectors[m].tobytes() == one.vectors.tobytes()
+        assert one.vectors.tobytes() == eigensystem(h).vectors[:, :k].tobytes()
+    values_only = eigensystem(stack, 0)
+    assert values_only.vectors.shape == (3, t.dim, 0)
+    assert values_only.values.tobytes() == np.linalg.eigvalsh(stack).tobytes()
+    for bad in (-1, t.dim + 1):
+        with pytest.raises(ValueError, match="k must be"):
+            eigensystem(stack, bad)
 
 
 def test_rejects_asymmetric_input():

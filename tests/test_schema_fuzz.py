@@ -23,6 +23,7 @@ import math
 import os
 import re
 import warnings
+from pathlib import Path
 
 import pytest
 import yaml
@@ -165,7 +166,7 @@ def _check_contract(rc, out, err, argv, caught, form=None):
     if rc == 0:
         assert err == ""
         target = _option(argv, "--out")
-        text = open(target).read() if target else out
+        text = Path(target).read_text() if target else out
         form = _option(argv, "--format") or form
         if form == "json":
             numbers = _json_numbers(json.loads(text))

@@ -32,7 +32,6 @@ from .resonator import (
     ModeTable,
     ResonatorModel,
     coupling_strength_at,
-    coupling_strengths,
     cutoff_frequency,
     mode_table,
     mode_wavenumbers,
@@ -60,7 +59,6 @@ __all__ = [
     "build_hamiltonian",
     "converged_truncation",
     "coupling_strength_at",
-    "coupling_strengths",
     "cutoff_frequency",
     "cutoff_sum",
     "drive_matrix_element",

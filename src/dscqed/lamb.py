@@ -1,12 +1,13 @@
 """Renormalization of the qubit gap by resonator vacuum fluctuations.
 
-Single-mode, multimode, and cutoff-regularized odd-harmonic forms of the
-adiabatic-approximation shift  delta -> delta * exp(-2 g^2 / omega^2),
-plus the dimensionless mode sum
+Single-mode and multimode forms of the adiabatic-approximation shift
+delta -> delta * exp(-2 g^2 / omega^2), and the paper's idealization of the
+multimode chain: odd harmonics n * omega1 coupled by ``resonator.coupling_law``
+with the dimensionless cutoff n_cutoff = omega_cutoff / omega1, whose mode sum
 
-    S(n_cutoff) = sum over odd n of 1 / (n * (1 + n^2 / n_cutoff^2))
+    S(n_cutoff) = sum over odd n of coupling_law(n, n / n_cutoff) / n^2
 
-and its large-n_cutoff asymptote, both in closed form; n_cutoff = omega_cutoff / omega_1.
+and large-n_cutoff asymptote are both in closed form.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import ConvergenceError
-from .resonator import N_MODES_CEILING
+from .resonator import N_MODES_CEILING, check_coupling_domain, coupling_law
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -93,15 +94,14 @@ class LambShiftReport:
 
 def single_mode_renorm(delta0: float, g: float, omega: float) -> float:
     """Gap renormalized by one mode: delta0 * exp(-2 g^2 / omega^2)."""
-    if not omega > 0.0:
-        raise ValueError(f"omega must be > 0, got {omega}")
+    delta = multimode_renorm(delta0, ((g, omega),))
     if delta0 / omega > _VALIDITY_RATIO:
         warnings.warn(
             f"delta0/omega = {delta0 / omega:.3g} exceeds {_VALIDITY_RATIO}; "
             "the exponential formula assumes delta0 << omega",
             stacklevel=2,
         )
-    return delta0 * math.exp(-2.0 * (g / omega) ** 2)
+    return delta
 
 
 def multimode_renorm(delta0: float, modes) -> float:
@@ -111,24 +111,28 @@ def multimode_renorm(delta0: float, modes) -> float:
     independent of the ordering of the modes.  Passing the modes n >= 2 only
     gives the renormalization by the non-fundamental modes; multiplying by
     the fundamental factor exp(-2 g1^2/omega1^2) reproduces the full result.
+    A non-finite or negative delta0, a non-finite g_n or omega_n <= 0 raises ValueError.
     """
+    if not (delta0 >= 0.0 and math.isfinite(delta0)):
+        raise ValueError(f"delta0 must be finite and >= 0, got {delta0}")
     terms = []
     for g, omega in modes:
-        if not omega > 0.0:
-            raise ValueError(f"mode frequencies must be > 0, got {omega}")
+        if not (math.isfinite(g) and omega > 0.0):
+            raise ValueError(f"modes need a finite g_n and omega_n > 0, got ({g}, {omega})")
         terms.append((g / omega) ** 2)
     return delta0 * math.exp(-2.0 * math.fsum(terms))
 
 
 def cutoff_sum(n_cutoff: float) -> float:
-    """Odd-harmonic mode sum S(n_cutoff) in closed form, to ~1e-15 relative.
+    """The paper's idealized odd-harmonic mode sum S(n_cutoff) (module docstring)
+    in closed form, to ~1e-15 relative.  Over the solved modes of the bundled
+    device (``resonator.mode_table``) the sum is 1.9756, not S(13.2) = 1.9248.
 
-    S = (Re psi(1/2 + i y) - psi(1/2)) / 2 with y = n_cutoff / 2 (partial
-    fractions over odd n; Abramowitz & Stegun 6.3).  The terms
-    y^2 / (a (a^2 + y^2)) at a = 1/2 .. 19.5 are summed directly; the rest,
-    Re psi(w + i y) - psi(w) at w = 20.5, is the Stirling series in t = y / w
-    written in differences that vanish like t^2, so nothing cancels at small
-    n_cutoff.  The cost does not depend on n_cutoff.
+    S = (Re psi(1/2 + i y) - psi(1/2)) / 2 with y = n_cutoff / 2 (partial fractions
+    over odd n; Abramowitz & Stegun 6.3).  The terms y^2 / (a (a^2 + y^2)) at
+    a = 1/2 .. 19.5 are summed directly; the rest, Re psi(w + i y) - psi(w) at
+    w = 20.5, is the Stirling series in t = y / w written in differences that
+    vanish like t^2, so nothing cancels at small n_cutoff; the cost is fixed.
     """
     if not (n_cutoff > 0.0 and math.isfinite(n_cutoff)):
         raise ValueError(f"n_cutoff must be positive and finite, got {n_cutoff}")
@@ -166,21 +170,17 @@ def asymptotic_sum(n_cutoff: float) -> float:
 
 
 def per_mode_shifts(g1: float, omega1: float, n_cutoff: float, n_modes: int) -> tuple:
-    """Relative shift each mode alone would induce, 1 - exp(-2 g_n^2/omega_n^2).
-
-    Mode frequencies are taken as odd multiples of omega1 with the scaled
-    cutoff-suppressed coupling; ``n_cutoff`` may be ``inf`` (no cutoff).
+    """Relative shift each mode alone would induce, 1 - exp(-2 g_n^2/omega_n^2),
+    in the paper's idealization (see ``cutoff_sum``): odd harmonics n omega1
+    with (g_n / g1)^2 = ``coupling_law(n, n / n_cutoff)``.  ``n_cutoff`` may be
+    ``inf``; g1 < 0, omega1 <= 0 and n_cutoff <= 0 or NaN raise ValueError.
     """
     if not 1 <= n_modes <= N_MODES_CEILING:
         raise ValueError(f"n_modes must be between 1 and {N_MODES_CEILING}, got {n_modes}")
-    if not omega1 > 0.0:
-        raise ValueError(f"omega1 must be > 0, got {omega1}")
+    check_coupling_domain(g1, omega1, omega1, n_cutoff)  # the lowest mode is omega1
     x = -2.0 * (g1 / omega1) ** 2
-    shifts = []
-    for n in range(1, 2 * n_modes, 2):
-        r = n / n_cutoff
-        shifts.append(-math.expm1(x * (1.0 / (n * (1.0 + r * r)))))
-    return tuple(shifts)
+    odd = map(float, range(1, 2 * n_modes, 2))
+    return tuple([-math.expm1(x * coupling_law(n, n / n_cutoff) / (n * n)) for n in odd])
 
 
 def full_report(
@@ -194,15 +194,11 @@ def full_report(
     recover the bare gap, the partially renormalized gap, and all shifts."""
     if not delta_measured > 0.0:
         raise ValueError(f"delta_measured must be > 0, got {delta_measured}")
-    if not g1 >= 0.0:
-        raise ValueError(f"g1 must be >= 0, got {g1}")
-    if not omega1 > 0.0:
-        raise ValueError(f"omega1 must be > 0, got {omega1}")
+    check_coupling_domain(g1, omega1, omega1, n_cutoff)
     s = cutoff_sum(n_cutoff)
     if s < 1.0 and g1 > 0.0:
-        # The scaled coupling law normalizes the n=1 term below one, so for
-        # n_cutoff this small the partially renormalized gap would come out
-        # above the bare gap -- outside the report's validity.
+        # The coupling law puts the n=1 term below one, so here the partially
+        # renormalized gap would come out above the bare gap -- outside validity.
         raise ValueError(
             f"mode sum S({n_cutoff}) = {s:.4g} < 1: report inconsistent below "
             f"n_cutoff {N_CUTOFF_MIN}"

@@ -2,10 +2,10 @@
 
 Solves the transcendental mode equation  kX * tan(kX) = (total inductance) /
 (termination inductance), yielding mode frequencies, zero-point current
-fluctuations, and per-mode coupling strengths with their natural
-high-frequency cutoff  omega_cutoff = Z0 / L_c2  (an angular frequency;
-the API reports ordinary GHz).  All branches are solved by one array
-bisection of fixed length; an uncertified root raises ConvergenceError.
+fluctuations, and per-mode couplings by the one ``coupling_law``, which
+peaks at the natural cutoff  omega_cutoff = Z0 / L_c2  (an angular
+frequency; the API reports ordinary GHz).  All branches are solved by one
+array bisection of fixed length; an uncertified root raises ConvergenceError.
 
 Only the combinations Z0, X*l (total inductance) and the bare fundamental
 frequency enter any result, so the model stores exactly those; the
@@ -139,33 +139,39 @@ def zero_point_current(m: ResonatorModel, omega_n) -> np.ndarray | float:
     both frequencies angular; maximal at w = w_cutoff.
     """
     w = np.asarray(omega_n, dtype=float) * TWO_PI_GHZ
-    if np.any(w <= 0.0):
-        raise ValueError("omega_n must be > 0")
+    if not np.all((w > 0.0) & (w < math.inf)):
+        raise ValueError("omega_n must be finite and > 0")
     w_cut = m.z0 / m.l_c2
     out = np.sqrt(HBAR * w / (m.l_total * (1.0 + (w / w_cut) ** 2)))
     return float(out) if out.ndim == 0 else out
 
 
-def coupling_strength_at(omega_ghz, g1: float, omega1: float, omega_cutoff_ghz: float):
-    """Coupling to a mode at ``omega_ghz``, scaled from the fundamental coupling:
-
-        g(w) = g1 * sqrt((w / omega1) / (1 + (w / w_cutoff)^2))
-
-    Accepts scalars or arrays; ``omega_cutoff_ghz`` may be ``inf``.
-    """
-    w = np.asarray(omega_ghz, dtype=float)
-    out = g1 * np.sqrt((w / omega1) / (1.0 + (w / omega_cutoff_ghz) ** 2))
-    return float(out) if out.ndim == 0 else out
+def coupling_law(x, y):
+    """The one coupling law (g / g1)^2 = x / (1 + y^2) at x = omega / omega1
+    and y = omega / omega_cutoff, in plain arithmetic (a float stays a float);
+    ``check_coupling_domain`` checks its inputs."""
+    return x / (1.0 + y * y)
 
 
-def coupling_strengths(m: ResonatorModel, g1: float, omega1: float, modes) -> np.ndarray:
-    """Per-mode couplings in GHz for the given mode frequencies (GHz): ``g1``
-    scaled by the cutoff-suppressed sqrt(omega) law."""
+def check_coupling_domain(g1: float, omega1: float, omega_min: float, cutoff: float) -> None:
+    """ValueError unless g1 >= 0, omega1 > 0, the lowest mode frequency
+    omega_min > 0 and cutoff > 0, ``inf`` allowed; NaN fails.  The cutoff is
+    omega_cutoff, or n_cutoff = omega_cutoff / omega1 (the same domain)."""
     if not g1 >= 0.0:
         raise ValueError(f"g1 must be >= 0, got {g1}")
-    if not omega1 > 0.0:
-        raise ValueError(f"omega1 must be > 0, got {omega1}")
-    return coupling_strength_at(np.asarray(modes, dtype=float), g1, omega1, cutoff_frequency(m))
+    for name, value in (("omega1", omega1), ("omega", omega_min), ("cutoff", cutoff)):
+        if not value > 0.0:
+            raise ValueError(f"{name} must be > 0, got {value}")
+
+
+def coupling_strength_at(omega_ghz, g1: float, omega1: float, omega_cutoff_ghz: float):
+    """Coupling in GHz to modes at ``omega_ghz`` (a float or an array):
+    g1 * sqrt(``coupling_law``).  Its domain is g1 >= 0, omega1 > 0, every
+    w > 0 and w_cutoff > 0, ``inf`` allowed; anything else is a ValueError."""
+    w = np.asarray(omega_ghz, dtype=float)
+    check_coupling_domain(g1, omega1, w.min(), omega_cutoff_ghz)
+    out = g1 * np.sqrt(coupling_law(w / omega1, w / omega_cutoff_ghz))
+    return float(out) if out.ndim == 0 else out
 
 
 def mode_table(m: ResonatorModel, n_modes: int, g1: float, omega1: float) -> ModeTable:
@@ -177,5 +183,5 @@ def mode_table(m: ResonatorModel, n_modes: int, g1: float, omega1: float) -> Mod
         omega_ghz=omega,
         k_x=k_x,
         i_zpf=zero_point_current(m, omega),
-        g_ghz=coupling_strengths(m, g1, omega1, omega),
+        g_ghz=coupling_strength_at(omega, g1, omega1, cutoff_frequency(m)),
     )

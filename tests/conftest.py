@@ -40,7 +40,7 @@ def transition_frequency(es, i, j):
 
 def absolute_couplings(m, i_q, modes):
     """Oracle per-mode couplings l_c * i_q * I_zpf / h in GHz for a qubit
-    persistent current ``i_q`` (A); they agree with ``coupling_strengths``
+    persistent current ``i_q`` (A); they agree with ``coupling_strength_at``
     in the ratio g_n/g_1 to O((omega1/omega_cutoff)^2)."""
     return m.l_c * i_q * zero_point_current(m, np.asarray(modes, dtype=float)) / (PLANCK_H * 1e9)
 

@@ -7,9 +7,14 @@ from dscqed import (
     FockTruncation,
     QrmParams,
     asymptotic_sum,
+    coupling_strength_at,
+    cutoff_frequency,
     cutoff_sum,
     full_report,
+    load_config,
+    mode_table,
     multimode_renorm,
+    paper_device_path,
     per_mode_shifts,
     single_mode_renorm,
     solve,
@@ -84,6 +89,25 @@ def test_two_identical_modes_double_exponent():
 def test_order_independence():
     modes = [(0.1 * k, 1.0 + 0.3 * k) for k in range(1, 30)]
     assert multimode_renorm(1.0, modes) == multimode_renorm(1.0, modes[::-1])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: multimode_renorm(0.3, [(math.nan, 2.0)]),
+        lambda: multimode_renorm(0.3, [(math.inf, 2.0)]),
+        lambda: multimode_renorm(math.nan, [(0.5, 2.0)]),
+        lambda: multimode_renorm(math.inf, [(0.5, 2.0)]),
+        lambda: multimode_renorm(-0.3, [(0.5, 2.0)]),
+        lambda: multimode_renorm(-0.3, []),
+        lambda: single_mode_renorm(0.3, math.nan, 2.57),
+        lambda: single_mode_renorm(math.nan, 2.39, 2.57),
+        lambda: single_mode_renorm(-0.3, 2.39, 2.57),
+    ],
+)
+def test_renormalization_refuses_nonfinite_or_negative_gap_inputs(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_million_harmonics_match_cutoff_sum_path():
@@ -236,6 +260,56 @@ def test_per_mode_shift_count_ceiling():
     for n_modes in (0, N_MODES_CEILING + 1):
         with pytest.raises(ValueError, match="n_modes"):
             per_mode_shifts(2.39, 2.57, 13.2, n_modes)
+
+
+@pytest.mark.parametrize(
+    "g1, omega1, n_cutoff",
+    [
+        (2.39, 2.57, 0.0),
+        (2.39, 2.57, -13.2),
+        (2.39, 2.57, math.nan),
+        (-2.39, 2.57, 13.2),
+        (2.39, 0.0, 13.2),
+        (2.39, math.nan, 13.2),
+    ],
+)
+def test_per_mode_shifts_refuse_inputs_outside_the_coupling_law(g1, omega1, n_cutoff):
+    with pytest.raises(ValueError):
+        per_mode_shifts(g1, omega1, n_cutoff, 3)
+
+
+# ---------------------------------------------------------------------------
+# The paper's idealization against the solved modes
+# ---------------------------------------------------------------------------
+
+
+def test_idealized_and_solved_mode_sums_split_in_three_steps():
+    # lamb's S(n_cutoff) assumes odd harmonics n * omega1 and the L_c-only
+    # cutoff; the solved modes with the L_c2 cutoff, referenced to the qrm
+    # omega1, give a larger sum.  Each step applies the one coupling law.
+    run = load_config(paper_device_path())
+    m, g1, omega1 = run.resonator, run.qrm.g1, run.qrm.omega1
+    n_modes = 2 * 10**4
+    table = mode_table(m, n_modes, g1, omega1)
+    w, w1 = table.omega_ghz, table.omega_ghz[0]
+    lc_only, lc2 = cutoff_frequency(m, lc_only=True), cutoff_frequency(m)
+
+    def mode_sum(omega, cutoff):
+        g = coupling_strength_at(omega, g1, w1, cutoff)
+        return float(np.sum((g / omega) ** 2)) / (g1 / w1) ** 2
+
+    n_c = lc_only / w1
+    odd = mode_sum(w1 * np.arange(1, 2 * n_modes, 2), lc_only)
+    # the odd harmonics beyond 2 n_modes add n_c^2 / (4 (2 n_modes)^2)
+    assert odd + n_c**2 / (4 * (2 * n_modes) ** 2) == pytest.approx(cutoff_sum(n_c), abs=1e-12)
+    assert round(w1, 5) == 2.61003 and round(n_c, 4) == 13.1988
+    assert round(odd, 6) == 1.924763
+    assert round(mode_sum(w, lc_only), 6) == 1.890047
+    assert round(mode_sum(w, lc2), 6) == 2.006402
+    device = float(np.sum((table.g_ghz / w) ** 2)) / (g1 / omega1) ** 2
+    assert round(device, 6) == 1.975634
+    assert round(cutoff_sum(run.lamb.n_cutoff), 6) == 1.924810
+    assert round(table.g_ghz[0] / g1, 6) == 1.005998
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 from dscqed import (
     ResonatorModel,
     coupling_strength_at,
-    coupling_strengths,
     cutoff_frequency,
     mode_table,
     mode_wavenumbers,
@@ -179,8 +178,9 @@ def test_zpf_inverse_sqrt_scaling_above_cutoff(paper_resonator):
 
 
 def test_zpf_rejects_nonpositive_frequency(paper_resonator):
-    with pytest.raises(ValueError):
-        zero_point_current(paper_resonator, 0.0)
+    for omega in (0.0, -2.0, math.nan, math.inf, [2.0, math.nan]):
+        with pytest.raises(ValueError):
+            zero_point_current(paper_resonator, omega)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +217,24 @@ def test_coupling_unimodal_peak_at_cutoff(paper_resonator):
     assert np.all(np.diff(g[peak:]) < 0.0)
 
 
+@pytest.mark.parametrize(
+    "omega, g1, omega1, omega_cutoff, name",
+    [
+        (2.0, 2.39, 2.57, 0.0, "cutoff"),
+        (2.0, 2.39, 2.57, -44.1, "cutoff"),
+        (2.0, 2.39, 2.57, math.nan, "cutoff"),
+        (-2.0, 2.39, 2.57, 44.1, "omega"),
+        (np.array([2.0, math.nan]), 2.39, 2.57, 44.1, "omega"),
+        (2.0, -1.0, 2.57, 44.1, "g1"),
+        (2.0, math.nan, 2.57, 44.1, "g1"),
+        (2.0, 2.39, 0.0, 44.1, "omega1"),
+    ],
+)
+def test_coupling_refuses_inputs_outside_its_domain(omega, g1, omega1, omega_cutoff, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        coupling_strength_at(omega, g1, omega1, omega_cutoff)
+
+
 def test_larger_coupling_inductance_lowers_cutoff():
     cutoffs = [
         cutoff_frequency(_model(l_c=lc * 1e-12)) for lc in (100.0, 231.0, 400.0)
@@ -227,7 +245,7 @@ def test_larger_coupling_inductance_lowers_cutoff():
 def test_absolute_and_scaled_paths_agree_in_ratio(paper_resonator):
     m = _model()
     modes = mode_table(m, 10, 2.39, 2.57).omega_ghz
-    scaled = coupling_strengths(m, 2.39, modes[0], modes)
+    scaled = coupling_strength_at(modes, 2.39, modes[0], cutoff_frequency(m))
     absolute = absolute_couplings(m, 300e-9, modes)
     ratio_scaled = scaled / scaled[0]
     ratio_absolute = absolute / absolute[0]

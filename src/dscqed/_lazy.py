@@ -1,8 +1,8 @@
 """numpy, imported on its first attribute access rather than at import time.
 
-``lamb-shift`` and ``reproduce-paper`` compute scalars only, so a fresh
-process running them never pays numpy's import; every other command loads
-it at its first array operation.  This is the ``importlib.util.LazyLoader``
+``lamb-shift``, ``reproduce-paper``, ``modes`` and ``couplings`` compute
+in plain floats, so a fresh process running them never pays numpy's import;
+``spectrum`` and ``fit`` load it at their first array operation.  This is the ``importlib.util.LazyLoader``
 recipe of the Python documentation ("Implementing lazy imports").  When
 numpy is already imported, ``np`` is that module itself.  The lazy load is
 not thread-safe before Python 3.12: import numpy first to share it between

@@ -24,8 +24,9 @@ p = +-1, split H into two tridiagonal chains, one per parity:
     diagonal       omega1 * n - p * (-1)^n * delta_prime / 2
     off-diagonal   g1 * sqrt(n + 1) between |p, n> and |p, n + 1>
 
-``solve`` (one bias) and the fit (all the data's |bias|) share one kernel,
-``_eigenpairs``, which puts the chains in at zero bias.
+``solve`` (one bias), the sweep (one bias at a time) and the fit (all the
+data's |bias|) share one kernel, ``_eigenpairs``, which puts the chains in
+at zero bias.
 """
 
 from __future__ import annotations
@@ -230,13 +231,17 @@ def _eigenpairs(delta_prime, biases, omega1, g1, t, k):
     values, vectors, parity = [], [], []
     for start in range(0, len(biases), chunk):
         part = biases[start : start + chunk]
-        zeros = (part == 0.0).nonzero()[0]
-        h = _hamiltonians(delta_prime, part, omega1, g1, t)
-        if zeros.size:
-            h[zeros] = _parity_chains(QrmParams(delta_prime, 0.0, omega1, g1), t)
+        zero = part == 0.0
+        if zero.any():  # H(0) is the chains; assemble only the other biases
+            h = np.empty(part.shape + (t.dim, t.dim))
+            h[zero] = _parity_chains(QrmParams(delta_prime, 0.0, omega1, g1), t)
+            if not zero.all():
+                h[~zero] = _hamiltonians(delta_prime, part[~zero], omega1, g1, t)
+        else:
+            h = _hamiltonians(delta_prime, part, omega1, g1, t)
         es = eigensystem(h, k)
         parity += [(None,) * k] * len(part)
-        for b in zeros:  # unfold the chain vectors into the composite basis
+        for b in zero.nonzero()[0]:  # unfold the chain vectors into the composite basis
             chain = es.vectors[b]
             top, bot = chain[:n], chain[n:]
             w_top = np.sum(top * top, axis=0)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._lazy import np
-from .rabi import QrmParams, _grid_truncation, drive_matrix_element, solve
+from .rabi import EigenSystem, _eigenpairs, _grid_truncation, drive_matrix_element
 
 
 @dataclass(frozen=True)
@@ -71,12 +71,14 @@ def sweep(delta_prime: float, omega1: float, g1: float, cfg: SweepConfig) -> lis
     lo, hi = cfg.freq_window
 
     lines = []
-    for eps in grid:
-        es = solve(QrmParams(delta_prime, float(eps), omega1, g1), trunc)
+    for b in range(len(grid)):  # one eigensolve per bias, its lowest k_levels vectors kept
+        values, vectors, parity = _eigenpairs(delta_prime, grid[b : b + 1], omega1, g1, trunc, cfg.k_levels)
+        es = EigenSystem(values[0], vectors[0], parity[0])
+        eps = float(grid[b])
         for i in (0, 1):
             for j in range(i + 1, cfg.k_levels):
                 f = float(es.values[j] - es.values[i])
                 if lo <= f <= hi:
                     amp = drive_matrix_element(es, i, j)
-                    lines.append(SpectralLine(float(eps), i, j, f, amp))
+                    lines.append(SpectralLine(eps, i, j, f, amp))
     return lines

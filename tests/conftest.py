@@ -1,9 +1,11 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from dscqed import PeakData, QrmParams, ResonatorModel
+from dscqed.errors import ConvergenceError
 from dscqed.resonator import zero_point_current
 from dscqed.fitting import _layout, _predicted
 from dscqed.output import LINE_FIELDS, table
@@ -42,7 +44,8 @@ def absolute_couplings(m, i_q, modes):
     """Oracle per-mode couplings l_c * i_q * I_zpf / h in GHz for a qubit
     persistent current ``i_q`` (A); they agree with ``coupling_strength_at``
     in the ratio g_n/g_1 to O((omega1/omega_cutoff)^2)."""
-    return m.l_c * i_q * zero_point_current(m, np.asarray(modes, dtype=float)) / (PLANCK_H * 1e9)
+    i_zpf = np.array([zero_point_current(m, w) for w in modes])
+    return m.l_c * i_q * i_zpf / (PLANCK_H * 1e9)
 
 
 def dense_drive_element(es, i, j):
@@ -95,6 +98,38 @@ def root_in_branch(r, n):
         if b - a < 1e-13:
             break
     return 0.5 * (a + b)
+
+
+# Non-negative doubles order like their int64 bit patterns: halving the
+# pattern interval [0, bits(pi/2)] < 2^62 collapses it in 62 steps.
+_HALF_PI_BITS = struct.unpack("<q", struct.pack("<d", 0.5 * math.pi))[0]
+_BISECTION_STEPS = 62
+
+
+def bisection_roots(r, n_modes):
+    """Oracle kX = (n-1)*pi + u for branches 1..n_modes, all at once.
+
+    Bisects the bit patterns of u in [0, pi/2] on the pole-free form
+    ((n-1)*pi + u) sin u > r cos u down to adjacent doubles and returns
+    their midpoint.  Raises ConvergenceError when the residual, taken in u,
+    exceeds 1e-9 relative (for r < 1e12).
+    """
+    base = math.pi * np.arange(n_modes)
+    lo = np.zeros(n_modes, dtype=np.int64)
+    hi = np.full(n_modes, _HALF_PI_BITS, dtype=np.int64)
+    for _ in range(_BISECTION_STEPS):
+        mid = (lo + hi) >> 1
+        u = mid.view(np.float64)
+        right = (base + u) * np.sin(u) > r * np.cos(u)
+        hi = np.where(right, mid, hi)
+        lo = np.where(right, lo, mid)
+    u = 0.5 * (lo.view(np.float64) + hi.view(np.float64))
+    roots = base + u
+    if r < 1e12:
+        resid = np.max(np.abs(roots * np.tan(u) - r)) / r
+        if resid > 1e-9:
+            raise ConvergenceError(f"mode-equation residual {resid} exceeds 1e-9")
+    return roots
 
 
 def resonator_with_ratio(r):

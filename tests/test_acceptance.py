@@ -159,7 +159,7 @@ def test_criterion_08_coupling_unimodality_and_cutoff_trend():
     )
     w_cut = cutoff_frequency(m)
     grid = np.linspace(0.01, 4.0 * w_cut, 10**4)
-    g = coupling_strength_at(grid, 2.39, 2.57, w_cut)
+    g = np.array([coupling_strength_at(w, 2.39, 2.57, w_cut) for w in grid])
     peak = int(np.argmax(g))
     unimodal = (
         abs(grid[peak] - w_cut) <= grid[1] - grid[0]

@@ -47,9 +47,10 @@ def test_reproduce_paper_prints_requested_format(capsys):
 
 
 def test_scalar_commands_run_without_numpy(tmp_path):
-    # lamb-shift and reproduce-paper compute scalars, and a refused config
-    # stops before any array: a fresh process running them never imports
-    # numpy, which the first array operation then does
+    # lamb-shift, reproduce-paper, modes and couplings compute in plain
+    # floats, and a refused config stops before any array: a fresh process
+    # running them never imports numpy, which spectrum's first array
+    # operation then does
     bad = _config_variant(tmp_path, lambda t: t["qrm"].update(omega1_ghz="fast"))
     script = (
         "import contextlib, io, sys\n"
@@ -58,6 +59,8 @@ def test_scalar_commands_run_without_numpy(tmp_path):
         "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
         "        return main(list(argv))\n"
         "codes = [run('lamb-shift'), run('lamb-shift', '--format', 'json'), run('reproduce-paper'),\n"
+        "         run('modes'), run('modes', '--format', 'json'),\n"
+        "         run('couplings', '--l-c-ph', '100,231,400'),\n"
         f"         run('lamb-shift', '--config', {bad!r})]\n"
         "print(codes, 'numpy._core' in sys.modules)\n"
         "print(run('spectrum', '--epsilon', '0.3'), 'numpy._core' in sys.modules)\n"
@@ -66,7 +69,7 @@ def test_scalar_commands_run_without_numpy(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
-    assert proc.stdout.splitlines() == ["[0, 0, 0, 1] False", "0 True"], proc.stderr
+    assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0, 0, 1] False", "0 True"], proc.stderr
 
 
 # ---------------------------------------------------------------------------

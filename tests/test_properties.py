@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,14 @@ from dscqed import (
     solve,
     sweep,
 )
-from conftest import lines_table, resonator_with_ratio, root_in_branch, transition_frequency
+from dscqed.errors import ConvergenceError
+from conftest import (
+    bisection_roots,
+    lines_table,
+    resonator_with_ratio,
+    root_in_branch,
+    transition_frequency,
+)
 
 FAST = settings(max_examples=25, deadline=None, derandomize=True)
 SLOW = settings(max_examples=15, deadline=None, derandomize=True)
@@ -174,6 +182,21 @@ def test_array_bisection_matches_branch_oracle(r):
     np.testing.assert_allclose(mode_wavenumbers(m, 60), oracle, rtol=1e-15, atol=1e-13)
 
 
+@settings(FAST, max_examples=100)
+@given(st.floats(min_value=-3.0, max_value=11.0, **finite))
+def test_mode_roots_bitwise_equal_to_bisection(log_r):
+    # the same doubles as the array bisection, or a refusal by both
+    m = resonator_with_ratio(10.0**log_r)
+    r = m.l_total / m.l_c2
+    try:
+        oracle = tuple(bisection_roots(r, 60).tolist())
+    except ConvergenceError:
+        with pytest.raises(ConvergenceError):
+            mode_wavenumbers(m, 60)
+    else:
+        assert mode_wavenumbers(m, 60) == oracle
+
+
 @FAST
 @given(
     st.floats(min_value=0.0, max_value=1.5, **finite),
@@ -201,7 +224,7 @@ def test_report_self_consistency_and_survival(gratio, n_cutoff, delta):
 )
 def test_coupling_curve_unimodal(cutoff, omega1):
     grid = np.linspace(0.01, 4.0 * cutoff, 2001)
-    g = coupling_strength_at(grid, 1.0, omega1, cutoff)
+    g = np.array([coupling_strength_at(w, 1.0, omega1, cutoff) for w in grid])
     peak = int(np.argmax(g))
     assert np.all(np.diff(g[: peak + 1]) > 0.0)
     assert np.all(np.diff(g[peak:]) < 0.0)

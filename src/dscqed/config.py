@@ -94,7 +94,6 @@ FIELDS = (
     Field("device.alpha", float, REQUIRED, "(0, 1)"),
     Field("device.e_j_ghz", float, REQUIRED, POSITIVE),
     Field("qrm.delta_prime_ghz", float, REQUIRED, NON_NEGATIVE),
-    Field("qrm.epsilon_ghz", float, 0.0, GHZ),
     Field("qrm.omega1_ghz", float, REQUIRED, POSITIVE),
     Field("qrm.g1_ghz", float, REQUIRED, NON_NEGATIVE),
     Field("sweep.epsilon_min_ghz", float, -1.0, GHZ, "--epsilon-min"),
@@ -195,9 +194,7 @@ def validate(tree: dict, source, overrides=None) -> RunConfig:
         if not _OPS[op](v[lo], v[hi]):
             raise ConfigError(f"{name(lo)}: {v[lo]} must be {op} {name(hi)} ({v[hi]})")
 
-    qrm = QrmParams(
-        v["qrm.delta_prime_ghz"], v["qrm.epsilon_ghz"], v["qrm.omega1_ghz"], v["qrm.g1_ghz"]
-    )
+    qrm = QrmParams(v["qrm.delta_prime_ghz"], 0.0, v["qrm.omega1_ghz"], v["qrm.g1_ghz"])
     for k in PARAMS:
         lo, hi = v[f"fit.bounds.{k}"]
         try:  # QrmParams holds the model domain
@@ -266,7 +263,7 @@ def _flatten(tree: dict, source: str, prefix: str = "") -> dict:
             flat.update(_flatten(value, source, path + "."))
         else:
             allowed = dict.fromkeys(
-                p[len(prefix):].split(".")[0] for p in _PATHS if p.startswith(prefix)
+                f.path[len(prefix):].split(".")[0] for f in FIELDS if f.path.startswith(prefix)
             )
             raise ConfigError(f"{source}: {path}: unknown key (allowed: {', '.join(allowed)})")
     return flat

@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass
 
 from ._lazy import np
-from .errors import ConfigError, io_error
+from .errors import ConfigError, ConvergenceError, io_error
 from .rabi import (
     EigenSystem,
     FockTruncation,
@@ -230,7 +230,8 @@ def _predicted(params, layout: _Layout, n_max: int, floor: float, jacobian=False
     unlabeled = np.nonzero(j < 0)[0]
     k = layout.k_levels if unlabeled.size else (j.max() + 1 if jacobian else 0)
     t = FockTruncation(n_max)
-    values, vectors, _ = _eigenpairs(params[0], layout.biases, params[1], params[2], t, k)
+    es = _eigenpairs(params[0], layout.biases, params[1], params[2], t, k)
+    values, vectors = es.values, es.vectors
     for b in np.unique(at[unlabeled]):
         rows = unlabeled[at[unlabeled] == b]
         lines = _allowed_lines(values[b], vectors[b], layout.k_levels, floor)
@@ -302,7 +303,7 @@ def _allowed_lines(values, vectors, k_levels, floor):
     within ``k_levels``, from one bias's eigenvalues and its lowest
     ``k_levels`` eigenvectors: one drive amplitude per line, however many
     rows of the bias are matched against them."""
-    es = EigenSystem(values, vectors, (None,) * len(values))
+    es = EigenSystem(values, vectors)
     lines = [
         (float(es.values[j] - es.values[i]), i, j)
         for i in (0, 1)
@@ -330,7 +331,8 @@ def _levenberg_marquardt(residuals, x0, lo, hi, max_iter: int):
     steepest descent; an accepted step shrinks the damping tenfold.  Refusing
     rather than clipping keeps a long early step from being projected into a
     corner of the box that is a local minimum.  A parameter that starts on a
-    bound stays on it while the step points out of the box.
+    bound stays on it while the step points out of the box.  A failed
+    least-squares solve raises ConvergenceError.
 
     Returns (x, r, jacobian, iterations, reason, trace), with r and the
     jacobian at x, the best point evaluated: trace holds the cost after
@@ -346,11 +348,14 @@ def _levenberg_marquardt(residuals, x0, lo, hi, max_iter: int):
     damping = _DAMPING_START
     for it in range(1, max_iter + 1):
         mu = damping * np.mean(np.sum(jac * jac, axis=0))
-        step = np.linalg.lstsq(
-            np.vstack([jac, np.sqrt(mu) * np.eye(len(x))]),
-            np.concatenate([-r, np.zeros(len(x))]),
-            rcond=None,
-        )[0]
+        try:
+            step = np.linalg.lstsq(
+                np.vstack([jac, np.sqrt(mu) * np.eye(len(x))]),
+                np.concatenate([-r, np.zeros(len(x))]),
+                rcond=None,
+            )[0]
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"least-squares step failed: {exc}") from exc
         # a parameter sitting on a bound stays there while the step pushes out
         step[((x <= lo) & (step < 0.0)) | ((x >= hi) & (step > 0.0))] = 0.0
         trial = x + step

@@ -1,5 +1,6 @@
 """Truncated quantum Rabi model: Hamiltonian assembly, dense diagonalization
-of one matrix or a stack, parity labels and drive selection rules.
+of one matrix or a stack, parity-pure states at zero bias and drive
+selection rules.
 
 All energies are ordinary frequencies in GHz.  The Hamiltonian acting on a
 two-level system biased by ``epsilon`` with tunnel gap ``delta_prime``,
@@ -26,7 +27,9 @@ p = +-1, split H into two tridiagonal chains, one per parity:
 
 ``solve`` (one bias), the sweep (one bias at a time) and the fit (all the
 data's |bias|) share one kernel, ``_eigenpairs``, which puts the chains in
-at zero bias.
+at zero bias.  There every eigenvector lies on one chain, so it is a parity
+eigenstate: its parity is the sign of <v| sigma_x (-1)^n |v>, which is +-1
+to 1e-8, and forbidden lines (same parity) stay forbidden.
 """
 
 from __future__ import annotations
@@ -94,17 +97,14 @@ class FockTruncation:
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Sorted eigenvalues, eigenvector columns, and per-state parity.
+    """Sorted eigenvalues and eigenvector columns.
 
     ``values`` holds every eigenvalue, (..., dim) for a stack of matrices,
     and ``vectors`` the columns of the lowest k kept, (..., dim, k).
-    ``parity[k]`` is +1 or -1, the parity chain holding the state, when
-    ``solve`` ran at bias epsilon exactly zero; otherwise it is ``None``.
     """
 
     values: np.ndarray
     vectors: np.ndarray
-    parity: tuple
 
     @property
     def dim(self) -> int:
@@ -151,14 +151,14 @@ def _symmetric(diag, bands):
     return h
 
 
-def _parity_chains(p: QrmParams, t: FockTruncation) -> np.ndarray:
+def _parity_chains(delta_prime, omega1, g1, t):
     """H at epsilon = 0 in the parity basis: the chain p = +1 on rows
     0..n_max, the chain p = -1 below it, no element between them."""
     n = np.arange(t.n_states, dtype=float)
-    split = 0.5 * p.delta_prime * (-1.0) ** n
-    hop = p.g1 * np.sqrt(n[1:])
+    split = 0.5 * delta_prime * (-1.0) ** n
+    hop = g1 * np.sqrt(n[1:])
     return _symmetric(
-        np.concatenate([p.omega1 * n - split, p.omega1 * n + split]),
+        np.concatenate([omega1 * n - split, omega1 * n + split]),
         [(1, np.concatenate([hop, [0.0], hop]))],
     )
 
@@ -172,7 +172,7 @@ def eigensystem(h: np.ndarray, k: int | None = None) -> EigenSystem:
     kept eigenvector's largest-magnitude coefficient is positive (first
     occurrence on ties).  The kept pairs must be orthonormal to 1e-10 with
     residuals within 1e-9 * max|eigenvalue| of their matrix, a check that
-    costs O(dim^2 k) per matrix.  No state is labeled: every parity is None.
+    costs O(dim^2 k) per matrix.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim < 2 or h.shape[-2] != h.shape[-1]:
@@ -190,7 +190,7 @@ def eigensystem(h: np.ndarray, k: int | None = None) -> EigenSystem:
     try:
         if k == 0:
             values = np.linalg.eigvalsh(h)
-            return EigenSystem(values, np.empty(h.shape[:-1] + (0,)), (None,) * dim)
+            return EigenSystem(values, np.empty(h.shape[:-1] + (0,)))
         values, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
@@ -204,58 +204,55 @@ def eigensystem(h: np.ndarray, k: int | None = None) -> EigenSystem:
     resid = h @ vectors - vectors * values[..., None, :k]
     if (np.linalg.norm(resid, axis=-2) > 1e-9 * h_norm).any():
         raise ConvergenceError("eigenpair residual exceeds 1e-9 * |H|")
-    return EigenSystem(values=values, vectors=vectors, parity=(None,) * dim)
+    return EigenSystem(values=values, vectors=vectors)
 
 
 def solve(p: QrmParams, t: FockTruncation) -> EigenSystem:
     """Build and diagonalize H with the conventions of ``eigensystem``.
 
     At epsilon = 0 the matrix diagonalized is the pair of parity chains, so
-    each state lies on one chain, is labeled by it and keeps its energy
-    order; the vectors are mapped back to the composite basis.  A vector
-    with more than _STRAY_WEIGHT off its chain raises ConvergenceError.
+    each state lies on one chain, is an eigenstate of the parity with the
+    chain's sign and keeps its energy order; the vectors are mapped back to
+    the composite basis.  A vector with more than _STRAY_WEIGHT off its
+    chain raises ConvergenceError.
     """
-    values, vectors, parity = _eigenpairs(
-        p.delta_prime, np.array([p.epsilon]), p.omega1, p.g1, t, t.dim
-    )
-    return EigenSystem(values[0], vectors[0], parity[0])
+    es = _eigenpairs(p.delta_prime, np.array([p.epsilon]), p.omega1, p.g1, t, t.dim)
+    return EigenSystem(es.values[0], es.vectors[0])
 
 
 def _eigenpairs(delta_prime, biases, omega1, g1, t, k):
-    """Every eigenvalue (biases, dim) of H at each bias of the 1-D array
-    ``biases``, the lowest ``k`` eigenvectors (biases, dim, k) and each
-    bias's parity tuple, as ``solve`` gives them at one bias; one
-    eigensystem call per chunk of at most _STACK_BYTES of matrices."""
+    """The eigensystem of H at each bias of the 1-D array ``biases``, stacked:
+    every eigenvalue (biases, dim) and the lowest ``k`` eigenvectors
+    (biases, dim, k), as ``solve`` gives them at one bias; one eigensystem
+    call per chunk of at most _STACK_BYTES of matrices."""
     n = t.n_states
     chunk = max(1, _STACK_BYTES // (8 * t.dim * t.dim))
-    values, vectors, parity = [], [], []
+    values, vectors = [], []
     for start in range(0, len(biases), chunk):
         part = biases[start : start + chunk]
         zero = part == 0.0
         if zero.any():  # H(0) is the chains; assemble only the other biases
             h = np.empty(part.shape + (t.dim, t.dim))
-            h[zero] = _parity_chains(QrmParams(delta_prime, 0.0, omega1, g1), t)
+            h[zero] = _parity_chains(delta_prime, omega1, g1, t)
             if not zero.all():
                 h[~zero] = _hamiltonians(delta_prime, part[~zero], omega1, g1, t)
         else:
             h = _hamiltonians(delta_prime, part, omega1, g1, t)
         es = eigensystem(h, k)
-        parity += [(None,) * k] * len(part)
         for b in zero.nonzero()[0]:  # unfold the chain vectors into the composite basis
             chain = es.vectors[b]
             top, bot = chain[:n], chain[n:]
-            w_top = np.sum(top * top, axis=0)
-            if np.minimum(w_top, np.sum(bot * bot, axis=0)).max(initial=0.0) > _STRAY_WEIGHT:
+            stray = np.minimum(np.sum(top * top, axis=0), np.sum(bot * bot, axis=0))
+            if stray.max(initial=0.0) > _STRAY_WEIGHT:
                 raise ConvergenceError(
                     f"an eigenvector has more than {_STRAY_WEIGHT} of its weight off its parity chain"
                 )
             even, odd = top + bot, (-1.0) ** np.arange(n)[:, None] * (top - bot)
             chain[0::2], chain[1::2] = even / math.sqrt(2.0), odd / math.sqrt(2.0)
             _fix_signs(chain)  # the convention holds in the basis returned
-            parity[start + b] = tuple(1 if w > 0.5 else -1 for w in w_top)
         values.append(es.values)
         vectors.append(es.vectors)
-    return np.concatenate(values), np.concatenate(vectors), parity
+    return EigenSystem(np.concatenate(values), np.concatenate(vectors))
 
 
 def _fix_signs(vectors):
@@ -299,15 +296,24 @@ def converged_truncation(p: QrmParams, k_levels: int, tol: float) -> FockTruncat
     n = _N_MAX_START
     while n < photons or 2 * (n + 1) < k_levels:
         n *= 2
-    prev = np.linalg.eigvalsh(build_hamiltonian(p, FockTruncation(n)))[:k_levels]
+    prev = _lowest_levels(p, n, k_levels)
     while 2 * n <= N_MAX_CEILING:
-        cur = np.linalg.eigvalsh(build_hamiltonian(p, FockTruncation(2 * n)))[:k_levels]
+        cur = _lowest_levels(p, 2 * n, k_levels)
         if np.max(np.abs(cur - prev)) < tol:
             return FockTruncation(n)
         prev, n = cur, 2 * n
     raise ConvergenceError(
         f"lowest {k_levels} eigenvalues not settled to {tol} GHz at n_max={N_MAX_CEILING}"
     )
+
+
+def _lowest_levels(p: QrmParams, n_max: int, k_levels: int):
+    """The lowest ``k_levels`` eigenvalues of H at truncation ``n_max``; a
+    failed eigensolve raises ConvergenceError."""
+    try:
+        return np.linalg.eigvalsh(build_hamiltonian(p, FockTruncation(n_max)))[:k_levels]
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
 
 
 def _grid_truncation(delta_prime, omega1, g1, biases, k_levels, tol):

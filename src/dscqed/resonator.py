@@ -58,6 +58,10 @@ class ResonatorModel:
         for name in ("z0", "l_total", "omega1_bare", "l_c", "l_2"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not self.l_c2 > 0.0:  # the product l_c * l_2 underflows
+            raise ValueError(f"l_c2 = l_c * l_2 / (l_c + l_2) must be > 0, got {self.l_c2}")
+        if not math.isfinite(self.l_total / self.l_c2):
+            raise ValueError(f"l_total / l_c2 must be finite, got {self.l_total / self.l_c2}")
 
     @property
     def l_c2(self) -> float:

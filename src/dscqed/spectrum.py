@@ -72,8 +72,8 @@ def sweep(delta_prime: float, omega1: float, g1: float, cfg: SweepConfig) -> lis
 
     lines = []
     for b in range(len(grid)):  # one eigensolve per bias, its lowest k_levels vectors kept
-        values, vectors, parity = _eigenpairs(delta_prime, grid[b : b + 1], omega1, g1, trunc, cfg.k_levels)
-        es = EigenSystem(values[0], vectors[0], parity[0])
+        stacked = _eigenpairs(delta_prime, grid[b : b + 1], omega1, g1, trunc, cfg.k_levels)
+        es = EigenSystem(stacked.values[0], stacked.vectors[0])
         eps = float(grid[b])
         for i in (0, 1):
             for j in range(i + 1, cfg.k_levels):

@@ -33,6 +33,13 @@ def kron_parity(n_states):
     return np.kron(np.diag((-1.0) ** np.arange(n_states)), SIGMA_X)
 
 
+def dense_parity_expectations(es):
+    """Oracle <v| sigma_x * (-1)^n |v> of every eigenvector column of ``es``,
+    as a product with the dense parity operator; +-1 for a parity eigenstate."""
+    pi_op = kron_parity(es.dim // 2)
+    return np.einsum("ik,ij,jk->k", es.vectors, pi_op, es.vectors)
+
+
 def transition_frequency(es, i, j):
     """Oracle transition frequency E_j - E_i in GHz for state indices i < j."""
     if not 0 <= i < j < es.dim:

@@ -48,10 +48,12 @@ def test_reproduce_paper_prints_requested_format(capsys):
 
 def test_scalar_commands_run_without_numpy(tmp_path):
     # lamb-shift, reproduce-paper, modes and couplings compute in plain
-    # floats, and a refused config stops before any array: a fresh process
+    # floats, and a refused config stops before any array, as does a report
+    # that double precision cannot represent (exit 2): a fresh process
     # running them never imports numpy, which spectrum's first array
     # operation then does
     bad = _config_variant(tmp_path, lambda t: t["qrm"].update(omega1_ghz="fast"))
+    deep = _config_variant(tmp_path, lambda t: t["qrm"].update(g1_ghz=60.0), "deep.yaml")
     script = (
         "import contextlib, io, sys\n"
         "from dscqed.cli import main\n"
@@ -61,15 +63,16 @@ def test_scalar_commands_run_without_numpy(tmp_path):
         "codes = [run('lamb-shift'), run('lamb-shift', '--format', 'json'), run('reproduce-paper'),\n"
         "         run('modes'), run('modes', '--format', 'json'),\n"
         "         run('couplings', '--l-c-ph', '100,231,400'),\n"
-        f"         run('lamb-shift', '--config', {bad!r})]\n"
+        f"         run('lamb-shift', '--config', {bad!r}), run('lamb-shift', '--config', {deep!r})]\n"
         "print(codes, 'numpy._core' in sys.modules)\n"
-        "print(run('spectrum', '--epsilon', '0.3'), 'numpy._core' in sys.modules)\n"
+        "print(run('spectrum', '--epsilon-min', '0.3', '--epsilon-max', '0.3', '--epsilon-steps', '1'),\n"
+        "      'numpy._core' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(dscqed.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
-    assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0, 0, 1] False", "0 True"], proc.stderr
+    assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0, 0, 1, 2] False", "0 True"], proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -77,8 +80,13 @@ def test_scalar_commands_run_without_numpy(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def _single_bias(value):
+    """The flags of a one-point bias window at ``value``."""
+    return ["--epsilon-min", value, "--epsilon-max", value, "--epsilon-steps", "1"]
+
+
 def test_spectrum_single_bias_stdout(capsys):
-    assert main(["spectrum", "--epsilon", "0.0"]) == 0
+    assert main(["spectrum", *_single_bias("0.0")]) == 0
     out = capsys.readouterr().out
     lines = out.strip().split("\n")
     assert lines[0] == "epsilon_ghz,i,j,label,frequency_ghz,amplitude"
@@ -93,7 +101,7 @@ def test_spectrum_decoupled_single_line(tmp_path, capsys):
         tree["sweep"].update(freq_min_ghz=0.01, freq_max_ghz=8.0, k_levels=2)
 
     path = _config_variant(tmp_path, mutate)
-    assert main(["spectrum", "--epsilon", "0.0", "--config", path]) == 0
+    assert main(["spectrum", *_single_bias("0.0"), "--config", path]) == 0
     rows = capsys.readouterr().out.strip().split("\n")[1:]
     assert len(rows) == 1
     eps, i, j, label, freq, _amp = rows[0].split(",")
@@ -114,7 +122,7 @@ def test_spectrum_byte_deterministic(tmp_path):
 def test_spectrum_csv_json_numeric_duality(tmp_path):
     csv_path = tmp_path / "lines.csv"
     json_path = tmp_path / "lines.json"
-    args = ["spectrum", "--epsilon", "0.25"]
+    args = ["spectrum", *_single_bias("0.25")]
     assert main(args + ["--out", str(csv_path), "--format", "csv"]) == 0
     assert main(args + ["--out", str(json_path), "--format", "json"]) == 0
     rows = csv_path.read_text().strip().split("\n")[1:]
@@ -247,15 +255,15 @@ def test_mode_count_ceiling_exits_1(command, capsys):
 
 
 @pytest.mark.parametrize("argv, flag", [
-    (["spectrum", "--epsilon", "nan"], "--epsilon"),
-    (["spectrum", "--epsilon", "inf"], "--epsilon"),
-    (["spectrum", "--epsilon", "1e300"], "--epsilon"),
-    (["spectrum", "--epsilon", "1e50"], "--epsilon"),
+    (["spectrum", "--epsilon-min", "nan"], "--epsilon-min"),
+    (["spectrum", "--epsilon-min", "inf"], "--epsilon-min"),
+    (["spectrum", "--epsilon-min", "1e300"], "--epsilon-min"),
+    (["spectrum", "--epsilon-max", "1e50"], "--epsilon-max"),
     (["spectrum", "--epsilon-max", "nan"], "--epsilon-max"),
     (["spectrum", "--epsilon-min", "2", "--epsilon-max", "1"], "--epsilon-min"),
     (["spectrum", "--epsilon-steps=-1"], "--epsilon-steps"),
     (["spectrum", "--epsilon-steps", "1000001"], "--epsilon-steps"),
-    (["spectrum", "--epsilon", "0.5", "--epsilon-steps", "3"], "--epsilon"),
+    (["spectrum", "--tolerance", "0"], "--tolerance"),
     (["couplings", "--l-c-ph", "1e400"], "--l-c-ph"),
     (["couplings", "--l-c-ph="], "--l-c-ph"),
     (["couplings", "--l-c-ph", "100,abc"], "--l-c-ph"),
@@ -295,11 +303,15 @@ def test_flag_help_names_the_config_key(capsys):
 
 
 def test_single_bias_is_a_one_point_window(capsys):
-    assert main(["spectrum", "--epsilon", "0.25"]) == 0
-    single = capsys.readouterr().out
-    argv = ["spectrum", "--epsilon-min", "0.25", "--epsilon-max", "0.25", "--epsilon-steps", "1"]
+    # a window of -0.25, 0, 0.25 sizes its truncation at zero and at 0.25,
+    # as the one-point window at 0.25 does, so its rows at 0.25 are those
+    assert main(["spectrum", *_single_bias("0.25")]) == 0
+    single = capsys.readouterr().out.splitlines()
+    argv = ["spectrum", "--epsilon-min", "-0.25", "--epsilon-max", "0.25", "--epsilon-steps", "3"]
     assert main(argv) == 0
-    assert capsys.readouterr().out == single
+    window = capsys.readouterr().out.splitlines()
+    assert len(single) > 1 and {row.split(",")[0] for row in single[1:]} == {"0.25"}
+    assert single == window[:1] + [row for row in window[1:] if row.startswith("0.25,")]
 
 
 def test_couplings_refuse_zero_coupling_naming_the_key(tmp_path, capsys):
@@ -410,10 +422,10 @@ def test_fit_refuses_a_label_above_k_levels(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--epsilon", "-1e-3"), ("--epsilon-min", "-1e-3"), ("--epsilon-min", "-2.5E-1"),
+    ("--epsilon-max", "-1e-3"), ("--epsilon-min", "-1e-3"), ("--epsilon-min", "-2.5E-1"),
 ])
 def test_negative_exponent_value_is_read_as_the_value(flag, value, capsys):
-    argv = ["spectrum", "--epsilon-steps", "3"] if flag == "--epsilon-min" else ["spectrum"]
+    argv = ["spectrum", "--epsilon-steps", "3"]
     assert main(argv + [f"{flag}={value}"]) == 0
     joined = capsys.readouterr()
     assert main(argv + [flag, value]) == 0
@@ -421,8 +433,24 @@ def test_negative_exponent_value_is_read_as_the_value(flag, value, capsys):
 
 
 def test_non_numeric_dash_value_is_still_a_flag(capsys):
-    assert main(["spectrum", "--epsilon", "-x"]) == 1
-    assert capsys.readouterr().err == "error: --epsilon: expected one argument\n"
+    assert main(["spectrum", "--epsilon-min", "-x"]) == 1
+    assert capsys.readouterr().err == "error: --epsilon-min: expected one argument\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["modes", "--n-mod", "2"],
+    ["spectrum", "--tol", "1e-3"],
+    ["lamb-shift", "--form", "json"],
+    ["lamb-shift", "--form", "json", "--n-cut", "20"],
+    ["spectrum", "--epsilon", "0.3"],
+    ["spectrum", "--epsilon=-0.3"],
+], ids=" ".join)
+def test_only_full_flag_names_are_accepted(argv, capsys):
+    # no prefix of a flag stands in for it, and --epsilon is not a flag
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unrecognized arguments: {' '.join(argv[1:])}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +475,7 @@ def test_numerical_failure_exits_2(monkeypatch, capsys):
         raise ConvergenceError("did not settle")
 
     monkeypatch.setattr(cli_mod.spectrum, "sweep", stalled)
-    assert main(["spectrum", "--epsilon", "0.0"]) == 2
+    assert main(["spectrum"]) == 2
     assert "numerical failure" in capsys.readouterr().err
 
 

@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dscqed
 from dscqed import ConfigError, load_config, paper_device_path
-from dscqed.config import _linspace
+from dscqed.config import FIELDS, _linspace
 
 
 @pytest.fixture
@@ -98,6 +104,36 @@ def test_unknown_key_refused(tmp_path):
     path = _write_variant(tmp_path, lambda t: t["device"].update(bogus=1.0))
     with pytest.raises(ConfigError, match=r"device\.bogus"):
         load_config(path)
+
+
+def test_unknown_key_refusal_lists_the_keys_in_field_order(tmp_path):
+    # the same bytes under any hash seed: the allowed keys come from FIELDS,
+    # not from a set
+    path = _write_variant(tmp_path, lambda t: t["device"].update(bogus=1.0))
+    env = dict(os.environ, PYTHONPATH=str(Path(dscqed.__file__).parents[1]))
+    errs = []
+    for seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "dscqed.cli", "modes", "--config", str(path)],
+            env=dict(env, PYTHONHASHSEED=seed), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        errs.append(proc.stderr)
+    assert errs[0] == errs[1]
+    keys = ", ".join(f.path.split(".")[1] for f in FIELDS if f.path.startswith("device."))
+    assert errs[0] == f"error: {path}: device.bogus: unknown key (allowed: {keys})\n"
+
+
+def test_single_mode_bias_is_not_a_config_key(tmp_path, bundled):
+    # the bias comes from the sweep window alone; the model is built at the
+    # symmetry point
+    assert bundled.qrm.epsilon == 0.0
+    path = _write_variant(tmp_path, lambda t: t["qrm"].update(epsilon_ghz=0.3))
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value) == (
+        f"{path}: qrm.epsilon_ghz: unknown key (allowed: delta_prime_ghz, omega1_ghz, g1_ghz)"
+    )
 
 
 def test_missing_required_key(tmp_path):

@@ -24,6 +24,7 @@ from conftest import (
     PAPER_TRIPLE,
     SIGMA_X,
     SIGMA_Z,
+    dense_parity_expectations,
     kron_hamiltonian,
     kron_parity,
     predicted,
@@ -409,14 +410,16 @@ def test_zero_bias_kernel_vectors_keep_their_parity():
     # H(0) mixes their parities, the parity chains do not
     params, n_max = (1.0, 1.0, 5.0), 64
     delta, omega, g = params
-    _, vectors, _ = rabi._eigenpairs(delta, np.array([0.0]), omega, g, FockTruncation(n_max), 6)
+    vectors = rabi._eigenpairs(delta, np.array([0.0]), omega, g, FockTruncation(n_max), 6).vectors
     parity = kron_parity(n_max + 1)
     es = solve(QrmParams(params[0], 0.0, params[1], params[2]), FockTruncation(n_max))
+    expect = dense_parity_expectations(es)
     for k in range(6):
         v = vectors[0, :, k]
         label = 1 if v @ parity @ v > 0.0 else -1
         assert np.max(np.abs(parity @ v - label * v)) <= 1e-8
-        assert label == es.parity[k]
+        assert abs(abs(expect[k]) - 1.0) <= 1e-8
+        assert label == np.sign(expect[k])
 
 
 def test_unlabeled_rows_share_their_bias_drive_amplitudes(monkeypatch):
@@ -520,6 +523,25 @@ def test_fit_eigenpairs_are_validated(monkeypatch, capsys):
         fit(read_peaks_csv(path), initial=(0.15, 2.6, 2.4), bounds=BOUNDS)
     assert main(["fit", "--data", str(path)]) == 2
     assert "numerical failure:" in capsys.readouterr().err
+
+
+def test_failed_least_squares_step_exits_2(monkeypatch, capsys):
+    # a damped step whose SVD does not converge is a numerical failure, in
+    # the library and the CLI
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+    monkeypatch.setattr(np.linalg, "lstsq", broken)
+    path = synthetic_peaks_path()
+    with pytest.raises(ConvergenceError, match="least-squares step failed"):
+        fit(read_peaks_csv(path), initial=(0.15, 2.6, 2.4), bounds=BOUNDS)
+    assert main(["fit", "--data", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "numerical failure: least-squares step failed: "
+        "SVD did not converge in Linear Least Squares\n"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from dscqed import (
 from dscqed.errors import ConvergenceError
 from conftest import (
     bisection_roots,
+    dense_parity_expectations,
     lines_table,
     resonator_with_ratio,
     root_in_branch,
@@ -129,6 +130,9 @@ def test_same_parity_drive_elements_vanish(delta, omega, gratio):
     p = QrmParams(delta, 0.0, omega, gratio * omega)
     es = solve(p, t)
     scale = float(np.max(np.abs(es.values)))
+    expect = dense_parity_expectations(es)
+    assert np.max(np.abs(np.abs(expect) - 1.0)) <= 1e-8
+    parity = np.sign(expect)
 
     def nearest_gap(k):
         others = np.delete(es.values, k)
@@ -136,7 +140,7 @@ def test_same_parity_drive_elements_vanish(delta, omega, gratio):
 
     for i in range(5):
         for j in range(i + 1, 6):
-            if es.parity[i] == es.parity[j]:
+            if parity[i] == parity[j]:
                 # eigenvectors near an avoided crossing mix at the
                 # eps*|H|/gap conditioning limit; allow exactly that leakage
                 leak = 1e-14 * scale * (1.0 / nearest_gap(i) + 1.0 / nearest_gap(j))

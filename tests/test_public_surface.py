@@ -1,4 +1,7 @@
+import dataclasses
 import importlib
+import re
+from pathlib import Path
 
 import dscqed
 
@@ -67,3 +70,19 @@ def test_public_surface_is_pinned():
     for module, name in REMOVED:
         assert not hasattr(dscqed, name), name
         assert not hasattr(importlib.import_module(f"dscqed.{module}"), name), name
+
+
+def test_eigen_system_holds_values_and_vectors_only():
+    # a state's parity is read from its vector, not carried beside it
+    assert [f.name for f in dataclasses.fields(dscqed.EigenSystem)] == ["values", "vectors"]
+
+
+def test_readme_python_blocks_run(capsys):
+    # every ```python block of the README, in order, in one namespace
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, flags=re.M | re.S)
+    assert len(blocks) >= 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert capsys.readouterr().out

@@ -17,7 +17,13 @@ from dscqed import (
 )
 from dscqed.rabi import _hamiltonians, _parity_chains
 
-from conftest import dense_drive_element, kron_hamiltonian, kron_parity, transition_frequency
+from conftest import (
+    dense_drive_element,
+    dense_parity_expectations,
+    kron_hamiltonian,
+    kron_parity,
+    transition_frequency,
+)
 
 T40 = FockTruncation(40)
 
@@ -162,7 +168,7 @@ def test_stacked_eigensystem_is_the_per_matrix_eigensystem():
     t, k = FockTruncation(20), 5
     stack = np.stack(
         [
-            _parity_chains(QrmParams(0.147, 0.0, 2.57, 2.39), t),
+            _parity_chains(0.147, 2.57, 2.39, t),
             build_hamiltonian(QrmParams(0.147, 0.3, 2.57, 2.39), t),
             build_hamiltonian(QrmParams(1.0, -0.7, 1.0, 5.0), t),
         ]
@@ -261,26 +267,26 @@ def test_eigenvalues_match_charpoly_oracle():
 # ---------------------------------------------------------------------------
 
 
-def _dense_parity_expectations(es):
-    pi_op = kron_parity(es.dim // 2)
-    return np.einsum("ik,ij,jk->k", es.vectors, pi_op, es.vectors)
+def _parities(es):
+    """The parity +-1 of every eigenvector of ``es``, after checking that
+    each is a parity eigenstate of the dense operator to 1e-8."""
+    expect = dense_parity_expectations(es)
+    assert np.max(np.abs(np.abs(expect) - 1.0)) <= 1e-8
+    return tuple(int(x) for x in np.sign(expect))
 
 
 def test_parity_pattern_at_symmetry_point(paper_params):
-    es = solve(paper_params, T40)
-    labels = es.parity
+    labels = _parities(solve(paper_params, T40))
     assert labels[0] == 1  # ground state
     assert labels[3] == -1  # 0 <-> 3 drive-allowed
     assert labels[:4] == (1, -1, 1, -1)
-    # every stored vector is a parity eigenstate of the dense operator
-    expect = _dense_parity_expectations(es)
-    assert np.max(np.abs(expect - np.array(labels, dtype=float))) <= 1e-8
 
 
 def test_parity_mixed_off_symmetry():
     p = QrmParams(0.147, 0.1, 2.57, 2.39)
     es = solve(p, T40)
-    assert all(lab is None for lab in es.parity)
+    # the low states mix the two parities
+    assert np.max(np.abs(dense_parity_expectations(es)[:4])) < 0.6
     # the dense operator does not commute with H here
     h = build_hamiltonian(p, T40)
     pi_op = kron_parity(T40.n_states)
@@ -305,41 +311,35 @@ def test_symmetry_point_solve_matches_dense_oracle(delta, omega, g, n_max):
     assert np.max(np.abs(es.values - oracle)) <= 1e-12 * h_norm
     resid = h @ es.vectors - es.vectors * es.values
     assert np.max(np.linalg.norm(resid, axis=0)) <= 1e-9 * h_norm
-    expect = _dense_parity_expectations(es)
-    assert np.max(np.abs(expect - np.array(es.parity, dtype=float))) <= 1e-8
+    _parities(es)
     idx = np.argmax(np.abs(es.vectors), axis=0)
     assert np.all(es.vectors[idx, np.arange(es.dim)] > 0.0)
-    # eigensystem labels nothing, even for a matrix that conserves parity
-    assert all(lab is None for lab in eigensystem(h).parity)
 
 
 def test_deep_device_states_are_energy_ordered():
     # near-degenerate parity doublets (splittings ~1e-11 GHz): each stored
-    # vector carries its own eigenvalue, and the labels alternate from +1
+    # vector carries its own eigenvalue, and the parities alternate from +1
     p = QrmParams(0.15, 0.0, 1.5, 5.0)
     es = solve(p, FockTruncation(64))
     h = build_hamiltonian(p, FockTruncation(64))
     rayleigh = np.einsum("ik,ij,jk->k", es.vectors, h, es.vectors)
     assert np.max(np.abs(rayleigh - es.values)) <= 1e-12 * np.max(np.abs(es.values))
-    assert es.parity[:4] == (1, -1, 1, -1)
+    assert _parities(es)[:4] == (1, -1, 1, -1)
 
 
 def test_signed_permutation_parity_at_degenerate_point():
-    # delta' = 0: every level is a doublet of opposite parities; the labels
-    # must match the dense operator
+    # delta' = 0: every level is a doublet of opposite parities; each state
+    # must be a parity eigenstate of the dense operator
     p = QrmParams(0.0, 0.0, 2.57, 2.39)
-    es = solve(p, T40)
-    expect = _dense_parity_expectations(es)
-    assert np.max(np.abs(expect - np.array(es.parity, dtype=float))) <= 1e-8
+    _parities(solve(p, T40))
 
 
 def test_parity_within_degenerate_doublets():
     # exactly solvable point: every doublet holds one +1 and one -1 state
     p = QrmParams(0.0, 0.0, 2.57, 2.39)
-    es = solve(p, T40)
+    labels = _parities(solve(p, T40))
     for m in range(4):
-        pair = {es.parity[2 * m], es.parity[2 * m + 1]}
-        assert pair == {1, -1}
+        assert {labels[2 * m], labels[2 * m + 1]} == {1, -1}
 
 
 # ---------------------------------------------------------------------------

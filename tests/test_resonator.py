@@ -118,6 +118,18 @@ def test_subnormal_inductance_ratio_raises_convergence_error():
         mode_wavenumbers(resonator_with_ratio(1e-310), 3)
 
 
+@pytest.mark.parametrize("l_total, l_c, l_2, named", [
+    (1.93e-9, 2e-200, 2e-200, "l_c2"),  # l_c * l_2 underflows to 0
+    (1.93e-9, 1e308, 1e308, "l_c2"),  # l_c * l_2 and l_c + l_2 overflow
+    (1e300, 1e-10, 1e-10, "l_total / l_c2"),  # the inductance ratio overflows
+])
+def test_unrepresentable_inductances_refused(l_total, l_c, l_2, named):
+    # each field is > 0, but the quantities the modes are solved from are not
+    # representable; refused when built, not a ZeroDivisionError later
+    with pytest.raises(ValueError, match=f"^{named} "):
+        ResonatorModel(z0=50.0, l_total=l_total, omega1_bare=2.8525, l_c=l_c, l_2=l_2)
+
+
 def test_mode_count_ceiling():
     m = _model()
     for n_modes in (0, N_MODES_CEILING + 1):

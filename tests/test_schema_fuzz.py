@@ -56,7 +56,6 @@ PROBE = {
 PROBE_OF_FLAG = {
     "--n-modes": ["lamb-shift"],
     "--l-c-ph": ["couplings", "--n-modes", "2"],
-    "--epsilon": ["spectrum"],
 }
 
 
@@ -104,13 +103,9 @@ def yaml_cases(draw):
 
 @st.composite
 def argv_cases(draw):
-    flags = [f for f in FIELDS if f.flag] + ["--epsilon"]
-    f = draw(st.sampled_from(flags))
-    if f == "--epsilon":
-        argv = [f"--epsilon={_text(draw(_values(FIELD['sweep.epsilon_min_ghz'])))}"]
-    else:
-        value = draw(st.one_of(_values(f), st.sampled_from(["", "abc", "1,2", "1e3"])))
-        argv = [f"{f.flag}={_text(value)}"]
+    f = draw(st.sampled_from([f for f in FIELDS if f.flag]))
+    value = draw(st.one_of(_values(f), st.sampled_from(["", "abc", "1,2", "1e3"])))
+    argv = [f"{f.flag}={_text(value)}"]
     return argv + draw(st.sampled_from([[], [], [], ["--no-such-key=1"]]))
 
 
@@ -236,10 +231,10 @@ def test_config_values_keep_the_failure_contract(case, tmp):
 
 @FUZZ
 @given(flag_argv=argv_cases())
-@example(flag_argv=["--epsilon", "nan"])
-@example(flag_argv=["--epsilon", "inf"])
-@example(flag_argv=["--epsilon", "1e300"])
-@example(flag_argv=["--epsilon", "1e50"])
+@example(flag_argv=["--epsilon-min", "nan"])
+@example(flag_argv=["--epsilon-min", "inf"])
+@example(flag_argv=["--epsilon-min", "1e300"])
+@example(flag_argv=["--epsilon-max", "1e50"])
 @example(flag_argv=["--epsilon-max", "nan"])
 @example(flag_argv=["--epsilon-min", "2", "--epsilon-max", "1"])
 @example(flag_argv=["--epsilon-steps", "-1"])

@@ -3,18 +3,15 @@ spectral peaks by a bounded Levenberg-Marquardt descent on the Rabi spectrum.
 
 Data rows carry a bias, a frequency, an optional transition label ("03",
 "12", ...) and an optional positive weight.  Labeled rows are matched to the
-named transition; unlabeled rows fall back to the drive-allowed line
-nearest their measured frequency, which can be unstable near avoided
-crossings -- down-weight such points.
+named transition.  An unlabeled row takes the nearest of ``spectrum``'s
+candidate lines (i, j) whose drive amplitude is above the floor, ties going
+to the lowest (i, j); this can be unstable near avoided crossings, so
+down-weight such points.  One band product from ``rabi`` per distinct |bias|
+gives all the amplitudes.
 
-H is linear in the three parameters, so by the Hellmann-Feynman theorem each
-level's gradient is dE_k/dtheta = <k| dH/dtheta |k>, with
-
-    dH/d delta_prime = -sigma_x / 2          offset-1 band at even rows
-    dH/d omega1      = n_hat                 diagonal
-    dH/d g1          = sigma_z (a + a^dag)   offset-2 band
-
-so the eigenvectors give the residuals' exact Jacobian with the residuals.
+The eigenvectors give the residuals' exact Jacobian with the residuals:
+each level's gradient is its Hellmann-Feynman product with the bands of
+dH/dtheta (``rabi``), and an unlabeled row takes the gradient of its line.
 The parity P = sigma_x (-1)^n maps H(epsilon) to H(-epsilon) and commutes
 with all three dH/dtheta and maps the drive (a + a^dag) to minus itself, so
 the levels, their gradients and the drive amplitudes are even in the bias.
@@ -23,10 +20,9 @@ stacked eigensolve per evaluation by ``rabi``'s kernel, the one ``solve``
 uses: the eigenpairs kept are checked as ``eigensystem`` checks them, and
 zero bias enters the stack as the two parity chains, so its eigenvectors
 keep their parity and the forbidden lines of a near-degenerate doublet stay
-forbidden.  An unlabeled row takes the gradient of the line it was matched
-to.  A level closer than _DEGENERATE_TOL to a neighbour has no well-defined
-eigenvector, so rows using one take central differences instead, through
-the same evaluation.
+forbidden.  A level closer than _DEGENERATE_TOL to a neighbour has no
+well-defined eigenvector, so rows using one take central differences
+instead, through the same evaluation.
 
 The Fock truncation is sized as the sweep sizes it, at zero bias and at the
 data's largest |bias|, first at the start point; the descent is repeated
@@ -43,16 +39,8 @@ from dataclasses import dataclass
 
 from ._lazy import np
 from .errors import ConfigError, ConvergenceError, io_error
-from .rabi import (
-    EigenSystem,
-    FockTruncation,
-    QrmParams,
-    _eigenpairs,
-    _grid_truncation,
-    _photons_and_spin,
-    drive_matrix_element,
-)
-from .spectrum import SweepConfig
+from .rabi import FockTruncation, QrmParams, _drive, _eigenpairs, _grid_truncation, _level_gradients
+from .spectrum import SweepConfig, _candidate_lines
 
 DEFAULT_BOUNDS = ((1e-6, 100.0), (1e-3, 100.0), (0.0, 100.0))
 
@@ -146,7 +134,9 @@ def read_peaks_csv(path, k_levels: int = SweepConfig.k_levels) -> PeakData:
     header = [h.strip() for h in records[0]]
     if header[:2] != ["epsilon_ghz", "frequency_ghz"]:
         raise ConfigError(f"{path}:1: header must start with epsilon_ghz,frequency_ghz")
-    for name in header[2:]:
+    for k, name in enumerate(header[2:], start=2):
+        if name in header[:k]:
+            raise ConfigError(f"{path}:1: duplicate column {name!r}")
         if name not in allowed[2:]:
             raise ConfigError(f"{path}:1: unknown column {name!r}")
     rows = []
@@ -180,6 +170,8 @@ def _parse_label(label: str, k_levels: int):
     if len(label) < 2 or not label.isdigit():
         raise ValueError(f"transition label {label!r} is not of the form 'ij'")
     i, j = int(label[0]), int(label[1:])
+    if label != f"{i}{j}":
+        raise ValueError(f"transition label {label!r} must be written {f'{i}{j}'!r}")
     if not i < j:
         raise ValueError(f"transition label {label!r} must have i < j")
     if j >= k_levels:
@@ -192,12 +184,13 @@ class _Layout:
     """The data rows as the evaluation reads them, with their labels
     parsed; built once per fit.
 
-    Row m is the transition (``i[m]``, ``j[m]``) at bias +-``biases[at[m]]``,
-    ``biases`` being the data's distinct |bias| in ascending order.  An
-    unlabeled row has i = j = -1 and takes the drive-allowed line nearest
-    its measured frequency ``measured[m]``.
+    Row m (data row ``row[m]``, from 1) is the transition (``i[m]``, ``j[m]``)
+    at bias +-``biases[at[m]]``, ``biases`` being the data's distinct |bias|
+    in ascending order.  An unlabeled row has i = j = -1 and takes the
+    drive-allowed line nearest its measured frequency ``measured[m]``.
     """
 
+    row: np.ndarray
     at: np.ndarray
     biases: np.ndarray
     i: np.ndarray
@@ -217,25 +210,33 @@ def _layout(data: PeakData, k_levels: int) -> _Layout:
             raise ValueError(f"row {row}: {exc}") from None
     biases, at = np.unique(np.abs(data.epsilon), return_inverse=True)
     i, j = np.array(pairs, dtype=int).T
-    return _Layout(at, biases, i, j, data.frequency, k_levels)
+    return _Layout(np.arange(1, len(data) + 1), at, biases, i, j, data.frequency, k_levels)
 
 
 def _predicted(params, layout: _Layout, n_max: int, floor: float, jacobian=False):
     """Model frequencies for every data row; with ``jacobian``,
     (frequencies, (rows, 3) gradient matrix).  All rows come from one
     stacked eigensolve over the distinct |bias|.  An unlabeled row gives the
-    drive-allowed line nearest its measured frequency and the gradient of
-    that line."""
+    drive-allowed line nearest its measured frequency (the lowest (i, j) on
+    ties) and the gradient of that line."""
     at, i, j = layout.at, layout.i.copy(), layout.j.copy()
     unlabeled = np.nonzero(j < 0)[0]
     k = layout.k_levels if unlabeled.size else (j.max() + 1 if jacobian else 0)
-    t = FockTruncation(n_max)
-    es = _eigenpairs(params[0], layout.biases, params[1], params[2], t, k)
+    es = _eigenpairs(params[0], layout.biases, params[1], params[2], FockTruncation(n_max), k)
     values, vectors = es.values, es.vectors
-    for b in np.unique(at[unlabeled]):
+    lower, upper = np.array(_candidate_lines(layout.k_levels)).T
+    for b in dict.fromkeys(at[unlabeled].tolist()):  # row order; one (lines, dim) block at a time
         rows = unlabeled[at[unlabeled] == b]
-        lines = _allowed_lines(values[b], vectors[b], layout.k_levels, floor)
-        i[rows], j[rows] = np.array([_nearest(lines, m) for m in layout.measured[rows]]).T
+        v = vectors[b].T
+        allowed = ~(np.abs(_drive(v[lower], v[upper])) <= floor)
+        if not allowed.any():
+            raise ValueError(
+                f"row {layout.row[rows[0]]}: no drive-allowed transition within k_levels "
+                f"({layout.k_levels}) above the amplitude floor {floor}"
+            )
+        li, lj = lower[allowed], upper[allowed]
+        best = np.abs(values[b, lj] - values[b, li] - layout.measured[rows, None]).argmin(axis=1)
+        i[rows], j[rows] = li[best], lj[best]
     freqs = values[at, j] - values[at, i]
     if not jacobian:
         return freqs
@@ -246,6 +247,7 @@ def _predicted(params, layout: _Layout, n_max: int, floor: float, jacobian=False
     if fallback.any():  # the same evaluation, on those rows and their biases
         used, sub_at = np.unique(at[fallback], return_inverse=True)
         sub = _Layout(
+            layout.row[fallback],
             sub_at,
             layout.biases[used],
             layout.i[fallback],
@@ -265,22 +267,6 @@ def _degenerate(values):
     return np.concatenate([close, pad], axis=-1) | np.concatenate([pad, close], axis=-1)
 
 
-def _level_gradients(v):
-    """Hellmann-Feynman gradients <k| dH/dtheta |k> of the eigenvector
-    columns of ``v`` (..., dim, k), one row (d/d delta_prime, d/d omega1,
-    d/d g1) per column, (..., k, 3); each is a product with one band of dH
-    (both triangles counted)."""
-    n, s = _photons_and_spin(v.shape[-2])
-    return np.stack(
-        [
-            -np.sum(v[..., 0::2, :] * v[..., 1::2, :], axis=-2),
-            n @ (v * v),
-            2.0 * ((s[:-2] * np.sqrt(n[:-2] + 1.0)) @ (v[..., :-2, :] * v[..., 2:, :])),
-        ],
-        axis=-1,
-    )
-
-
 def _central_differences(frequencies, params):
     """Central differences of ``frequencies(x)`` in each parameter (unlabeled
     rows pick their nearest line again at every point).  The spectrum is
@@ -296,28 +282,6 @@ def _central_differences(frequencies, params):
             ends.append(frequencies(x))
         grad.append((ends[0] - ends[1]) / (2.0 * step))
     return np.stack(grad, axis=-1)
-
-
-def _allowed_lines(values, vectors, k_levels, floor):
-    """(frequency, i, j) of every drive-allowed line from states {0, 1}
-    within ``k_levels``, from one bias's eigenvalues and its lowest
-    ``k_levels`` eigenvectors: one drive amplitude per line, however many
-    rows of the bias are matched against them."""
-    es = EigenSystem(values, vectors)
-    lines = [
-        (float(es.values[j] - es.values[i]), i, j)
-        for i in (0, 1)
-        for j in range(i + 1, k_levels)
-        if not drive_matrix_element(es, i, j) <= floor
-    ]
-    if not lines:
-        raise ValueError("no drive-allowed transition within k_levels")
-    return lines
-
-
-def _nearest(lines, measured):
-    """Level pair (i, j) of the line of ``lines`` nearest ``measured``."""
-    return min((abs(f - measured), i, j) for f, i, j in lines)[1:]
 
 
 def _levenberg_marquardt(residuals, x0, lo, hi, max_iter: int):

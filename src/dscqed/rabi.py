@@ -18,6 +18,13 @@ In this basis H has three bands and is assembled from them directly:
                number (rows k = 2n), zero between photon numbers
     offset 2   g1 * s * sqrt(n + 1) between |n, q> and |n + 1, q>
 
+H is linear in its parameters, so each level's gradient is the product
+dE_k/dtheta = <k| dH/dtheta |k> (Hellmann-Feynman, ``_level_gradients``)
+with one band: dH/d delta_prime = -sigma_x / 2 is the offset-1 band at even
+rows, dH/d omega1 = n_hat the diagonal and dH/d g1 = sigma_z (a + a^dag) the
+offset-2 band.  The drive a + a^dag is the offset-2 band sqrt(n + 1) without
+the sign s (``_drive``, read by ``drive_matrix_element`` and the fit).
+
 At epsilon = 0, H commutes with the parity sigma_x * (-1)^n (Braak, PRL 107,
 100401, 2011).  Its eigenstates |p, n> = (|n, 0> + p (-1)^n |n, 1>) / sqrt(2),
 p = +-1, split H into two tridiagonal chains, one per parity:
@@ -263,13 +270,33 @@ def _fix_signs(vectors):
 
 
 def drive_matrix_element(es: EigenSystem, i: int, j: int) -> float:
-    """|<i| (a + a^dag) |j>| for a drive applied through the mode: a product
-    with the offset-2 band sqrt(n + 1) of a + a^dag, both triangles."""
+    """|<i| (a + a^dag) |j>| for a drive applied through the mode."""
     if not (0 <= i < es.dim and 0 <= j < es.dim):
         raise IndexError(f"state indices out of range for dim {es.dim}")
-    n, _ = _photons_and_spin(es.dim)
-    vi, vj = es.vectors[:, i], es.vectors[:, j]
-    return float(abs(np.sqrt(n[:-2] + 1.0) @ (vi[:-2] * vj[2:] + vi[2:] * vj[:-2])))
+    return float(abs(_drive(es.vectors[:, i], es.vectors[:, j])))
+
+
+def _drive(u, v):
+    """<u| (a + a^dag) |v> of matching vectors u, v (..., dim), one pair or a
+    stack of pairs: a product with the offset-2 band, both triangles."""
+    n, _ = _photons_and_spin(u.shape[-1])
+    return (u[..., :-2] * v[..., 2:] + u[..., 2:] * v[..., :-2]) @ np.sqrt(n[:-2] + 1.0)
+
+
+def _level_gradients(v):
+    """Hellmann-Feynman gradients <k| dH/dtheta |k> of the eigenvector
+    columns of ``v`` (..., dim, k), one row (d/d delta_prime, d/d omega1,
+    d/d g1) per column, (..., k, 3); each is a product with one band of dH
+    (both triangles counted)."""
+    n, s = _photons_and_spin(v.shape[-2])
+    return np.stack(
+        [
+            -np.sum(v[..., 0::2, :] * v[..., 1::2, :], axis=-2),
+            n @ (v * v),
+            2.0 * ((s[:-2] * np.sqrt(n[:-2] + 1.0)) @ (v[..., :-2, :] * v[..., 2:, :])),
+        ],
+        axis=-1,
+    )
 
 
 def converged_truncation(p: QrmParams, k_levels: int, tol: float) -> FockTruncation:

@@ -3,7 +3,9 @@ amplitudes versus flux bias, as plot-ready line lists.
 
 State labels are energy-ordered independently at each bias point; a label
 "03" always means the transition between the instantaneous ground state and
-the third excited state.
+the third excited state.  The candidate lines are the pairs (i, j) with i in
+{0, 1} and i < j < k_levels, in (i, j) order (``_candidate_lines``): the sweep
+emits those in its probe band, and the fit matches unlabeled peaks to them.
 """
 
 from __future__ import annotations
@@ -58,8 +60,8 @@ class SpectralLine:
 
 
 def sweep(delta_prime: float, omega1: float, g1: float, cfg: SweepConfig) -> list:
-    """Diagonalize at every grid bias and emit all transitions from states
-    {0, 1} to higher states whose frequency falls in the probe band.
+    """Diagonalize at every grid bias and emit the candidate lines whose
+    frequency falls in the probe band.
 
     One converged truncation (probed at zero and at the largest |bias|) is
     used across the whole grid, keeping the output deterministic.  Lines are
@@ -69,16 +71,20 @@ def sweep(delta_prime: float, omega1: float, g1: float, cfg: SweepConfig) -> lis
     grid = np.sort(np.asarray(cfg.epsilon_grid, dtype=float))
     trunc = _grid_truncation(delta_prime, omega1, g1, grid, cfg.k_levels, cfg.truncation_tol)
     lo, hi = cfg.freq_window
+    pairs = _candidate_lines(cfg.k_levels)
 
     lines = []
     for b in range(len(grid)):  # one eigensolve per bias, its lowest k_levels vectors kept
         stacked = _eigenpairs(delta_prime, grid[b : b + 1], omega1, g1, trunc, cfg.k_levels)
         es = EigenSystem(stacked.values[0], stacked.vectors[0])
         eps = float(grid[b])
-        for i in (0, 1):
-            for j in range(i + 1, cfg.k_levels):
-                f = float(es.values[j] - es.values[i])
-                if lo <= f <= hi:
-                    amp = drive_matrix_element(es, i, j)
-                    lines.append(SpectralLine(eps, i, j, f, amp))
+        for i, j in pairs:
+            f = float(es.values[j] - es.values[i])
+            if lo <= f <= hi:
+                lines.append(SpectralLine(eps, i, j, f, drive_matrix_element(es, i, j)))
     return lines
+
+
+def _candidate_lines(k_levels: int) -> list:
+    """The lines (i, j), i in {0, 1} and i < j < k_levels, in (i, j) order."""
+    return [(i, j) for i in (0, 1) for j in range(i + 1, k_levels)]

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from dscqed import PeakData, QrmParams, ResonatorModel
+from dscqed import EigenSystem, PeakData, QrmParams, ResonatorModel, drive_matrix_element
 from dscqed.errors import ConvergenceError
 from dscqed.resonator import zero_point_current
 from dscqed.fitting import _layout, _predicted
@@ -60,6 +60,26 @@ def dense_drive_element(es, i, j):
     a = np.diag(np.sqrt(np.arange(1.0, es.dim // 2)), 1)
     x = np.kron(a + a.T, np.eye(2))
     return float(abs(es.vectors[:, i] @ x @ es.vectors[:, j]))
+
+
+def allowed_lines(values, vectors, k_levels, floor):
+    """Oracle (frequency, i, j) of every line from states {0, 1} within
+    ``k_levels`` whose drive amplitude is above ``floor``, one
+    ``drive_matrix_element`` call per line, from one bias's eigenvalues and
+    lowest ``k_levels`` eigenvectors."""
+    es = EigenSystem(values, vectors)
+    return [
+        (float(es.values[j] - es.values[i]), i, j)
+        for i in (0, 1)
+        for j in range(i + 1, k_levels)
+        if not drive_matrix_element(es, i, j) <= floor
+    ]
+
+
+def nearest_line(lines, measured):
+    """Oracle (frequency, i, j) of the line of ``lines`` nearest
+    ``measured``, the lowest (i, j) on ties, by a per-row ``min``."""
+    return min(lines, key=lambda line: (abs(line[0] - measured), line[1], line[2]))
 
 
 def predicted(params, data, n_max, jacobian=False):

@@ -386,7 +386,7 @@ def test_fit_malformed_csv_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("column, value", [
     (3, "inf"), (3, "nan"), (3, "0"), (3, "-1"),
-    (2, "bad"), (2, "30"),
+    (2, "bad"), (2, "30"), (2, "003"), (2, "0003"),
     (1, "nan"), (0, "-inf"),
 ])
 def test_peak_row_refusals_name_file_and_line(column, value, tmp_path, capfd):
@@ -419,6 +419,36 @@ def test_fit_refuses_a_label_above_k_levels(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {path}:4: transition label '06' needs j < k_levels (6)\n"
+
+
+def test_fit_refuses_a_repeated_column(tmp_path, capfd):
+    # a second label column would silently win over the first
+    lines = Path(synthetic_peaks_path()).read_text().splitlines()
+    lines = [lines[0] + ",label"] + [line + ",03" for line in lines[1:]]
+    path = tmp_path / "peaks.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["fit", "--data", str(path)]) == 1
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}:1: duplicate column 'label'\n"
+
+
+def test_fit_with_no_line_above_the_floor_names_the_row_and_floor(tmp_path, capfd):
+    # the bundled peaks with every label blanked, no line above the floor
+    lines = Path(synthetic_peaks_path()).read_text().splitlines()
+    for n in range(1, len(lines)):
+        cells = lines[n].split(",")
+        cells[2] = ""
+        lines[n] = ",".join(cells)
+    data = tmp_path / "peaks.csv"
+    data.write_text("\n".join(lines) + "\n")
+    config = _config_variant(tmp_path, lambda t: t["sweep"].update(amplitude_floor=10.0))
+    assert main(["fit", "--data", str(data), "--config", config]) == 1
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: row 1: no drive-allowed transition within k_levels (6) above the amplitude floor 10.0\n"
+    )
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -1,4 +1,7 @@
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,9 +27,11 @@ from conftest import (
     PAPER_TRIPLE,
     SIGMA_X,
     SIGMA_Z,
+    allowed_lines,
     dense_parity_expectations,
     kron_hamiltonian,
     kron_parity,
+    nearest_line,
     predicted,
     synthetic_peaks,
 )
@@ -75,6 +80,16 @@ def test_unknown_label_rejected():
         data = PeakData.from_rows([(-0.1, 2.5, label), (0.0, 2.6, "03"), (0.1, 2.7, "03")])
         with pytest.raises(ValueError, match="transition label"):
             fit(data, initial=(0.15, 2.6, 2.4), bounds=BOUNDS)
+
+
+@pytest.mark.parametrize("label", ["003", "0003", "103"])
+def test_label_not_written_as_ij_rejected(label):
+    # one spelling per line: the label SpectralLine.label writes, f"{i}{j}"
+    data = PeakData.from_rows([(-0.1, 2.5, "03"), (0.0, 2.6, label), (0.1, 2.7, "03")])
+    canonical = f"{label[0]}{int(label[1:])}"
+    message = f"^row 2: transition label '{label}' must be written '{canonical}'$"
+    with pytest.raises(ValueError, match=message):
+        fit(data, initial=(0.15, 2.6, 2.4), bounds=BOUNDS)
 
 
 def test_label_above_k_levels_rejected():
@@ -423,21 +438,52 @@ def test_zero_bias_kernel_vectors_keep_their_parity():
 
 
 def test_unlabeled_rows_share_their_bias_drive_amplitudes(monkeypatch):
-    # each distinct |bias| computes the amplitudes of its 9 candidate lines
-    # (i in {0, 1}, i < j < 6) once per evaluation, not once per unlabeled
-    # row nor once per sign of the bias
+    # each distinct |bias| takes the amplitudes of its 9 candidate lines
+    # (i in {0, 1}, i < j < 6) in one band product per evaluation, not one
+    # per unlabeled row nor one per sign of the bias
     labeled = synthetic_peaks(PAPER_TRIPLE, n_branch=9)
     data = PeakData(labeled.epsilon, labeled.frequency, (None,) * len(labeled), labeled.weight)
     biases = len(np.unique(np.abs(data.epsilon)))
     assert len(data) == 34 and biases < len(np.unique(data.epsilon)) == 9
     calls = []
-    original = fitting.drive_matrix_element
-    monkeypatch.setattr(
-        fitting, "drive_matrix_element", lambda es, i, j: calls.append(1) or original(es, i, j)
-    )
+    original = fitting._drive
+    monkeypatch.setattr(fitting, "_drive", lambda u, v: calls.append(len(u)) or original(u, v))
     freqs, _ = predicted(PAPER_TRIPLE, data, 40, jacobian=True)
-    assert len(calls) == 9 * biases
+    assert calls == [9] * biases
     np.testing.assert_allclose(freqs, labeled.frequency, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("params", [(0.15, 2.6, 2.4), (0.05, 1.5, 1.0), (0.5, 3.0, 3.0)])
+def test_unlabeled_match_agrees_with_per_row_oracle(params):
+    # the bundled peaks with every label blanked, at the bundled start and
+    # two other points inside fit.bounds: each row takes the (i, j) and the
+    # frequency the per-row oracle picks, and with them that line's gradient
+    bundled = read_peaks_csv(synthetic_peaks_path())
+    data = PeakData(bundled.epsilon, bundled.frequency, (None,) * len(bundled), bundled.weight)
+    biases, at = np.unique(np.abs(data.epsilon), return_inverse=True)
+    es = rabi._eigenpairs(params[0], biases, params[1], params[2], FockTruncation(40), 6)
+    lines = [allowed_lines(es.values[b], es.vectors[b], 6, 1e-6) for b in range(len(biases))]
+    want = [nearest_line(lines[b], m) for b, m in zip(at, data.frequency)]
+    assert len({line[1:] for line in want}) >= 3
+    freqs, jac = predicted(params, data, 40, jacobian=True)
+    np.testing.assert_array_equal(freqs, [f for f, _, _ in want])
+    relabeled = PeakData(
+        data.epsilon, data.frequency, tuple(f"{i}{j}" for _, i, j in want), data.weight
+    )
+    np.testing.assert_array_equal(jac, predicted(params, relabeled, 40, jacobian=True)[1])
+
+
+def test_fitting_reads_the_basis_only_through_rabi():
+    gone = ("_photons_and_spin", "EigenSystem", "drive_matrix_element", "_allowed_lines", "_nearest")
+    for name in gone:
+        assert not hasattr(fitting, name), name
+
+
+def test_no_line_above_the_floor_names_the_first_unlabeled_row():
+    data = PeakData.from_rows([(-0.1, 2.5, "03"), (0.0, 2.6), (0.1, 2.7), (0.2, 2.8)])
+    message = r"^row 2: no drive-allowed transition within k_levels \(6\) above the amplitude floor 10.0$"
+    with pytest.raises(ValueError, match=message):
+        fit(data, initial=(0.15, 2.6, 2.4), bounds=BOUNDS, amplitude_floor=10.0)
 
 
 @pytest.mark.parametrize("unlabeled", [False, True])
@@ -591,6 +637,33 @@ def test_peak_data_refuses_bad_weights(weight):
     rows = [(-0.1, 2.5, "03", 1.0), (0.0, 2.6, "03", weight), (0.1, 2.7, "03", 1.0)]
     with pytest.raises(ValueError, match="weights must be finite and > 0"):
         PeakData.from_rows(rows)
+
+
+def test_read_peaks_repeated_column(tmp_path):
+    path = tmp_path / "peaks.csv"
+    path.write_text("epsilon_ghz,frequency_ghz,label,label\n0,1,03,03\n0.1,1,03,03\n0.2,1,03,03\n")
+    with pytest.raises(ConfigError, match=r":1: duplicate column 'label'$"):
+        read_peaks_csv(path)
+
+
+def test_read_peaks_label_not_written_as_ij_carries_line(tmp_path):
+    path = tmp_path / "peaks.csv"
+    path.write_text("epsilon_ghz,frequency_ghz,label\n0.0,2.61,03\n0.1,2.7,003\n0.2,2.3,12\n")
+    with pytest.raises(ConfigError, match=r":3: transition label '003' must be written '03'$"):
+        read_peaks_csv(path)
+
+
+def test_bundled_peaks_are_what_the_script_writes(tmp_path, monkeypatch, capsys):
+    # the bundled data set is reproducible from its generator, byte for byte
+    script = Path(__file__).parents[1] / "scripts" / "make_synthetic_peaks.py"
+    spec = importlib.util.spec_from_file_location("make_synthetic_peaks", script)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "OUT", tmp_path / "peaks.csv")
+    module.main()
+    capsys.readouterr()
+    assert (tmp_path / "peaks.csv").read_bytes() == Path(synthetic_peaks_path()).read_bytes()
 
 
 def test_read_peaks_unknown_column(tmp_path):

@@ -1,12 +1,14 @@
-"""numpy, imported on its first attribute access rather than at import time.
+"""Modules imported on their first attribute access rather than at import time.
 
-``lamb-shift``, ``reproduce-paper``, ``modes`` and ``couplings`` compute
-in plain floats, so a fresh process running them never pays numpy's import;
-``spectrum`` and ``fit`` load it at their first array operation.  This is the ``importlib.util.LazyLoader``
-recipe of the Python documentation ("Implementing lazy imports").  When
-numpy is already imported, ``np`` is that module itself.  The lazy load is
-not thread-safe before Python 3.12: import numpy first to share it between
-threads.
+``lamb-shift``, ``reproduce-paper``, ``modes`` and ``couplings`` compute in
+plain floats, so a fresh process running them never pays numpy's import;
+``spectrum`` and ``fit`` load it at their first array operation.  ``cli``
+binds ``fitting`` the same way, so only ``fit`` executes it.  This is the
+``importlib.util.LazyLoader`` recipe of the Python documentation
+("Implementing lazy imports"); a submodule is also bound on its package, as
+an import binds it.  When the module is already imported, the result is that
+module itself.  The lazy load is not thread-safe before Python 3.12: import
+numpy first to share it between threads.
 """
 
 import importlib.util
@@ -22,6 +24,9 @@ def _lazy_import(name):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     loader.exec_module(module)
+    package, _, child = name.rpartition(".")
+    if package:
+        setattr(sys.modules[package], child, module)
     return module
 
 

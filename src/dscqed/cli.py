@@ -13,8 +13,11 @@ import sys
 from functools import partial
 
 from . import config as cfg_mod
-from . import fitting, lamb, output, resonator, spectrum
+from . import lamb, output, resonator, spectrum
+from ._lazy import _lazy_import
 from .errors import ConfigError, ConvergenceError
+
+fitting = _lazy_import("dscqed.fitting")  # executed by `fit` alone
 
 
 class _Parser(argparse.ArgumentParser):
@@ -162,13 +165,16 @@ def _cmd_spectrum(args, run) -> int:
 
 def _cmd_fit(args, run) -> int:
     data = fitting.read_peaks_csv(args.data, run.sweep.k_levels)
-    result = fitting.fit(
-        data,
-        initial=run.fit.initial,
-        bounds=run.fit.bounds,
-        k_levels=run.sweep.k_levels,
-        amplitude_floor=run.sweep.amplitude_floor,
-    )
+    try:
+        result = fitting.fit(
+            data,
+            initial=run.fit.initial,
+            bounds=run.fit.bounds,
+            k_levels=run.sweep.k_levels,
+            amplitude_floor=run.sweep.amplitude_floor,
+        )
+    except fitting._RowError as exc:  # name the file line the row was read from
+        raise ConfigError(f"{args.data}:{data.line[exc.row - 1]}: {exc.reason}") from None
     return _emit(args, run, partial(output.record, result.as_dict(), "residual"))
 
 

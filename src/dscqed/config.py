@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+import re
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -21,7 +22,6 @@ from pathlib import Path
 import yaml
 
 from .errors import ConfigError, io_error
-from .fitting import DEFAULT_BOUNDS
 from .lamb import DEFAULT_N_MODES, N_CUTOFF_MIN
 from .rabi import QrmParams
 from .resonator import N_MODES_CEILING, ResonatorModel
@@ -83,6 +83,7 @@ GHZ = "[-1e6, 1e6]"
 POSITIVE = "[1e-9, 1e6]"  # a magnitude in its unit; the floor keeps ratios finite
 NON_NEGATIVE = "[0, 1e6]"
 PARAMS = ("delta_prime_ghz", "omega1_ghz", "g1_ghz")  # the fitted triple
+DEFAULT_BOUNDS = ((1e-6, 100.0), (1e-3, 100.0), (0.0, 100.0))  # the fit's box, GHz
 
 FIELDS = (
     Field("device.z0_ohm", float, REQUIRED, POSITIVE),
@@ -139,6 +140,30 @@ def load_config(path) -> RunConfig:
     return validate(read_tree(path), path)
 
 
+# libyaml, where PyYAML has it, parses several times faster than the
+# pure-Python parser.  On printable ASCII without the characters of
+# _PURE_ONLY the two build the same tree; with them libyaml accepts some text
+# that the pure parser refuses (a tab as a separator, "[1.0?]", "|#").  Every
+# refusal is the pure parser's, in its words.
+_LIBYAML = getattr(yaml, "CSafeLoader", None)
+_PURE_ONLY = re.compile(r"[^\n -~]|[!%>?@`|]")
+
+
+def _parse(path):
+    """The YAML tree of the file at ``path``, as the pure-Python parser
+    builds it, or its refusal."""
+    if _LIBYAML:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+            if not _PURE_ONLY.search(text):
+                return yaml.load(text, Loader=_LIBYAML)
+        except (yaml.YAMLError, ValueError):  # a UnicodeDecodeError is a ValueError
+            pass
+    with open(path, encoding="utf-8") as fh:
+        return yaml.load(fh, Loader=yaml.SafeLoader)
+
+
 def read_tree(path) -> dict:
     """The YAML tree of the config file at ``path``; parse errors carry
     ``path:line``."""
@@ -146,10 +171,14 @@ def read_tree(path) -> dict:
     if not os.path.exists(path):
         raise ConfigError(f"{path}: no such file")
     try:
-        with open(path, encoding="utf-8") as fh:
-            tree = yaml.safe_load(fh)
+        tree = _parse(path)
     except (OSError, UnicodeDecodeError) as exc:
         raise io_error(path, exc) from None
+    except yaml.reader.ReaderError as exc:  # a character YAML does not allow: a position, no mark
+        with open(path, encoding="utf-8") as fh:
+            head = fh.read(exc.position)
+        line = 1 + sum(head.count(brk) for brk in "\n\x85\u2028\u2029")  # YAML's line breaks
+        raise ConfigError(f"{path}:{line}: {str(exc).splitlines()[0]}") from None
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         line = mark.line + 1 if mark is not None else "?"

@@ -42,8 +42,6 @@ from .errors import ConfigError, ConvergenceError, io_error
 from .rabi import FockTruncation, QrmParams, _drive, _eigenpairs, _grid_truncation, _level_gradients
 from .spectrum import SweepConfig, _candidate_lines
 
-DEFAULT_BOUNDS = ((1e-6, 100.0), (1e-3, 100.0), (0.0, 100.0))
-
 _TRUNCATION_TOL = 1e-8  # GHz, movement of the lowest k_levels on doubling n_max
 _DEGENERATE_TOL = 1e-6  # GHz, level spacing below which gradients are differenced
 _FD_STEP = 1e-6  # step of those differences, relative to max(|x|, 1 GHz)
@@ -54,12 +52,14 @@ _STEP_RTOL = 1e-10  # step length relative to |x| at convergence
 
 @dataclass(frozen=True)
 class PeakData:
-    """Measured peak positions: bias and frequency in GHz."""
+    """Measured peak positions: bias and frequency in GHz; ``line`` holds
+    each row's line in the file it was read from, if any."""
 
     epsilon: np.ndarray
     frequency: np.ndarray
     label: tuple
     weight: np.ndarray
+    line: tuple | None = None
 
     def __post_init__(self):
         n = len(self.epsilon)
@@ -76,7 +76,7 @@ class PeakData:
         return len(self.epsilon)
 
     @classmethod
-    def from_rows(cls, rows):
+    def from_rows(cls, rows, line=None):
         """Build from (epsilon, frequency[, label[, weight]]) tuples."""
         eps, freq, labels, weights = [], [], [], []
         for row in rows:
@@ -89,7 +89,16 @@ class PeakData:
             frequency=np.array(freq),
             label=tuple(labels),
             weight=np.array(weights),
+            line=line,
         )
+
+
+class _RowError(ValueError):
+    """A refusal of data row ``row`` (from 1): "row N: <reason>"."""
+
+    def __init__(self, row: int, reason: str):
+        super().__init__(f"row {row}: {reason}")
+        self.row, self.reason = row, reason
 
 
 @dataclass(frozen=True)
@@ -139,7 +148,7 @@ def read_peaks_csv(path, k_levels: int = SweepConfig.k_levels) -> PeakData:
             raise ConfigError(f"{path}:1: duplicate column {name!r}")
         if name not in allowed[2:]:
             raise ConfigError(f"{path}:1: unknown column {name!r}")
-    rows = []
+    rows, lines = [], []
     for lineno, raw in enumerate(records[1:], start=2):
         if not raw or all(not cell.strip() for cell in raw):
             continue
@@ -159,8 +168,9 @@ def read_peaks_csv(path, k_levels: int = SweepConfig.k_levels) -> PeakData:
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from None
         rows.append((eps, freq, label, weight))
+        lines.append(lineno)
     try:
-        return PeakData.from_rows(rows)
+        return PeakData.from_rows(rows, tuple(lines))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -207,7 +217,7 @@ def _layout(data: PeakData, k_levels: int) -> _Layout:
         try:
             pairs.append((-1, -1) if label is None else _parse_label(label, k_levels))
         except ValueError as exc:
-            raise ValueError(f"row {row}: {exc}") from None
+            raise _RowError(row, str(exc)) from None
     biases, at = np.unique(np.abs(data.epsilon), return_inverse=True)
     i, j = np.array(pairs, dtype=int).T
     return _Layout(np.arange(1, len(data) + 1), at, biases, i, j, data.frequency, k_levels)
@@ -230,9 +240,10 @@ def _predicted(params, layout: _Layout, n_max: int, floor: float, jacobian=False
         v = vectors[b].T
         allowed = ~(np.abs(_drive(v[lower], v[upper])) <= floor)
         if not allowed.any():
-            raise ValueError(
-                f"row {layout.row[rows[0]]}: no drive-allowed transition within k_levels "
-                f"({layout.k_levels}) above the amplitude floor {floor}"
+            raise _RowError(
+                int(layout.row[rows[0]]),
+                f"no drive-allowed transition within k_levels ({layout.k_levels}) "
+                f"above the amplitude floor {floor}",
             )
         li, lj = lower[allowed], upper[allowed]
         best = np.abs(values[b, lj] - values[b, li] - layout.measured[rows, None]).argmin(axis=1)
@@ -392,7 +403,7 @@ def _standard_errors(jac, chi2, dof):
 def fit(
     data: PeakData,
     initial,
-    bounds=DEFAULT_BOUNDS,
+    bounds,
     k_levels: int = SweepConfig.k_levels,
     amplitude_floor: float = SweepConfig.amplitude_floor,
     max_iter: int = 400,

@@ -17,6 +17,7 @@ import errno
 import json
 import os
 import shutil
+import stat
 import tempfile
 
 from .errors import ConfigError, io_error
@@ -79,12 +80,22 @@ def csv_text(header: str, rows) -> str:
 
 
 def write_atomic(path, text: str) -> None:
-    """Whole-file write: temp file then rename over the target.
+    """Whole-file write: temp file then rename over the target, which is
+    the file a symlink at ``path`` names.  Any other target that exists and
+    is neither a regular file nor a directory (a FIFO, a device) is refused
+    and left as it is.
 
     Any OSError becomes a ConfigError naming ``path``.
     """
     path = os.fspath(path)
-    directory = os.environ.get(TMPDIR_ENV) or os.path.dirname(os.path.abspath(path))
+    target = os.path.realpath(path) if os.path.islink(path) else path
+    try:
+        mode = os.lstat(target).st_mode
+    except OSError:
+        mode = stat.S_IFREG  # absent, or unreachable: the write says why
+    if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):  # a directory refuses the rename
+        raise ConfigError(f"{path}: not a regular file")
+    directory = os.environ.get(TMPDIR_ENV) or os.path.dirname(os.path.abspath(target))
     try:
         fd, tmp = tempfile.mkstemp(prefix=".dscqed-", dir=directory)
     except OSError as exc:
@@ -100,11 +111,11 @@ def write_atomic(path, text: str) -> None:
             os.fchmod(fd, 0o666 & ~umask)
             fh.write(text)
         try:
-            os.replace(tmp, path)
+            os.replace(tmp, target)
         except OSError as exc:
             if exc.errno != errno.EXDEV:
                 raise
-            shutil.copyfile(tmp, path)  # temp directory on another file system
+            shutil.copyfile(tmp, target)  # temp directory on another file system
     except OSError as exc:
         raise io_error(path, exc) from None
     finally:

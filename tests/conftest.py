@@ -4,8 +4,8 @@ import struct
 import numpy as np
 import pytest
 
-from dscqed import EigenSystem, PeakData, QrmParams, ResonatorModel, drive_matrix_element
-from dscqed.errors import ConvergenceError
+from dscqed import EigenSystem, PeakData, QrmParams, ResonatorModel, config, drive_matrix_element
+from dscqed.errors import ConfigError, ConvergenceError
 from dscqed.resonator import zero_point_current
 from dscqed.fitting import _layout, _predicted
 from dscqed.output import LINE_FIELDS, table
@@ -176,6 +176,22 @@ def paper_resonator():
     return ResonatorModel(
         z0=50.0, l_total=1.93e-9, omega1_bare=2.8525, l_c=231e-12, l_2=823e-12
     )
+
+
+def parser_outcomes(path):
+    """``config.read_tree(path)`` as the config reader runs it (libyaml where
+    it can), then with the pure-Python parser alone: each the tree's repr or
+    the refusal's message."""
+    outcomes = []
+    for libyaml in (config._LIBYAML, None):
+        saved, config._LIBYAML = config._LIBYAML, libyaml
+        try:
+            outcomes.append(repr(config.read_tree(path)))
+        except ConfigError as exc:
+            outcomes.append(f"refused: {exc}")
+        finally:
+            config._LIBYAML = saved
+    return outcomes
 
 
 def synthetic_peaks(triple, noise_sigma=0.0, seed=0, n_branch=9, quad_repeats=0):

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -51,12 +52,15 @@ def test_scalar_commands_run_without_numpy(tmp_path):
     # floats, and a refused config stops before any array, as does a report
     # that double precision cannot represent (exit 2): a fresh process
     # running them never imports numpy, which spectrum's first array
-    # operation then does
+    # operation then does, nor executes `fitting`, which only fit does (a
+    # module not yet executed is still of LazyLoader's module type)
     bad = _config_variant(tmp_path, lambda t: t["qrm"].update(omega1_ghz="fast"))
     deep = _config_variant(tmp_path, lambda t: t["qrm"].update(g1_ghz=60.0), "deep.yaml")
     script = (
-        "import contextlib, io, sys\n"
+        "import contextlib, importlib.util, io, sys\n"
         "from dscqed.cli import main\n"
+        "def lazy():\n"
+        "    return type(sys.modules['dscqed.fitting']) is importlib.util._LazyModule\n"
         "def run(*argv):\n"
         "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
         "        return main(list(argv))\n"
@@ -64,15 +68,18 @@ def test_scalar_commands_run_without_numpy(tmp_path):
         "         run('modes'), run('modes', '--format', 'json'),\n"
         "         run('couplings', '--l-c-ph', '100,231,400'),\n"
         f"         run('lamb-shift', '--config', {bad!r}), run('lamb-shift', '--config', {deep!r})]\n"
-        "print(codes, 'numpy._core' in sys.modules)\n"
+        "print(codes, 'numpy._core' in sys.modules, lazy())\n"
         "print(run('spectrum', '--epsilon-min', '0.3', '--epsilon-max', '0.3', '--epsilon-steps', '1'),\n"
-        "      'numpy._core' in sys.modules)\n"
+        "      'numpy._core' in sys.modules, lazy())\n"
+        f"print(run('fit', '--data', {str(synthetic_peaks_path())!r}), lazy())\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(dscqed.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
-    assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0, 0, 1, 2] False", "0 True"], proc.stderr
+    assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0, 0, 1, 2] False True", "0 True True", "0 False"], (
+        proc.stderr
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -434,20 +441,21 @@ def test_fit_refuses_a_repeated_column(tmp_path, capfd):
 
 
 def test_fit_with_no_line_above_the_floor_names_the_row_and_floor(tmp_path, capfd):
-    # the bundled peaks with every label blanked, no line above the floor
+    # the bundled peaks with every label blanked, behind two blank lines, no
+    # line above the floor: the refusal names the file line of data row 1
     lines = Path(synthetic_peaks_path()).read_text().splitlines()
     for n in range(1, len(lines)):
         cells = lines[n].split(",")
         cells[2] = ""
         lines[n] = ",".join(cells)
     data = tmp_path / "peaks.csv"
-    data.write_text("\n".join(lines) + "\n")
+    data.write_text("\n".join([lines[0], "", "", *lines[1:]]) + "\n")
     config = _config_variant(tmp_path, lambda t: t["sweep"].update(amplitude_floor=10.0))
     assert main(["fit", "--data", str(data), "--config", config]) == 1
     captured = capfd.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: row 1: no drive-allowed transition within k_levels (6) above the amplitude floor 10.0\n"
+        f"error: {data}:4: no drive-allowed transition within k_levels (6) above the amplitude floor 10.0\n"
     )
 
 
@@ -702,4 +710,37 @@ def test_file_errors_exit_1_naming_the_path(argv, named, tmpdir, tmp_path, monke
     assert captured.err.startswith("error: ")
     assert named.format(tmp=tmp_path) in captured.err
     assert captured.err.count("\n") == 1
+
+
+def test_out_writes_through_a_symlink(tmp_path, capsys):
+    # the link stays a link; the file it names gets the output, and a
+    # dangling link's file is created
+    assert main(["modes", "--n-modes", "2"]) == 0
+    printed = capsys.readouterr().out
+    for target in (tmp_path / "old.csv", tmp_path / "new.csv"):
+        if target.name == "old.csv":
+            target.write_text("old\n")
+        link = tmp_path / f"link-{target.name}"
+        link.symlink_to(target)
+        assert main(["modes", "--n-modes", "2", "--out", str(link)]) == 0
+        assert link.is_symlink() and target.read_text() == printed
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "link-new.csv", "link-old.csv", "new.csv", "old.csv"
+    ]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("through_link", [False, True])
+def test_out_refuses_a_fifo_and_leaves_it(through_link, tmp_path, capsys):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    out = fifo
+    if through_link:
+        out = tmp_path / "link"
+        out.symlink_to(fifo)
+    assert main(["modes", "--n-modes", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {out}: not a regular file\n")
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert out.is_symlink() == through_link
+    assert len(list(tmp_path.iterdir())) == 1 + through_link  # no temp file left
 

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dscqed
-from dscqed import ConfigError, load_config, paper_device_path
+from conftest import parser_outcomes
+from dscqed import ConfigError, config, load_config, paper_device_path
 from dscqed.config import FIELDS, _linspace
 
 
@@ -92,6 +94,72 @@ def test_parse_error_carries_line_number(tmp_path):
     path.write_text("device:\n  z0_ohm: 50\n bad_indent: {\n")
     with pytest.raises(ConfigError, match=r":\d+:"):
         load_config(path)
+
+
+def test_control_character_names_its_line(tmp_path):
+    # the parser gives a character position; the refusal names the line
+    path = tmp_path / "bad.yaml"
+    path.write_text("device:\n  z0_ohm: 50.0\x01\n")
+    with pytest.raises(ConfigError) as refusal:
+        load_config(path)
+    assert str(refusal.value) == (
+        f"{path}:2: unacceptable character #x0001: special characters are not allowed"
+    )
+
+
+# printable ASCII, a tab, YAML's other line breaks, a control character, a
+# byte-order mark and a letter beyond ASCII
+MUTATION_CHARS = [chr(c) for c in range(32, 127)] + list("\t\x01\x85\xa0\u2028\ufeff\xe9")
+
+
+def _mutant(text, rng):
+    """``text`` with one character deleted, inserted or replaced."""
+    p, c = rng.randrange(len(text) + 1), rng.choice(MUTATION_CHARS)
+    return rng.choice((text[:p] + text[p + 1:], text[:p] + c + text[p:], text[:p] + c + text[p + 1:]))
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+def test_libyaml_reads_mutated_configs_as_the_pure_parser_does(tmp_path):
+    # the bundled config with one and two characters changed: a tree libyaml
+    # builds is the pure parser's, and every refusal is the pure parser's
+    text = paper_device_path().read_text()
+    rng = random.Random(0)
+    mutants = [_mutant(text, rng) for _ in range(400)]
+    mutants += [_mutant(m, rng) for m in mutants[:200]]
+    path = tmp_path / "config.yaml"
+    refused = 0
+    for mutant in mutants:
+        path.write_text(mutant, encoding="utf-8", newline="")
+        libyaml, pure = parser_outcomes(path)
+        assert libyaml == pure, repr(mutant)
+        refused += libyaml.startswith("refused")
+    read_by_libyaml = sum(not config._PURE_ONLY.search(m) for m in mutants)
+    assert 100 < refused < 500 and read_by_libyaml > 400
+
+
+def _parsed(text, loader):
+    try:
+        return repr(yaml.load(text, Loader=loader))
+    except yaml.YAMLError:
+        return "refused"
+
+
+@pytest.mark.parametrize("text", [
+    "a:\tb\n",  # a tab as a separator
+    "a: [1.0?]\n",  # '?' inside a flow scalar
+    "a: [!, 1]\n",  # an empty tag
+    "h: |#\n  t\n",  # a comment against a block indicator
+    "%YAML 1.1#\n---\na: 1\n",
+    "a:\n\ufeff b: 1\n  c: 2\n",  # a byte-order mark as indentation
+    "a:\n  b: 1\n\ufeff c: 2\n",  # ... where the pure parser reads it as part of a key
+])
+def test_text_libyaml_reads_otherwise_goes_to_the_pure_parser(text, tmp_path):
+    if yaml.__with_libyaml__:
+        assert _parsed(text, yaml.CSafeLoader) != _parsed(text, yaml.SafeLoader)
+    path = tmp_path / "config.yaml"
+    path.write_text(text, encoding="utf-8")
+    libyaml, pure = parser_outcomes(path)
+    assert libyaml == pure
 
 
 def test_negative_frequency_carries_field_path(tmp_path):
@@ -258,8 +326,7 @@ def test_bound_entry_must_be_a_number(tmp_path):
 
 def test_omitted_settings_take_library_defaults(tmp_path):
     from dscqed import SweepConfig
-    from dscqed.config import LambSettings
-    from dscqed.fitting import DEFAULT_BOUNDS
+    from dscqed.config import DEFAULT_BOUNDS, LambSettings
     from dscqed.lamb import DEFAULT_N_MODES
 
     def mutate(tree):

@@ -1,6 +1,9 @@
 import dataclasses
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import dscqed
@@ -65,11 +68,32 @@ def test_public_surface_is_pinned():
     # adding or removing a public name has to change this list
     assert len(PUBLIC) == 35 and list(PUBLIC) == sorted(PUBLIC)
     assert tuple(sorted(dscqed.__all__)) == PUBLIC
+    assert set(PUBLIC) <= set(dir(dscqed))
     for name in PUBLIC:
         assert getattr(dscqed, name) is not None
     for module, name in REMOVED:
         assert not hasattr(dscqed, name), name
         assert not hasattr(importlib.import_module(f"dscqed.{module}"), name), name
+
+
+def test_import_runs_no_submodule():
+    # the package imports each public name from its module on first access
+    script = (
+        "import sys\n"
+        "import dscqed\n"
+        "print(sorted(name for name in sys.modules if name.startswith('dscqed')))\n"
+        "import dscqed.cli\n"  # binds fitting without executing it, on the package too
+        "import dscqed.fitting\n"
+        "print(callable(dscqed.fitting.fit))\n"
+        "names = {}\n"
+        "exec('from dscqed import *', names)\n"
+        "print(sorted(set(names) - {'__builtins__'}) == sorted(dscqed.__all__), len(dscqed.__all__))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(dscqed.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.stdout.splitlines() == ["['dscqed']", "True", "True 35"], proc.stderr
 
 
 def test_eigen_system_holds_values_and_vectors_only():

@@ -30,6 +30,7 @@ import yaml
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import parser_outcomes
 from dscqed import paper_device_path
 from dscqed.cli import main
 from dscqed.config import FIELDS
@@ -217,6 +218,8 @@ def test_config_values_keep_the_failure_contract(case, tmp):
         node["bogus_key"] = 1.0
     config = tmp / "config.yaml"
     config.write_text(yaml.safe_dump(tree))
+    libyaml, pure = parser_outcomes(config)
+    assert libyaml == pure
     probe = ["spectrum"] if path == "sweep.epsilon_steps" else _probe_for_path(path)
     if path == "output.out":
         probe += ["--format", "csv"]

@@ -15,12 +15,13 @@ import math
 import operator
 import os
 import re
-from dataclasses import dataclass, replace
+import reprlib
 from importlib import resources
 from pathlib import Path
 
 import yaml
 
+from ._record import Record
 from .errors import ConfigError, io_error
 from .lamb import DEFAULT_N_MODES, N_CUTOFF_MIN
 from .rabi import QrmParams
@@ -28,40 +29,52 @@ from .resonator import N_MODES_CEILING, ResonatorModel
 from .spectrum import SweepConfig
 
 
-@dataclass(frozen=True)
-class LambSettings:
-    n_cutoff: float = 13.2  # omega_cutoff / omega_1 of the published device
-    delta_measured: float = 0.026  # GHz, the published renormalized gap
-    n_modes: int = DEFAULT_N_MODES
+class LambSettings(Record):
+    n_cutoff = 13.2  # omega_cutoff / omega_1 of the published device
+    delta_measured = 0.026  # GHz, the published renormalized gap
+    n_modes = DEFAULT_N_MODES
+
+    def __init__(
+        self,
+        n_cutoff: float = n_cutoff,
+        delta_measured: float = delta_measured,
+        n_modes: int = n_modes,
+    ) -> None:
+        self.__dict__.update(n_cutoff=n_cutoff, delta_measured=delta_measured, n_modes=n_modes)
 
 
-@dataclass(frozen=True)
-class FitSettings:
-    initial: tuple  # (delta_prime, omega1, g1) GHz
-    bounds: tuple  # three (lo, hi) pairs, GHz
+class FitSettings(Record):
+    """The fit's start (delta_prime, omega1, g1) and its three (lo, hi)
+    bounds, GHz."""
+
+    def __init__(self, initial: tuple, bounds: tuple) -> None:
+        self.__dict__.update(initial=initial, bounds=bounds)
 
 
-@dataclass(frozen=True)
-class OutputSettings:
-    format: str
-    out: str | None
+class OutputSettings(Record):
+    def __init__(self, format: str, out: str | None) -> None:
+        self.__dict__.update(format=format, out=out)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    resonator: ResonatorModel
-    qrm: QrmParams
-    sweep: SweepConfig
-    lamb: LambSettings
-    fit: FitSettings
-    output: OutputSettings
+class RunConfig(Record):
+    def __init__(
+        self,
+        resonator: ResonatorModel,
+        qrm: QrmParams,
+        sweep: SweepConfig,
+        lamb: LambSettings,
+        fit: FitSettings,
+        output: OutputSettings,
+    ) -> None:
+        self.__dict__.update(
+            resonator=resonator, qrm=qrm, sweep=sweep, lamb=lamb, fit=fit, output=output
+        )
 
 
 REQUIRED = object()  # the default of a key that must be given
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(Record):
     """One config key.
 
     kind    -- float, int, str, or tuple for a [low, high] pair of floats
@@ -72,11 +85,10 @@ class Field:
     flag    -- the command-line flag that overrides the key
     """
 
-    path: str
-    kind: type
-    default: object
-    domain: object = None
-    flag: str | None = None
+    def __init__(
+        self, path: str, kind: type, default: object, domain: object = None, flag: str | None = None
+    ) -> None:
+        self.__dict__.update(path=path, kind=kind, default=default, domain=domain, flag=flag)
 
 
 GHZ = "[-1e6, 1e6]"
@@ -147,6 +159,9 @@ def load_config(path) -> RunConfig:
 # refusal is the pure parser's, in its words.
 _LIBYAML = getattr(yaml, "CSafeLoader", None)
 _PURE_ONLY = re.compile(r"[^\n -~]|[!%>?@`|]")
+# Both parsers' composers recurse once per level of nesting (libyaml's
+# overflows the C stack some 10^4 levels down); the schema needs 4.
+_MAX_DEPTH = 64
 
 
 def _parse(path):
@@ -156,12 +171,37 @@ def _parse(path):
         try:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-            if not _PURE_ONLY.search(text):
+            if not _PURE_ONLY.search(text) and _too_deep(yaml.parse(text, Loader=_LIBYAML)) is None:
                 return yaml.load(text, Loader=_LIBYAML)
         except (yaml.YAMLError, ValueError):  # a UnicodeDecodeError is a ValueError
             pass
     with open(path, encoding="utf-8") as fh:
+        deep = _too_deep(yaml.parse(fh, Loader=yaml.SafeLoader))
+    if deep is not None:
+        raise yaml.MarkedYAMLError(
+            problem=f"nested deeper than {_MAX_DEPTH} levels", problem_mark=deep.start_mark
+        )
+    with open(path, encoding="utf-8") as fh:
         return yaml.load(fh, Loader=yaml.SafeLoader)
+
+
+def _too_deep(events):
+    """The first collection among the parser's ``events`` nested deeper than
+    _MAX_DEPTH, or None; both parsers emit events without recursing, and the
+    walk stops there.  A parse error ends the walk with None, for the load
+    to report in its order."""
+    depth = 0
+    try:
+        for event in events:
+            if isinstance(event, yaml.CollectionStartEvent):
+                depth += 1
+                if depth > _MAX_DEPTH:
+                    return event
+            elif isinstance(event, yaml.CollectionEndEvent):
+                depth -= 1
+    except (yaml.YAMLError, ValueError):
+        pass
+    return None
 
 
 def read_tree(path) -> dict:
@@ -227,7 +267,7 @@ def validate(tree: dict, source, overrides=None) -> RunConfig:
     for k in PARAMS:
         lo, hi = v[f"fit.bounds.{k}"]
         try:  # QrmParams holds the model domain
-            replace(qrm, **{k.removesuffix("_ghz"): lo})
+            qrm._replace(**{k.removesuffix("_ghz"): lo})
         except ValueError as exc:
             raise ConfigError(f"{name(f'fit.bounds.{k}')}.0: {exc}") from None
         if not lo <= v[f"fit.initial.{k}"] <= hi:
@@ -314,23 +354,23 @@ def _check(f: Field, value, name: str):
     if f.kind is tuple:
         if not (isinstance(value, (list, tuple)) and len(value) == 2):
             raise ConfigError(f"{name}: expected a [low, high] pair")
-        pair = tuple(_check(replace(f, kind=float), x, f"{name}.{n}") for n, x in enumerate(value))
+        pair = tuple(_check(f._replace(kind=float), x, f"{name}.{n}") for n, x in enumerate(value))
         if not pair[0] < pair[1]:
             raise ConfigError(f"{name}: low must be < high, got {value}")
         return pair
     if f.kind is str:
         if not isinstance(value, str) or not value:
-            raise ConfigError(f"{name}: expected non-empty text, got {value!r}")
+            raise ConfigError(f"{name}: expected non-empty text, got {_quote(value)}")
         if f.domain and value not in f.domain:
             words = " or ".join(map(repr, f.domain))
-            raise ConfigError(f"{name}: must be {words}, got {value!r}")
+            raise ConfigError(f"{name}: must be {words}, got {_quote(value)}")
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float) if f.kind is float else int):
         hint = ""
         if f.kind is float and isinstance(value, str) and _parses_as_float(value):
             hint = " (YAML reads exponent notation as text unless written like 1.0e-3 or 1.0e+6)"
         noun = "a number" if f.kind is float else "an integer"
-        raise ConfigError(f"{name}: expected {noun}, got {value!r}{hint}")
+        raise ConfigError(f"{name}: expected {noun}, got {_quote(value)}{hint}")
     if f.kind is float:
         try:
             value = float(value)
@@ -346,6 +386,26 @@ def _check(f: Field, value, name: str):
         if not _OPS[op](value, float(bound)):
             raise ConfigError(f"{name}: must be {op} {bound}, got {value}")
     return value
+
+
+_QUOTE = reprlib.Repr()  # a few items a level, two levels, 30 characters an item
+_QUOTE.maxlevel = 2
+_QUOTE_SIZE = 100  # items and characters of a value quoted whole
+
+
+def _quote(value) -> str:
+    """``repr(value)``, or reprlib's abbreviation of it when ``value``
+    holds more than _QUOTE_SIZE items and characters in all (YAML aliases
+    can make a short file hold a huge or self-containing value)."""
+    budget, stack = _QUOTE_SIZE, [value]
+    while stack and budget >= 0:
+        item = stack.pop()
+        if isinstance(item, (str, bytes)):
+            budget -= len(item)
+        elif isinstance(item, (dict, list, tuple, set, frozenset)):
+            stack.extend(item.items() if isinstance(item, dict) else item)
+        budget -= 1
+    return repr(value) if budget >= 0 else _QUOTE.repr(value)
 
 
 def _parses_as_float(text) -> bool:

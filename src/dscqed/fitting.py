@@ -35,9 +35,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 
 from ._lazy import np
+from ._record import Record
 from .errors import ConfigError, ConvergenceError, io_error
 from .rabi import FockTruncation, QrmParams, _drive, _eigenpairs, _grid_truncation, _level_gradients
 from .spectrum import SweepConfig, _candidate_lines
@@ -50,18 +50,21 @@ _COST_RTOL = 1e-10  # relative cost change, actual and predicted, at convergence
 _STEP_RTOL = 1e-10  # step length relative to |x| at convergence
 
 
-@dataclass(frozen=True)
-class PeakData:
+class PeakData(Record):
     """Measured peak positions: bias and frequency in GHz; ``line`` holds
     each row's line in the file it was read from, if any."""
 
-    epsilon: np.ndarray
-    frequency: np.ndarray
-    label: tuple
-    weight: np.ndarray
-    line: tuple | None = None
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        epsilon: np.ndarray,
+        frequency: np.ndarray,
+        label: tuple,
+        weight: np.ndarray,
+        line: tuple | None = None,
+    ) -> None:
+        self.__dict__.update(
+            epsilon=epsilon, frequency=frequency, label=label, weight=weight, line=line
+        )
         n = len(self.epsilon)
         if n < 3:
             raise ValueError(f"need at least 3 rows, got {n}")
@@ -101,17 +104,34 @@ class _RowError(ValueError):
         self.row, self.reason = row, reason
 
 
-@dataclass(frozen=True)
-class FitResult:
-    delta_prime: float
-    omega1: float
-    g1: float
-    residual_rms: float
-    per_point_residuals: np.ndarray
-    iterations: int
-    converged: bool
-    stderr: tuple  # per parameter, GHz: sqrt(diag((J^T W J)^-1) * chi2 / dof)
-    reason: str  # termination: "cost", "step" or "max_iter"
+class FitResult(Record):
+    """The fitted triple (GHz), the residuals, and how the descent ended:
+    ``stderr`` per parameter, GHz, is sqrt(diag((J^T W J)^-1) * chi2 / dof)
+    and ``reason`` is "cost", "step" or "max_iter"."""
+
+    def __init__(
+        self,
+        delta_prime: float,
+        omega1: float,
+        g1: float,
+        residual_rms: float,
+        per_point_residuals: np.ndarray,
+        iterations: int,
+        converged: bool,
+        stderr: tuple,
+        reason: str,
+    ) -> None:
+        self.__dict__.update(
+            delta_prime=delta_prime,
+            omega1=omega1,
+            g1=g1,
+            residual_rms=residual_rms,
+            per_point_residuals=per_point_residuals,
+            iterations=iterations,
+            converged=converged,
+            stderr=stderr,
+            reason=reason,
+        )
 
     @property
     def params(self):
@@ -189,8 +209,7 @@ def _parse_label(label: str, k_levels: int):
     return i, j
 
 
-@dataclass(frozen=True)
-class _Layout:
+class _Layout(Record):
     """The data rows as the evaluation reads them, with their labels
     parsed; built once per fit.
 
@@ -200,13 +219,19 @@ class _Layout:
     drive-allowed line nearest its measured frequency ``measured[m]``.
     """
 
-    row: np.ndarray
-    at: np.ndarray
-    biases: np.ndarray
-    i: np.ndarray
-    j: np.ndarray
-    measured: np.ndarray
-    k_levels: int
+    def __init__(
+        self,
+        row: np.ndarray,
+        at: np.ndarray,
+        biases: np.ndarray,
+        i: np.ndarray,
+        j: np.ndarray,
+        measured: np.ndarray,
+        k_levels: int,
+    ) -> None:
+        self.__dict__.update(
+            row=row, at=at, biases=biases, i=i, j=j, measured=measured, k_levels=k_levels
+        )
 
 
 def _layout(data: PeakData, k_levels: int) -> _Layout:
@@ -306,8 +331,9 @@ def _levenberg_marquardt(residuals, x0, lo, hi, max_iter: int):
     steepest descent; an accepted step shrinks the damping tenfold.  Refusing
     rather than clipping keeps a long early step from being projected into a
     corner of the box that is a local minimum.  A parameter that starts on a
-    bound stays on it while the step points out of the box.  A failed
-    least-squares solve raises ConvergenceError.
+    bound stays on it while the step points out of the box.  A non-finite
+    cost or Jacobian, and a failed least-squares solve, raise
+    ConvergenceError.
 
     Returns (x, r, jacobian, iterations, reason, trace), with r and the
     jacobian at x, the best point evaluated: trace holds the cost after
@@ -322,6 +348,8 @@ def _levenberg_marquardt(residuals, x0, lo, hi, max_iter: int):
     trace = [cost]
     damping = _DAMPING_START
     for it in range(1, max_iter + 1):
+        if not (math.isfinite(cost) and np.isfinite(jac).all()):
+            raise ConvergenceError("the weighted cost or its Jacobian is not finite")
         mu = damping * np.mean(np.sum(jac * jac, axis=0))
         try:
             step = np.linalg.lstsq(
@@ -357,12 +385,12 @@ def _levenberg_marquardt(residuals, x0, lo, hi, max_iter: int):
     return x, r, jac, max_iter, "max_iter", trace
 
 
-def _descend(data, layout, x0, bounds, floor, max_iter):
-    """Levenberg-Marquardt on the weighted residuals at the truncation that
-    converges at ``x0``, repeated from the optimum while the optimum needs a
-    larger one.  A truncation converges at x when the lowest k_levels
-    levels settle to _TRUNCATION_TOL both at zero bias and at the data's
-    largest |bias|, as in ``spectrum.sweep``.  ``max_iter`` bounds the
+def _descend(data, weight, layout, x0, bounds, floor, max_iter):
+    """Levenberg-Marquardt on the residuals weighted by ``weight`` at the
+    truncation that converges at ``x0``, repeated from the optimum while the
+    optimum needs a larger one.  A truncation converges at x when the lowest
+    k_levels levels settle to _TRUNCATION_TOL both at zero bias and at the
+    data's largest |bias|, as in ``spectrum.sweep``.  ``max_iter`` bounds the
     iterations of all passes together.
 
     Returns (x, weighted residuals, weighted jacobian, iterations, reason),
@@ -370,7 +398,7 @@ def _descend(data, layout, x0, bounds, floor, max_iter):
     converges at x.
     """
     lo, hi = (np.array(b) for b in zip(*bounds))
-    root_w = np.sqrt(data.weight)
+    root_w = np.sqrt(weight)
 
     def converged_at(x):
         return _grid_truncation(*x, data.epsilon, layout.k_levels, _TRUNCATION_TOL).n_max
@@ -381,7 +409,10 @@ def _descend(data, layout, x0, bounds, floor, max_iter):
 
     x, n_max, iterations = np.array(x0, dtype=float), converged_at(x0), 0
     while True:
-        x, r, jac, it, reason, _ = _levenberg_marquardt(residuals, x, lo, hi, max_iter - iterations)
+        with np.errstate(over="ignore"):  # an overflowing cost is refused as not finite
+            x, r, jac, it, reason, _ = _levenberg_marquardt(
+                residuals, x, lo, hi, max_iter - iterations
+            )
         iterations += it
         needed = converged_at(x)
         if needed <= n_max:
@@ -428,17 +459,22 @@ def fit(
     if np.all(np.abs(data.epsilon) == abs(data.epsilon[0])):  # the spectrum is even in the bias
         raise ValueError("degenerate data: all bias values are equal in magnitude")
     layout = _layout(data, k_levels)  # fails loudly here, not inside the descent
+    # the optimum, rms and stderr do not depend on the weights' scale, and
+    # at most 1 they neither overflow nor underflow the cost; the floor keeps
+    # a weight more than 1e308 times below the largest from rounding to 0,
+    # so that its row's residual can still be unweighted
+    weight = np.maximum(data.weight / data.weight.max(), np.finfo(float).tiny)
     best, r, jac, iterations, reason = _descend(
-        data, layout, initial, bounds, amplitude_floor, max_iter
+        data, weight, layout, initial, bounds, amplitude_floor, max_iter
     )
     chi2 = float(r @ r)
-    rms = float(np.sqrt(chi2 / np.sum(data.weight)))
+    rms = float(np.sqrt(chi2 / np.sum(weight)))
     return FitResult(
         delta_prime=float(best[0]),
         omega1=float(best[1]),
         g1=float(best[2]),
         residual_rms=rms,
-        per_point_residuals=r / np.sqrt(data.weight),
+        per_point_residuals=r / np.sqrt(weight),
         iterations=iterations,
         converged=reason != "max_iter",
         stderr=_standard_errors(jac, chi2, len(data) - 3),

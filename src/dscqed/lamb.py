@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import ConvergenceError
 from .resonator import N_MODES_CEILING, check_coupling_domain, coupling_law
 
@@ -38,8 +38,7 @@ _HEAD = tuple(k + 0.5 for k in range(20))
 _STIRLING = ((1, 1 / 2), (2, 1 / 12), (4, -1 / 120), (6, 1 / 252), (8, -1 / 240), (10, 1 / 132))
 
 
-@dataclass(frozen=True)
-class LambShiftReport:
+class LambShiftReport(Record):
     """Bare / partially renormalized / fully renormalized gap triple (GHz),
     the mode sum, and relative shifts.
 
@@ -49,16 +48,27 @@ class LambShiftReport:
     differ and are both carried.
     """
 
-    delta0: float
-    delta0_prime: float
-    delta: float
-    sum_value: float
-    n_cutoff: float
-    per_mode_shift: tuple
-    total_shift: float
-    fundamental_shift: float
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        delta0: float,
+        delta0_prime: float,
+        delta: float,
+        sum_value: float,
+        n_cutoff: float,
+        per_mode_shift: tuple,
+        total_shift: float,
+        fundamental_shift: float,
+    ) -> None:
+        self.__dict__.update(
+            delta0=delta0,
+            delta0_prime=delta0_prime,
+            delta=delta,
+            sum_value=sum_value,
+            n_cutoff=n_cutoff,
+            per_mode_shift=per_mode_shift,
+            total_shift=total_shift,
+            fundamental_shift=fundamental_shift,
+        )
         if not 0.0 < self.delta <= self.delta0_prime <= self.delta0:
             raise ValueError(
                 "require 0 < delta <= delta0_prime <= delta0, got "

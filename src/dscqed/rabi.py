@@ -42,9 +42,9 @@ to 1e-8, and forbidden lines (same parity) stay forbidden.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._lazy import np
+from ._record import Record
 from .errors import ConvergenceError
 
 N_MAX_CEILING = 4096
@@ -53,8 +53,7 @@ _STRAY_WEIGHT = 5e-9  # weight off its chain: parity expectation 1e-8 from +-1
 _STACK_BYTES = 1 << 25  # most bytes of Hamiltonians diagonalized in one stack
 
 
-@dataclass(frozen=True)
-class QrmParams:
+class QrmParams(Record):
     """Single-mode Rabi parameters, ordinary frequencies in GHz.
 
     delta_prime -- qubit tunnel gap (>= 0)
@@ -63,13 +62,9 @@ class QrmParams:
     g1          -- qubit-mode coupling (>= 0)
     """
 
-    delta_prime: float
-    epsilon: float
-    omega1: float
-    g1: float
-
-    def __post_init__(self):
-        for name in ("delta_prime", "epsilon", "omega1", "g1"):
+    def __init__(self, delta_prime: float, epsilon: float, omega1: float, g1: float) -> None:
+        self.__dict__.update(delta_prime=delta_prime, epsilon=epsilon, omega1=omega1, g1=g1)
+        for name in self.__match_args__:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.delta_prime >= 0.0:
@@ -80,14 +75,12 @@ class QrmParams:
             raise ValueError(f"g1 must be >= 0, got {self.g1}")
 
 
-@dataclass(frozen=True)
-class FockTruncation:
+class FockTruncation(Record):
     """Photon-number cutoff: Fock states 0..n_max are kept.  Size it with
     converged_truncation for the parameters at hand."""
 
-    n_max: int
-
-    def __post_init__(self):
+    def __init__(self, n_max: int) -> None:
+        self.__dict__.update(n_max=n_max)
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
         if self.n_max > N_MAX_CEILING:
@@ -102,16 +95,15 @@ class FockTruncation:
         return 2 * (self.n_max + 1)
 
 
-@dataclass(frozen=True)
-class EigenSystem:
+class EigenSystem(Record):
     """Sorted eigenvalues and eigenvector columns.
 
     ``values`` holds every eigenvalue, (..., dim) for a stack of matrices,
     and ``vectors`` the columns of the lowest k kept, (..., dim, k).
     """
 
-    values: np.ndarray
-    vectors: np.ndarray
+    def __init__(self, values: np.ndarray, vectors: np.ndarray) -> None:
+        self.__dict__.update(values=values, vectors=vectors)
 
     @property
     def dim(self) -> int:

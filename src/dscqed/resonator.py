@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import ConvergenceError
 
 TWO_PI_GHZ = 2.0 * math.pi * 1e9  # ordinary GHz -> rad/s
@@ -37,8 +37,7 @@ N_MODES_CEILING = 10**6  # most modes any per-mode table is built for
 _HALF_PI = 0.5 * math.pi
 
 
-@dataclass(frozen=True)
-class ResonatorModel:
+class ResonatorModel(Record):
     """Distributed-element description of the loaded quarter-wave line.
 
     z0          -- characteristic impedance sqrt(l/c), Ohm
@@ -48,14 +47,11 @@ class ResonatorModel:
     l_2         -- large-junction pair inductance, H
     """
 
-    z0: float
-    l_total: float
-    omega1_bare: float
-    l_c: float
-    l_2: float
-
-    def __post_init__(self):
-        for name in ("z0", "l_total", "omega1_bare", "l_c", "l_2"):
+    def __init__(
+        self, z0: float, l_total: float, omega1_bare: float, l_c: float, l_2: float
+    ) -> None:
+        self.__dict__.update(z0=z0, l_total=l_total, omega1_bare=omega1_bare, l_c=l_c, l_2=l_2)
+        for name in self.__match_args__:
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if not self.l_c2 > 0.0:  # the product l_c * l_2 underflows
@@ -74,15 +70,11 @@ class ResonatorModel:
         return self.l_c2 / self.l_total
 
 
-@dataclass(frozen=True)
-class ModeTable:
+class ModeTable(Record):
     """Per-mode tuples: index n = 1, 2, ..., frequency, kX, I_zpf, coupling."""
 
-    n: tuple
-    omega_ghz: tuple
-    k_x: tuple
-    i_zpf: tuple
-    g_ghz: tuple
+    def __init__(self, n: tuple, omega_ghz: tuple, k_x: tuple, i_zpf: tuple, g_ghz: tuple) -> None:
+        self.__dict__.update(n=n, omega_ghz=omega_ghz, k_x=k_x, i_zpf=i_zpf, g_ghz=g_ghz)
 
     def __len__(self):
         return len(self.n)

@@ -10,24 +10,35 @@ emits those in its probe band, and the fit matches unlabeled peaks to them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ._lazy import np
+from ._record import Record
 from .rabi import EigenSystem, _eigenpairs, _grid_truncation, drive_matrix_element
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(Record):
     """Bias grid, probe band, number of levels, and the amplitude floor
-    below which a line counts as forbidden."""
+    below which a line counts as forbidden.  The defaults are also class
+    attributes, which the config's field table and the fit read."""
 
-    epsilon_grid: tuple
-    freq_window: tuple
-    k_levels: int = 6
-    amplitude_floor: float = 1e-6
-    truncation_tol: float = 1e-6  # GHz, Fock-cutoff convergence tolerance
+    k_levels = 6
+    amplitude_floor = 1e-6
+    truncation_tol = 1e-6  # GHz, Fock-cutoff convergence tolerance
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        epsilon_grid: tuple,
+        freq_window: tuple,
+        k_levels: int = k_levels,
+        amplitude_floor: float = amplitude_floor,
+        truncation_tol: float = truncation_tol,
+    ) -> None:
+        self.__dict__.update(
+            epsilon_grid=epsilon_grid,
+            freq_window=freq_window,
+            k_levels=k_levels,
+            amplitude_floor=amplitude_floor,
+            truncation_tol=truncation_tol,
+        )
         if len(self.epsilon_grid) == 0:
             raise ValueError("epsilon_grid must be non-empty")
         lo, hi = self.freq_window
@@ -39,19 +50,13 @@ class SweepConfig:
             raise ValueError("truncation_tol must be > 0")
 
 
-@dataclass(frozen=True)
-class SpectralLine:
+class SpectralLine(Record):
     """One transition at one bias point."""
 
-    epsilon: float
-    i: int
-    j: int
-    frequency: float
-    amplitude: float
-
-    def __post_init__(self):
-        if self.frequency < 0.0:
-            raise ValueError(f"frequency must be >= 0, got {self.frequency}")
+    def __init__(self, epsilon: float, i: int, j: int, frequency: float, amplitude: float) -> None:
+        self.__dict__.update(epsilon=epsilon, i=i, j=j, frequency=frequency, amplitude=amplitude)
+        if frequency < 0.0:
+            raise ValueError(f"frequency must be >= 0, got {frequency}")
 
     @property
     def label(self) -> str:

@@ -53,7 +53,9 @@ def test_scalar_commands_run_without_numpy(tmp_path):
     # that double precision cannot represent (exit 2): a fresh process
     # running them never imports numpy, which spectrum's first array
     # operation then does, nor executes `fitting`, which only fit does (a
-    # module not yet executed is still of LazyLoader's module type)
+    # module not yet executed is still of LazyLoader's module type); the
+    # value records are plain classes, so no command loads `dataclasses`,
+    # and the scalar ones do not load `inspect`, which it imports
     bad = _config_variant(tmp_path, lambda t: t["qrm"].update(omega1_ghz="fast"))
     deep = _config_variant(tmp_path, lambda t: t["qrm"].update(g1_ghz=60.0), "deep.yaml")
     script = (
@@ -68,16 +70,18 @@ def test_scalar_commands_run_without_numpy(tmp_path):
         "         run('modes'), run('modes', '--format', 'json'),\n"
         "         run('couplings', '--l-c-ph', '100,231,400'),\n"
         f"         run('lamb-shift', '--config', {bad!r}), run('lamb-shift', '--config', {deep!r})]\n"
-        "print(codes, 'numpy._core' in sys.modules, lazy())\n"
+        "print(codes, 'numpy._core' in sys.modules, lazy(),\n"
+        "      'dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
         "print(run('spectrum', '--epsilon-min', '0.3', '--epsilon-max', '0.3', '--epsilon-steps', '1'),\n"
         "      'numpy._core' in sys.modules, lazy())\n"
-        f"print(run('fit', '--data', {str(synthetic_peaks_path())!r}), lazy())\n"
+        f"print(run('fit', '--data', {str(synthetic_peaks_path())!r}), lazy(),\n"
+        "      'dataclasses' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(dscqed.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
-    assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0, 0, 1, 2] False True", "0 True True", "0 False"], (
+    assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0, 0, 1, 2] False True False False", "0 True True", "0 False False"], (
         proc.stderr
     )
 

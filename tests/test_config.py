@@ -107,6 +107,54 @@ def test_control_character_names_its_line(tmp_path):
     )
 
 
+DEEP = 30000  # levels that overflow libyaml's recursive composer
+
+
+@pytest.mark.parametrize(("value", "line"), [
+    ("[" * DEEP + "1" + "]" * DEEP, 5),
+    ("{b: " * DEEP + "1" + "}" * DEEP, 5),
+    ("\n    " + "- " * DEEP + "1", 6),
+    ("[" * DEEP + "1" + "]" * DEEP + "  # \u00e9", 5),  # read by the pure parser
+], ids=["flow-sequence", "flow-mapping", "block-sequence", "pure-parser"])
+def test_deep_nesting_is_refused_at_its_line(tmp_path, value, line):
+    # the composers recurse once per level, and libyaml's overflows the C
+    # stack: a subprocess, so that a crash fails the test and spares pytest
+    path = tmp_path / "deep.yaml"
+    path.write_text(paper_device_path().read_text().replace("z0_ohm: 50.0", "z0_ohm: " + value))
+    env = dict(os.environ, PYTHONPATH=str(Path(dscqed.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dscqed.cli", "modes", "--config", str(path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: {path}:{line}: nested deeper than {config._MAX_DEPTH} levels\n"
+
+
+def test_nesting_to_the_limit_reaches_the_validator(tmp_path):
+    depth = config._MAX_DEPTH - 2  # under the top-level and device mappings
+    path = tmp_path / "deep.yaml"
+    value = "[" * depth + "1" + "]" * depth
+    path.write_text(paper_device_path().read_text().replace("z0_ohm: 50.0", "z0_ohm: " + value))
+    assert parser_outcomes(path)[0] == parser_outcomes(path)[1]
+    with pytest.raises(ConfigError, match=r"device\.z0_ohm: expected a number, got \[\[\["):
+        load_config(path)
+
+
+@pytest.mark.parametrize(("value", "quoted"), [
+    ("[" + ", ".join(["1"] * 200000) + "]", "[1, 1, 1, 1, 1, 1, ...]"),
+    ("&r [1, *r]", "[1, [1, [...]]]"),  # a list that holds itself
+    ('"' + "x" * 5000 + '"', "'" + "x" * 12 + "..." + "x" * 13 + "'"),
+    ("{b: 1, a: [2, 3]}", "{'b': 1, 'a': [2, 3]}"),  # small: repr, in file order
+    ('"' + "x" * 98 + '"', "'" + "x" * 98 + "'"),
+], ids=["wide", "self-holding", "long-text", "small-mapping", "short-text"])
+def test_refused_values_are_quoted_within_bounds(tmp_path, value, quoted):
+    path = tmp_path / "config.yaml"
+    path.write_text(paper_device_path().read_text().replace("z0_ohm: 50.0", "z0_ohm: " + value))
+    with pytest.raises(ConfigError) as refusal:
+        load_config(path)
+    assert str(refusal.value) == f"{path}: device.z0_ohm: expected a number, got {quoted}"
+
+
 # printable ASCII, a tab, YAML's other line breaks, a control character, a
 # byte-order mark and a letter beyond ASCII
 MUTATION_CHARS = [chr(c) for c in range(32, 127)] + list("\t\x01\x85\xa0\u2028\ufeff\xe9")

@@ -179,6 +179,42 @@ def test_uniform_weight_scaling_leaves_optimum():
     assert np.allclose(res_a.params, res_b.params, atol=3e-4)
 
 
+@pytest.mark.parametrize("weight", [5e-324, 1e308])
+def test_extreme_uniform_weight_gives_the_unit_weight_fit(weight):
+    # the fit divides the weights by their largest, so a uniform weight at
+    # either end of the doubles neither underflows nor overflows the cost
+    data = read_peaks_csv(synthetic_peaks_path())
+    scaled = PeakData(data.epsilon, data.frequency, data.label, np.full(len(data), weight))
+    unit = fit(data, initial=(0.15, 2.6, 2.4), bounds=BOUNDS)
+    res = fit(scaled, initial=(0.15, 2.6, 2.4), bounds=BOUNDS)
+    assert res.params == unit.params and res.iterations == unit.iterations > 1
+    assert (res.residual_rms, res.stderr, res.reason) == (unit.residual_rms, unit.stderr, unit.reason)
+    assert np.array_equal(res.per_point_residuals, unit.per_point_residuals)
+
+
+def test_weights_spread_past_the_doubles_keep_every_residual():
+    # 5e-324 / 1e308 rounds to zero; the row keeps the smallest normal
+    # weight, so its residual is still reported
+    data = synthetic_peaks(PAPER_TRIPLE)
+    weight = np.full(len(data), 1e308)
+    weight[0] = 5e-324
+    res = fit(
+        PeakData(data.epsilon, data.frequency, data.label, weight),
+        initial=(0.16, 2.4, 2.6),
+        bounds=BOUNDS,
+    )
+    assert res.converged and np.allclose(res.params, PAPER_TRIPLE, rtol=1e-3)
+    assert abs(res.per_point_residuals).max() < 1e-5
+
+
+def test_non_finite_cost_is_a_numerical_failure():
+    # residuals near 1e200 GHz square past the largest double: refused
+    # before the least-squares step, not handed to LAPACK
+    data = PeakData(np.array([-0.5, 0.0, 0.5]), np.full(3, 1e200), ("03",) * 3, np.ones(3))
+    with pytest.raises(ConvergenceError, match="^the weighted cost or its Jacobian is not finite$"):
+        fit(data, initial=(0.15, 2.6, 2.4), bounds=BOUNDS)
+
+
 def test_degenerate_bias_rejected():
     rows = [(0.1, 2.5, "03", 1.0), (0.1, 2.6, "12", 1.0), (0.1, 2.7, "02", 1.0)]
     data = PeakData.from_rows(rows)

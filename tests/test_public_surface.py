@@ -1,10 +1,14 @@
-import dataclasses
+import ast
 import importlib
+import inspect
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import dscqed
 
@@ -98,7 +102,102 @@ def test_import_runs_no_submodule():
 
 def test_eigen_system_holds_values_and_vectors_only():
     # a state's parity is read from its vector, not carried beside it
-    assert [f.name for f in dataclasses.fields(dscqed.EigenSystem)] == ["values", "vectors"]
+    es = dscqed.EigenSystem(np.zeros(2), np.eye(2))
+    assert dscqed.EigenSystem.__match_args__ == ("values", "vectors")
+    assert list(vars(es)) == ["values", "vectors"]
+
+
+# Every value record: its module, its constructor's parameters as the
+# frozen dataclasses that preceded the records printed them, and valid
+# arguments.
+RECORDS = (
+    ("rabi", "QrmParams",
+     "(delta_prime: 'float', epsilon: 'float', omega1: 'float', g1: 'float')",
+     (0.1, 0.0, 2.6, 2.4)),
+    ("rabi", "FockTruncation", "(n_max: 'int')", (8,)),
+    ("rabi", "EigenSystem", "(values: 'np.ndarray', vectors: 'np.ndarray')",
+     ((0.0, 1.0), ((1.0, 0.0), (0.0, 1.0)))),
+    ("spectrum", "SweepConfig",
+     "(epsilon_grid: 'tuple', freq_window: 'tuple', k_levels: 'int' = 6, "
+     "amplitude_floor: 'float' = 1e-06, truncation_tol: 'float' = 1e-06)",
+     ((0.0, 0.5), (2.0, 8.0), 4, 1e-5, 1e-7)),
+    ("spectrum", "SpectralLine",
+     "(epsilon: 'float', i: 'int', j: 'int', frequency: 'float', amplitude: 'float')",
+     (0.1, 0, 3, 4.5, 0.2)),
+    ("resonator", "ResonatorModel",
+     "(z0: 'float', l_total: 'float', omega1_bare: 'float', l_c: 'float', l_2: 'float')",
+     (50.0, 1.93e-9, 2.8525, 231e-12, 823e-12)),
+    ("resonator", "ModeTable",
+     "(n: 'tuple', omega_ghz: 'tuple', k_x: 'tuple', i_zpf: 'tuple', g_ghz: 'tuple')",
+     ((1,), (2.6,), (1.4,), (1e-8,), (2.4,))),
+    ("lamb", "LambShiftReport",
+     "(delta0: 'float', delta0_prime: 'float', delta: 'float', sum_value: 'float', "
+     "n_cutoff: 'float', per_mode_shift: 'tuple', total_shift: 'float', "
+     "fundamental_shift: 'float')",
+     (4.0, 2.0, 1.0, 2.0, 13.2, (0.5,), 0.75, 0.5)),
+    ("config", "LambSettings",
+     "(n_cutoff: 'float' = 13.2, delta_measured: 'float' = 0.026, n_modes: 'int' = 30)",
+     (10.0, 0.03, 5)),
+    ("config", "FitSettings", "(initial: 'tuple', bounds: 'tuple')",
+     ((0.1, 2.6, 2.4), ((0.0, 1.0),) * 3)),
+    ("config", "OutputSettings", "(format: 'str', out: 'str | None')", ("json", None)),
+    ("config", "RunConfig",
+     "(resonator: 'ResonatorModel', qrm: 'QrmParams', sweep: 'SweepConfig', "
+     "lamb: 'LambSettings', fit: 'FitSettings', output: 'OutputSettings')",
+     ("r", "q", "s", "l", "f", "o")),
+    ("config", "Field",
+     "(path: 'str', kind: 'type', default: 'object', domain: 'object' = None, "
+     "flag: 'str | None' = None)",
+     ("qrm.g1_ghz", float, 1.0, "[0, 1e6]", "--g1")),
+    ("fitting", "PeakData",
+     "(epsilon: 'np.ndarray', frequency: 'np.ndarray', label: 'tuple', "
+     "weight: 'np.ndarray', line: 'tuple | None' = None)",
+     (np.array([-0.1, 0.0, 0.1]), np.array([2.5, 2.6, 2.7]), ("03",) * 3, np.ones(3), (2, 3, 4))),
+    ("fitting", "FitResult",
+     "(delta_prime: 'float', omega1: 'float', g1: 'float', residual_rms: 'float', "
+     "per_point_residuals: 'np.ndarray', iterations: 'int', converged: 'bool', "
+     "stderr: 'tuple', reason: 'str')",
+     (0.1, 2.6, 2.4, 1e-3, (0.0, 1e-3), 5, True, (1e-4,) * 3, "cost")),
+    ("fitting", "_Layout",
+     "(row: 'np.ndarray', at: 'np.ndarray', biases: 'np.ndarray', i: 'np.ndarray', "
+     "j: 'np.ndarray', measured: 'np.ndarray', k_levels: 'int')",
+     ((1, 2), (0, 1), (0.0, 0.1), (0, 0), (3, 3), (2.5, 2.6), 6)),
+)
+
+
+@pytest.mark.parametrize(("module", "name", "parameters", "args"), RECORDS, ids=[r[1] for r in RECORDS])
+def test_records_behave_as_frozen_dataclasses(module, name, parameters, args):
+    cls = getattr(importlib.import_module(f"dscqed.{module}"), name)
+    signature = inspect.signature(cls)
+    assert str(signature.replace(return_annotation=inspect.Signature.empty)) == parameters
+    assert inspect.signature(cls, eval_str=True).return_annotation is None
+    fields = tuple(signature.parameters)
+    assert cls.__match_args__ == fields
+    record, twin = cls(*args), cls(*args)
+    assert record == twin and record != args and not record != twin
+    if name == "PeakData":  # array fields: unhashable, as a tuple of arrays is
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(twin) == hash(args)
+    assert repr(record) == f"{name}(" + ", ".join(f"{f}={a!r}" for f, a in zip(fields, args)) + ")"
+    for field in (fields[0], "extra"):
+        with pytest.raises(AttributeError, match="cannot assign to field"):
+            setattr(record, field, args[0])
+    with pytest.raises(AttributeError, match="cannot delete field"):
+        delattr(record, fields[0])
+    assert record._replace() == record and record._replace() is not record
+
+
+def test_sources_parse_at_the_python_floor():
+    # requires-python in pyproject.toml is the floor every source must parse at
+    root = Path(__file__).parents[1]
+    floor = re.search(r'requires-python = ">=3\.(\d+)"', (root / "pyproject.toml").read_text())
+    assert floor and floor.group(1) == "10"
+    paths = [p for d in ("src", "tests", "scripts") for p in sorted((root / d).rglob("*.py"))]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 
 
 def test_readme_python_blocks_run(capsys):

@@ -334,6 +334,8 @@ def _flatten(tree: dict, source: str, prefix: str = "") -> dict:
             allowed = dict.fromkeys(
                 f.path[len(prefix):].split(".")[0] for f in FIELDS if f.path.startswith(prefix)
             )
+            if len(path) - len(prefix) >= _QUOTE_SIZE:  # an explicit "? key" has no length limit
+                path = prefix + _QUOTE.repr(key)
             raise ConfigError(f"{source}: {path}: unknown key (allowed: {', '.join(allowed)})")
     return flat
 

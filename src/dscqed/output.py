@@ -32,14 +32,10 @@ CHECK_FIELDS = ("quantity", "computed", "reference", "tol", "status")
 
 def fmt(value) -> str:
     """Canonical token for one cell: floats at 12 significant digits."""
+    if isinstance(value, float):  # the common cell first; + 0.0 turns -0.0 into 0.0
+        return format(value + 0.0, ".12g")
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int,)):
-        return str(value)
-    if isinstance(value, float):
-        if value == 0.0:
-            value = 0.0  # normalize -0.0
-        return format(value, ".12g")
     return str(value)
 
 
@@ -75,7 +71,7 @@ def csv_text(header: str, rows) -> str:
     """CSV with a fixed header line and '\\n' terminators."""
     out = [header]
     for row in rows:
-        out.append(",".join(fmt(cell) for cell in row))
+        out.append(",".join(map(fmt, row)))
     return "\n".join(out) + "\n"
 
 

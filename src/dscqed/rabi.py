@@ -23,7 +23,10 @@ dE_k/dtheta = <k| dH/dtheta |k> (Hellmann-Feynman, ``_level_gradients``)
 with one band: dH/d delta_prime = -sigma_x / 2 is the offset-1 band at even
 rows, dH/d omega1 = n_hat the diagonal and dH/d g1 = sigma_z (a + a^dag) the
 offset-2 band.  The drive a + a^dag is the offset-2 band sqrt(n + 1) without
-the sign s (``_drive``, read by ``drive_matrix_element`` and the fit).
+the sign s (``_drive``, read by ``drive_matrix_element`` and the fit).  The
+photon numbers, the signs s and sqrt(n + 1) are built once per dimension
+(``_photons_and_spin``, cached) and are read-only, so every caller shares
+them.
 
 At epsilon = 0, H commutes with the parity sigma_x * (-1)^n (Braak, PRL 107,
 100401, 2011).  Its eigenstates |p, n> = (|n, 0> + p (-1)^n |n, 1>) / sqrt(2),
@@ -41,6 +44,7 @@ to 1e-8, and forbidden lines (same parity) stay forbidden.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from ._lazy import np
@@ -119,20 +123,27 @@ def build_hamiltonian(p: QrmParams, t: FockTruncation) -> np.ndarray:
 def _hamiltonians(delta_prime, epsilon, omega1, g1, t):
     """H at every bias of the array ``epsilon``, stacked along its axes
     (shape epsilon.shape + (dim, dim)); a scalar bias gives one matrix."""
-    n, s = _photons_and_spin(t.dim)
+    n, s, root = _photons_and_spin(t.dim)
     return _symmetric(
         -0.5 * np.multiply.outer(epsilon, s) + omega1 * n,
         [
             (1, np.where(s[:-1] > 0.0, -0.5 * delta_prime, 0.0)),
-            (2, g1 * (np.sqrt(n[:-2] + 1.0) * s[:-2])),
+            (2, g1 * (root * s[:-2])),
         ],
     )
 
 
+@functools.lru_cache(maxsize=16)
 def _photons_and_spin(dim):
-    """Photon number n and sigma_z eigenvalue s of every composite index."""
+    """Photon number n and sigma_z eigenvalue s of every composite index,
+    and the drive band sqrt(n + 1) of the first dim - 2; built once per
+    dimension and read-only, since every caller shares them."""
     k = np.arange(dim)
-    return (k >> 1).astype(float), 1.0 - 2.0 * (k & 1)
+    n = (k >> 1).astype(float)
+    bands = n, 1.0 - 2.0 * (k & 1), np.sqrt(n[:-2] + 1.0)
+    for band in bands:
+        band.flags.writeable = False
+    return bands
 
 
 def _symmetric(diag, bands):
@@ -142,11 +153,12 @@ def _symmetric(diag, bands):
     sum of operator products would store them."""
     dim = diag.shape[-1]
     h = np.zeros(diag.shape + (dim,))
-    i = np.arange(dim)
-    h[..., i, i] = diag
+    flat = h.reshape(diag.shape[:-1] + (dim * dim,))  # a view: row i, column j at i * dim + j
+    flat[..., :: dim + 1] = diag
     for offset, values in bands:
-        i = np.arange(len(values))
-        h[..., i, i + offset] = h[..., i + offset, i] = values + 0.0
+        stop = len(values) * (dim + 1)
+        flat[..., offset : offset + stop : dim + 1] = values + 0.0  # (i, i + offset)
+        flat[..., offset * dim : offset * dim + stop : dim + 1] = values + 0.0  # (i + offset, i)
     return h
 
 
@@ -226,7 +238,7 @@ def _eigenpairs(delta_prime, biases, omega1, g1, t, k):
     call per chunk of at most _STACK_BYTES of matrices."""
     n = t.n_states
     chunk = max(1, _STACK_BYTES // (8 * t.dim * t.dim))
-    values, vectors = [], []
+    parts = []
     for start in range(0, len(biases), chunk):
         part = biases[start : start + chunk]
         zero = part == 0.0
@@ -249,9 +261,12 @@ def _eigenpairs(delta_prime, biases, omega1, g1, t, k):
             even, odd = top + bot, (-1.0) ** np.arange(n)[:, None] * (top - bot)
             chain[0::2], chain[1::2] = even / math.sqrt(2.0), odd / math.sqrt(2.0)
             _fix_signs(chain)  # the convention holds in the basis returned
-        values.append(es.values)
-        vectors.append(es.vectors)
-    return EigenSystem(np.concatenate(values), np.concatenate(vectors))
+        parts.append(es)
+    if len(parts) == 1:
+        return parts[0]
+    return EigenSystem(
+        np.concatenate([es.values for es in parts]), np.concatenate([es.vectors for es in parts])
+    )
 
 
 def _fix_signs(vectors):
@@ -262,17 +277,19 @@ def _fix_signs(vectors):
 
 
 def drive_matrix_element(es: EigenSystem, i: int, j: int) -> float:
-    """|<i| (a + a^dag) |j>| for a drive applied through the mode."""
-    if not (0 <= i < es.dim and 0 <= j < es.dim):
-        raise IndexError(f"state indices out of range for dim {es.dim}")
+    """|<i| (a + a^dag) |j>| for a drive applied through the mode, between
+    two of the eigenvectors ``es`` keeps."""
+    kept = es.vectors.shape[-1]
+    if not (0 <= i < kept and 0 <= j < kept):
+        raise IndexError(f"state indices ({i}, {j}) out of range for the {kept} states kept")
     return float(abs(_drive(es.vectors[:, i], es.vectors[:, j])))
 
 
 def _drive(u, v):
     """<u| (a + a^dag) |v> of matching vectors u, v (..., dim), one pair or a
     stack of pairs: a product with the offset-2 band, both triangles."""
-    n, _ = _photons_and_spin(u.shape[-1])
-    return (u[..., :-2] * v[..., 2:] + u[..., 2:] * v[..., :-2]) @ np.sqrt(n[:-2] + 1.0)
+    root = _photons_and_spin(u.shape[-1])[2]
+    return (u[..., :-2] * v[..., 2:] + u[..., 2:] * v[..., :-2]) @ root
 
 
 def _level_gradients(v):
@@ -280,12 +297,12 @@ def _level_gradients(v):
     columns of ``v`` (..., dim, k), one row (d/d delta_prime, d/d omega1,
     d/d g1) per column, (..., k, 3); each is a product with one band of dH
     (both triangles counted)."""
-    n, s = _photons_and_spin(v.shape[-2])
+    n, s, root = _photons_and_spin(v.shape[-2])
     return np.stack(
         [
             -np.sum(v[..., 0::2, :] * v[..., 1::2, :], axis=-2),
             n @ (v * v),
-            2.0 * ((s[:-2] * np.sqrt(n[:-2] + 1.0)) @ (v[..., :-2, :] * v[..., 2:, :])),
+            2.0 * ((s[:-2] * root) @ (v[..., :-2, :] * v[..., 2:, :])),
         ],
         axis=-1,
     )

@@ -82,9 +82,9 @@ def sweep(delta_prime: float, omega1: float, g1: float, cfg: SweepConfig) -> lis
     for b in range(len(grid)):  # one eigensolve per bias, its lowest k_levels vectors kept
         stacked = _eigenpairs(delta_prime, grid[b : b + 1], omega1, g1, trunc, cfg.k_levels)
         es = EigenSystem(stacked.values[0], stacked.vectors[0])
-        eps = float(grid[b])
+        eps, levels = float(grid[b]), es.values.tolist()
         for i, j in pairs:
-            f = float(es.values[j] - es.values[i])
+            f = levels[j] - levels[i]  # the float64 difference, in plain floats
             if lo <= f <= hi:
                 lines.append(SpectralLine(eps, i, j, f, drive_matrix_element(es, i, j)))
     return lines

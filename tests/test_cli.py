@@ -626,6 +626,18 @@ def test_bundled_spectrum_call_counts(monkeypatch, capsys):
     }
 
 
+def test_bundled_spectrum_builds_the_bands_once_per_dimension(capsys):
+    # the truncation searches touch dims 18, 34 and 66 and the sweep stays
+    # at 34: three builds, every other read of the bands a cache hit
+    from dscqed import rabi
+
+    rabi._photons_and_spin.cache_clear()
+    assert main(["spectrum"]) == 0
+    capsys.readouterr()
+    info = rabi._photons_and_spin.cache_info()
+    assert info.misses == 3 and info.hits > 0
+
+
 def test_fit_takes_line_selection_from_config(tmp_path, monkeypatch, capsys):
     from dscqed import fitting
 

@@ -240,6 +240,25 @@ def test_unknown_key_refusal_lists_the_keys_in_field_order(tmp_path):
     assert errs[0] == f"error: {path}: device.bogus: unknown key (allowed: {keys})\n"
 
 
+@pytest.mark.parametrize(("key", "shown"), [
+    ("? " + "k" * 200000 + "\n  : 1.0", "'" + "k" * 12 + "..." + "k" * 13 + "'"),
+    ('? "' + "k" * 60 + "\\n" + "k" * 60 + '"\n  : 1.0', "'" + "k" * 12 + "..." + "k" * 13 + "'"),
+    ("k" * 99 + ": 1.0", "k" * 99),  # short: as written
+], ids=["explicit", "explicit-with-newline", "short"])
+def test_unknown_key_refusal_quotes_a_long_key_within_bounds(tmp_path, key, shown):
+    # an explicit "? key" has no length limit; the refusal stays one short line
+    path = tmp_path / "config.yaml"
+    path.write_text(paper_device_path().read_text().replace("device:\n", f"device:\n  {key}\n", 1))
+    env = dict(os.environ, PYTHONPATH=str(Path(dscqed.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dscqed.cli", "modes", "--config", str(path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    keys = ", ".join(f.path.split(".")[1] for f in FIELDS if f.path.startswith("device."))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: {path}: device.{shown}: unknown key (allowed: {keys})\n"
+
+
 def test_single_mode_bias_is_not_a_config_key(tmp_path, bundled):
     # the bias comes from the sweep window alone; the model is built at the
     # symmetry point

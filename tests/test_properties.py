@@ -22,6 +22,7 @@ from dscqed import (
     sweep,
 )
 from dscqed.errors import ConvergenceError
+from dscqed.output import fmt
 from conftest import (
     bisection_roots,
     dense_parity_expectations,
@@ -101,6 +102,31 @@ def test_emitted_tables_are_byte_deterministic(delta, omega, gratio):
     second = sweep(delta, omega, gratio * omega, cfg)
     assert lines_table(first, "csv") == lines_table(second, "csv")
     assert lines_table(first, "json") == lines_table(second, "json")
+
+
+@pytest.mark.parametrize(("value", "token"), [
+    (0.0, "0"),
+    (-0.0, "0"),
+    (float("nan"), "nan"),
+    (float("inf"), "inf"),
+    (float("-inf"), "-inf"),
+    (1e-5, "1e-05"),
+    (1e16, "1e+16"),
+    (0.1 + 0.2, "0.3"),
+    (-1.0 / 3.0, "-0.333333333333"),
+    (2.5e-300, "2.5e-300"),
+    (True, "true"),
+    (False, "false"),
+    (0, "0"),
+    (-7, "-7"),
+    (12345678901234567890, "12345678901234567890"),
+    (np.float64(0.3), "0.3"),
+    (np.float64(-0.0), "0"),
+    ("abc", "abc"),
+])
+def test_cell_tokens(value, token):
+    # the tokens every CSV and JSON cell is written with
+    assert fmt(value) == token
 
 
 @FAST

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dscqed import (
     ConvergenceError,
+    EigenSystem,
     FockTruncation,
     QrmParams,
     build_hamiltonian,
@@ -15,7 +16,7 @@ from dscqed import (
     eigensystem,
     solve,
 )
-from dscqed.rabi import _hamiltonians, _parity_chains
+from dscqed.rabi import _eigenpairs, _hamiltonians, _parity_chains, _photons_and_spin, _symmetric
 
 from conftest import (
     dense_drive_element,
@@ -96,6 +97,42 @@ def test_stacked_assembly_is_build_hamiltonian_bias_by_bias(delta, biases, omega
     assert stack.shape == (len(biases), t.dim, t.dim)
     for eps, h in zip(biases, stack):
         assert h.tobytes() == build_hamiltonian(QrmParams(delta, float(eps), omega, g), t).tobytes()
+    # the strided writes of _symmetric against fancy-index pairs, on one
+    # matrix and on the stack: -0.0 on the diagonal (the zero biases) is
+    # kept, -0.0 in a band is stored as +0.0
+    diag = -0.5 * np.multiply.outer(biases, _photons_and_spin(t.dim)[1])
+    rows = np.arange(t.dim - 1)
+    bands = [
+        (1, np.where(rows % 2 == 0, -0.5 * delta, -0.0)),
+        (2, g * np.linspace(-1.0, 1.0, t.dim - 2) * np.where(rows[1:] % 3 == 0, -0.0, 1.0)),
+    ]
+    assert np.signbit(diag[diag == 0.0]).any() and np.signbit(bands[0][1]).any()
+    for d in (diag[0], diag[-2:], diag):
+        got = _symmetric(d, bands)
+        assert got.tobytes() == _fancy_index_symmetric(d, bands).tobytes()
+
+
+def _fancy_index_symmetric(diag, bands):
+    # the assembly as index pairs: the reference for _symmetric's strided writes
+    dim = diag.shape[-1]
+    h = np.zeros(diag.shape + (dim,))
+    i = np.arange(dim)
+    h[..., i, i] = diag
+    for offset, values in bands:
+        i = np.arange(len(values))
+        h[..., i, i + offset] = h[..., i + offset, i] = values + 0.0
+    return h
+
+
+def test_band_cache_is_read_only_and_built_once_per_dimension():
+    _photons_and_spin.cache_clear()
+    for _ in range(3):
+        n, s, root = _photons_and_spin(10)
+    assert _photons_and_spin.cache_info().misses == 1
+    assert root.tobytes() == np.sqrt(n[:-2] + 1.0).tobytes()
+    for band in (n, s, root):
+        with pytest.raises(ValueError, match="read-only"):
+            band[0] = 5.0
 
 
 @pytest.mark.parametrize("field", range(4))
@@ -389,6 +426,17 @@ def test_drive_element_matches_dense_oracle(delta, eps, omega, g, n_max):
         for j in range(6):
             dense = dense_drive_element(es, i, j)
             assert abs(drive_matrix_element(es, i, j) - dense) <= 1e-12 * max(1.0, dense)
+
+
+def test_drive_element_indices_are_checked_against_the_kept_states(paper_params):
+    # the sweep keeps the lowest 6 of 34 vectors: an index past them is the
+    # function's own IndexError, not numpy's
+    stacked = _eigenpairs(0.147, np.array([0.3]), 2.57, 2.4, FockTruncation(16), 6)
+    es = EigenSystem(stacked.values[0], stacked.vectors[0])
+    assert es.dim == 34 and drive_matrix_element(es, 0, 5) > 0.0
+    for i, j in ((0, 10), (6, 0), (-1, 2), (0, 33)):
+        with pytest.raises(IndexError, match=rf"state indices \({i}, {j}\) out of range for the 6 states kept"):
+            drive_matrix_element(es, i, j)
 
 
 def test_drive_element_zero_for_bare_qubit_flip():

@@ -3,7 +3,8 @@
 ``lamb-shift``, ``reproduce-paper``, ``modes`` and ``couplings`` compute in
 plain floats, so a fresh process running them never pays numpy's import;
 ``spectrum`` and ``fit`` load it at their first array operation.  ``cli``
-binds ``fitting`` the same way, so only ``fit`` executes it.  This is the
+binds ``fitting`` the same way, so only ``fit`` executes it, and ``config``
+binds ``yaml``, so only a config outside its plain subset executes PyYAML.  This is the
 ``importlib.util.LazyLoader`` recipe of the Python documentation
 ("Implementing lazy imports"); a submodule is also bound on its package, as
 an import binds it.  When the module is already imported, the result is that
@@ -19,6 +20,8 @@ def _lazy_import(name):
     if name in sys.modules:
         return sys.modules[name]
     spec = importlib.util.find_spec(name)
+    if spec is None:  # as `import name` would report it
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
     loader = importlib.util.LazyLoader(spec.loader)
     spec.loader = loader
     module = importlib.util.module_from_spec(spec)

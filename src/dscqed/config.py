@@ -11,6 +11,7 @@ given on the command line.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
@@ -19,14 +20,15 @@ import reprlib
 from importlib import resources
 from pathlib import Path
 
-import yaml
-
+from ._lazy import _lazy_import
 from ._record import Record
 from .errors import ConfigError, io_error
 from .lamb import DEFAULT_N_MODES, N_CUTOFF_MIN
 from .rabi import QrmParams
 from .resonator import N_MODES_CEILING, ResonatorModel
 from .spectrum import SweepConfig
+
+yaml = _lazy_import("yaml")  # executed only for a config outside _plain_tree's subset
 
 
 class LambSettings(Record):
@@ -152,56 +154,91 @@ def load_config(path) -> RunConfig:
     return validate(read_tree(path), path)
 
 
-# libyaml, where PyYAML has it, parses several times faster than the
-# pure-Python parser.  On printable ASCII without the characters of
-# _PURE_ONLY the two build the same tree; with them libyaml accepts some text
-# that the pure parser refuses (a tab as a separator, "[1.0?]", "|#").  Every
-# refusal is the pure parser's, in its words.
-_LIBYAML = getattr(yaml, "CSafeLoader", None)
-_PURE_ONLY = re.compile(r"[^\n -~]|[!%>?@`|]")
-# Both parsers' composers recurse once per level of nesting (libyaml's
-# overflows the C stack some 10^4 levels down); the schema needs 4.
+# PyYAML's pure-Python composer recurses once per level of nesting, and
+# Python's stack overflows about 10^3 levels down; the schema needs 4.  The
+# loader refuses a deeper collection where the composer meets it, and
+# _plain_tree leaves any text it could not read within the limit to it.
 _MAX_DEPTH = 64
 
-
-def _parse(path):
-    """The YAML tree of the file at ``path``, as the pure-Python parser
-    builds it, or its refusal."""
-    if _LIBYAML:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-            if not _PURE_ONLY.search(text) and _too_deep(yaml.parse(text, Loader=_LIBYAML)) is None:
-                return yaml.load(text, Loader=_LIBYAML)
-        except (yaml.YAMLError, ValueError):  # a UnicodeDecodeError is a ValueError
-            pass
-    with open(path, encoding="utf-8") as fh:
-        deep = _too_deep(yaml.parse(fh, Loader=yaml.SafeLoader))
-    if deep is not None:
-        raise yaml.MarkedYAMLError(
-            problem=f"nested deeper than {_MAX_DEPTH} levels", problem_mark=deep.start_mark
-        )
-    with open(path, encoding="utf-8") as fh:
-        return yaml.load(fh, Loader=yaml.SafeLoader)
+# The plain subset _plain_tree reads: a line is blank, a comment, or a
+# lowercase key with a value (a number, a word, or a [low, high] pair of
+# them), or with none, to open a block.  YAML 1.1 reads each such scalar one
+# way: an int with no leading zero, a float with a '.' and a signed exponent,
+# or text; the words it reads as booleans or null are not in the subset.
+_WORD = r"(?!(?:yes|no|true|false|on|off|null)\b)[a-z_][a-z0-9_]*"
+_SCALAR = rf"-?(?:0|[1-9][0-9]{{0,29}})|-?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?|{_WORD}"
+_PLAIN_LINE = re.compile(
+    rf"( *)(?:({_WORD}):(?: +({_SCALAR}|\[ *({_SCALAR}) *, *({_SCALAR}) *\]))?(?: +#[ -~]*| *)"
+    r"|#[ -~]*)?"
+)
 
 
-def _too_deep(events):
-    """The first collection among the parser's ``events`` nested deeper than
-    _MAX_DEPTH, or None; both parsers emit events without recursing, and the
-    walk stops there.  A parse error ends the walk with None, for the load
-    to report in its order."""
-    depth = 0
-    try:
-        for event in events:
-            if isinstance(event, yaml.CollectionStartEvent):
-                depth += 1
-                if depth > _MAX_DEPTH:
-                    return event
-            elif isinstance(event, yaml.CollectionEndEvent):
-                depth -= 1
-    except (yaml.YAMLError, ValueError):
-        pass
-    return None
+def _plain_tree(text: str) -> dict | None:
+    """The tree PyYAML's SafeLoader builds from ``text``, when every line is
+    in the plain subset (_PLAIN_LINE), sibling keys share one indentation and
+    differ, each key without a value opens a more indented block, and blocks
+    nest less than _MAX_DEPTH deep; else None, and PyYAML reads ``text``."""
+    root = opened = {}  # opened: the mapping of a key with no value, until its first line
+    blocks = []  # (indentation, mapping) from the top level to the current block
+    for line in text.split("\n"):
+        m = _PLAIN_LINE.fullmatch(line)
+        if m is None:
+            return None
+        if m[2] is None:  # blank or comment
+            continue
+        indent = len(m[1])
+        if opened is not None:
+            if blocks and indent <= blocks[-1][0] or len(blocks) == _MAX_DEPTH - 1:
+                return None  # a key with no value (null), or nesting too deep
+            blocks.append((indent, opened))
+            opened = None
+        else:
+            while len(blocks) > 1 and indent < blocks[-1][0]:
+                blocks.pop()
+            if indent != blocks[-1][0]:
+                return None
+        mapping = blocks[-1][1]
+        if m[2] in mapping:
+            return None
+        if m[3] is None:
+            mapping[m[2]] = opened = {}
+        elif m[4] is None:
+            mapping[m[2]] = _plain_scalar(m[3])
+        else:
+            mapping[m[2]] = [_plain_scalar(m[4]), _plain_scalar(m[5])]
+    return root if opened is None else None
+
+
+def _plain_scalar(token: str):
+    """A token of _SCALAR as YAML 1.1 reads it."""
+    if token[0] in "-0123456789":
+        return float(token) if "." in token else int(token)
+    return token
+
+
+@functools.cache
+def _loader():
+    """PyYAML's SafeLoader, refusing a collection nested deeper than
+    _MAX_DEPTH before it composes it."""
+
+    class Loader(yaml.SafeLoader):
+        depth = 0
+
+        def compose_node(self, parent, index):
+            event = self.peek_event()
+            if not isinstance(event, yaml.CollectionStartEvent):
+                return super().compose_node(parent, index)
+            if self.depth == _MAX_DEPTH:
+                raise yaml.MarkedYAMLError(
+                    problem=f"nested deeper than {_MAX_DEPTH} levels", problem_mark=event.start_mark
+                )
+            self.depth += 1
+            try:
+                return super().compose_node(parent, index)
+            finally:
+                self.depth -= 1
+
+    return Loader
 
 
 def read_tree(path) -> dict:
@@ -211,7 +248,14 @@ def read_tree(path) -> dict:
     if not os.path.exists(path):
         raise ConfigError(f"{path}: no such file")
     try:
-        tree = _parse(path)
+        with open(path, encoding="utf-8") as fh:
+            try:
+                tree = _plain_tree(fh.read())
+            except UnicodeDecodeError:  # left to PyYAML: it reports this or an error before it
+                tree = None
+            if tree is None:
+                fh.seek(0)
+                tree = yaml.load(fh, Loader=_loader())
     except (OSError, UnicodeDecodeError) as exc:
         raise io_error(path, exc) from None
     except yaml.reader.ReaderError as exc:  # a character YAML does not allow: a position, no mark
@@ -334,7 +378,9 @@ def _flatten(tree: dict, source: str, prefix: str = "") -> dict:
             allowed = dict.fromkeys(
                 f.path[len(prefix):].split(".")[0] for f in FIELDS if f.path.startswith(prefix)
             )
-            if len(path) - len(prefix) >= _QUOTE_SIZE:  # an explicit "? key" has no length limit
+            # an explicit "? key" has no length limit, and a quoted one can
+            # hold a line break: quoted, so the refusal stays one short line
+            if len(path) - len(prefix) >= _QUOTE_SIZE or not path.isprintable():
                 path = prefix + _QUOTE.repr(key)
             raise ConfigError(f"{source}: {path}: unknown key (allowed: {', '.join(allowed)})")
     return flat

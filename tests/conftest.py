@@ -179,18 +179,19 @@ def paper_resonator():
 
 
 def parser_outcomes(path):
-    """``config.read_tree(path)`` as the config reader runs it (libyaml where
-    it can), then with the pure-Python parser alone: each the tree's repr or
-    the refusal's message."""
+    """``config.read_tree(path)`` as the config reader runs it (the plain
+    subset reader where it reads the text), then with ``_plain_tree`` forced
+    to None, so PyYAML's parser reads it: each the tree's repr or the
+    refusal's message."""
     outcomes = []
-    for libyaml in (config._LIBYAML, None):
-        saved, config._LIBYAML = config._LIBYAML, libyaml
+    for plain_tree in (config._plain_tree, lambda text: None):
+        saved, config._plain_tree = config._plain_tree, plain_tree
         try:
             outcomes.append(repr(config.read_tree(path)))
         except ConfigError as exc:
             outcomes.append(f"refused: {exc}")
         finally:
-            config._LIBYAML = saved
+            config._plain_tree = saved
     return outcomes
 
 

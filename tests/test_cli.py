@@ -55,21 +55,35 @@ def test_scalar_commands_run_without_numpy(tmp_path):
     # operation then does, nor executes `fitting`, which only fit does (a
     # module not yet executed is still of LazyLoader's module type); the
     # value records are plain classes, so no command loads `dataclasses`,
-    # and the scalar ones do not load `inspect`, which it imports
+    # and the scalar ones do not load `inspect`, which it imports; the
+    # bundled config is in the plain subset, so PyYAML is executed first by
+    # a config outside it (a quoted value), which reads the same
     bad = _config_variant(tmp_path, lambda t: t["qrm"].update(omega1_ghz="fast"))
     deep = _config_variant(tmp_path, lambda t: t["qrm"].update(g1_ghz=60.0), "deep.yaml")
+    quoted = tmp_path / "quoted.yaml"
+    quoted.write_text(paper_device_path().read_text().replace("format: csv", "format: 'csv'"))
     script = (
         "import contextlib, importlib.util, io, sys\n"
+        "import dscqed.cli\n"
+        "from dscqed.config import load_config, paper_device_path\n"
+        "load_config(paper_device_path())\n"
+        "print('yaml.reader' in sys.modules)\n"
         "from dscqed.cli import main\n"
-        "def lazy():\n"
-        "    return type(sys.modules['dscqed.fitting']) is importlib.util._LazyModule\n"
+        "def lazy(name='dscqed.fitting'):\n"
+        "    return type(sys.modules[name]) is importlib.util._LazyModule\n"
         "def run(*argv):\n"
         "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
         "        return main(list(argv))\n"
+        "def output(*argv):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        return main(list(argv)), out.getvalue(), err.getvalue()\n"
         "codes = [run('lamb-shift'), run('lamb-shift', '--format', 'json'), run('reproduce-paper'),\n"
-        "         run('modes'), run('modes', '--format', 'json'),\n"
-        "         run('couplings', '--l-c-ph', '100,231,400'),\n"
-        f"         run('lamb-shift', '--config', {bad!r}), run('lamb-shift', '--config', {deep!r})]\n"
+        "         run('modes', '--format', 'json'), run('couplings', '--l-c-ph', '100,231,400')]\n"
+        "bundled = output('modes')\n"
+        "print(lazy('yaml'))\n"
+        f"print(output('modes', '--config', {str(quoted)!r}) == bundled, lazy('yaml'))\n"
+        f"codes += [bundled[0], run('lamb-shift', '--config', {bad!r}), run('lamb-shift', '--config', {deep!r})]\n"
         "print(codes, 'numpy._core' in sys.modules, lazy(),\n"
         "      'dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
         "print(run('spectrum', '--epsilon-min', '0.3', '--epsilon-max', '0.3', '--epsilon-steps', '1'),\n"
@@ -81,9 +95,14 @@ def test_scalar_commands_run_without_numpy(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
-    assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0, 0, 1, 2] False True False False", "0 True True", "0 False False"], (
-        proc.stderr
-    )
+    assert proc.stdout.splitlines() == [
+        "False",
+        "True",
+        "True False",
+        "[0, 0, 0, 0, 0, 0, 1, 2] False True False False",
+        "0 True True",
+        "0 False False",
+    ], proc.stderr
 
 
 # ---------------------------------------------------------------------------

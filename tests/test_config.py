@@ -140,6 +140,16 @@ def test_nesting_to_the_limit_reaches_the_validator(tmp_path):
         load_config(path)
 
 
+def test_nesting_one_level_past_the_limit_is_refused(tmp_path):
+    depth = config._MAX_DEPTH - 1  # under the top-level and device mappings
+    path = tmp_path / "deep.yaml"
+    value = "[" * depth + "1" + "]" * depth
+    path.write_text(paper_device_path().read_text().replace("z0_ohm: 50.0", "z0_ohm: " + value))
+    with pytest.raises(ConfigError) as refusal:
+        load_config(path)
+    assert str(refusal.value) == f"{path}:5: nested deeper than {config._MAX_DEPTH} levels"
+
+
 @pytest.mark.parametrize(("value", "quoted"), [
     ("[" + ", ".join(["1"] * 200000) + "]", "[1, 1, 1, 1, 1, 1, ...]"),
     ("&r [1, *r]", "[1, [1, [...]]]"),  # a list that holds itself
@@ -166,10 +176,10 @@ def _mutant(text, rng):
     return rng.choice((text[:p] + text[p + 1:], text[:p] + c + text[p:], text[:p] + c + text[p + 1:]))
 
 
-@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
-def test_libyaml_reads_mutated_configs_as_the_pure_parser_does(tmp_path):
-    # the bundled config with one and two characters changed: a tree libyaml
-    # builds is the pure parser's, and every refusal is the pure parser's
+def test_reader_reads_mutated_configs_as_the_pure_parser_does(tmp_path):
+    # the bundled config with one and two characters changed: a tree the
+    # plain subset reader builds is the pure parser's, and every refusal is
+    # the pure parser's
     text = paper_device_path().read_text()
     rng = random.Random(0)
     mutants = [_mutant(text, rng) for _ in range(400)]
@@ -178,11 +188,11 @@ def test_libyaml_reads_mutated_configs_as_the_pure_parser_does(tmp_path):
     refused = 0
     for mutant in mutants:
         path.write_text(mutant, encoding="utf-8", newline="")
-        libyaml, pure = parser_outcomes(path)
-        assert libyaml == pure, repr(mutant)
-        refused += libyaml.startswith("refused")
-    read_by_libyaml = sum(not config._PURE_ONLY.search(m) for m in mutants)
-    assert 100 < refused < 500 and read_by_libyaml > 400
+        read, pure = parser_outcomes(path)
+        assert read == pure, repr(mutant)
+        refused += read.startswith("refused")
+    read_by_the_reader = sum(config._plain_tree(m) is not None for m in mutants)
+    assert 100 < refused < 500 and read_by_the_reader == 340
 
 
 def _parsed(text, loader):
@@ -202,12 +212,94 @@ def _parsed(text, loader):
     "a:\n  b: 1\n\ufeff c: 2\n",  # ... where the pure parser reads it as part of a key
 ])
 def test_text_libyaml_reads_otherwise_goes_to_the_pure_parser(text, tmp_path):
+    # text that libyaml and the pure parser read differently is outside the
+    # plain subset too
     if yaml.__with_libyaml__:
         assert _parsed(text, yaml.CSafeLoader) != _parsed(text, yaml.SafeLoader)
+    assert config._plain_tree(text) is None
     path = tmp_path / "config.yaml"
     path.write_text(text, encoding="utf-8")
-    libyaml, pure = parser_outcomes(path)
-    assert libyaml == pure
+    read, pure = parser_outcomes(path)
+    assert read == pure
+
+
+def _nested(depth):
+    """``depth`` mappings, one inside the next, around one scalar."""
+    return "".join(" " * n + f"k{n}:\n" for n in range(depth - 1)) + " " * (depth - 1) + "v: 1\n"
+
+
+@pytest.mark.parametrize("text", [
+    *(f"a: {word}\n" for word in ("yes", "No", "TRUE", "false", "on", "OFF", "null", "Null", "~")),
+    *(f"{word}: 1\n" for word in ("yes", "no", "true", "false", "on", "off", "null")),
+    "a:\n", "a:\nb: 1\n", "a:  # a comment\n", "a:\n  b:\n",  # a key with no value
+    "a: 012\n", "a: 0x1f\n", "a: +1\n", "a: .5\n", "a: 1e-3\n", "a: 1.0e6\n", "a: 1:30\n",
+    "a: 'b'\n", 'a: "b"\n', *(f"a: {c}b\n" for c in "!&*%@`|>?{}"), "a: [1, ?b]\n",
+    "a: b#c\n", "a: 1#c\n", "a#: 1\n",  # a '#' inside a token
+    "a: b\n  c\n",  # a plain scalar's continuation line
+    "---\na: 1\n", "a:\n- 1\n", "a:\n  - 1\n",
+    "a: 1\na: 2\n",  # a repeated key
+    "a:\n  b: 1\n c: 2\n", "  a: 1\nb: 2\n",  # indentation that matches no block
+    "a: 1\r\n", "a:\t1\n", "\ufeffa: 1\n", "a: \u00e9\n",
+    pytest.param(_nested(config._MAX_DEPTH + 1), id="depth-65"),
+    "a: 1" + "0" * 30 + "\n",  # an integer too long for the subset
+    "a: [1, 2, 3]\n", "a: [1]\n", "a: [1, 2,]\n",
+    "", "# only a comment\n",
+], ids=repr)
+def test_plain_reader_leaves_yaml_traps_to_pyyaml(text):
+    assert config._plain_tree(text) is None
+
+
+@pytest.mark.parametrize("text", [
+    "a: -0\nb: -0.0\nc: 1.\nd: 1.5E-3\ne: 00.5\nf: 1" + "0" * 29 + "\n",
+    "a: nan\nb: inf\nc: nonzero\nd: yes_\ne: _\n",
+    "# c\n  a:   [ 1 ,2.0]   # c\n\n  b:  # c\n        # c\n     c: x # c: 'q'\n",
+    pytest.param(_nested(config._MAX_DEPTH - 1), id="depth-63"),
+], ids=repr)
+def test_plain_reader_builds_the_pure_parsers_tree(text):
+    read = config._plain_tree(text)
+    assert read is not None and repr(read) == repr(yaml.load(text, Loader=yaml.SafeLoader))
+
+
+_WORDS = st.from_regex(r"[a-z_][a-z0-9_]{0,6}", fullmatch=True) | st.sampled_from(
+    [w for word in ("yes", "no", "true", "false", "on", "off", "null", "y", "n")
+     for w in (word, word.title(), word.upper())]
+)
+_SCALARS = st.integers() | st.floats() | st.floats(-1e6, 1e6) | _WORDS | st.none()
+_VALUES = _SCALARS | st.lists(_SCALARS, min_size=2, max_size=2) | st.lists(_SCALARS, max_size=3)
+
+
+class _FlowListDumper(yaml.SafeDumper):
+    """Block mappings, flow lists: the layout of the bundled config."""
+
+
+_FlowListDumper.add_representer(
+    list, lambda dumper, value: dumper.represent_sequence("tag:yaml.org,2002:seq", value, True)
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    values=st.dictionaries(st.sampled_from([f.path for f in FIELDS]), _VALUES),
+    style=st.sampled_from(["block", "flow", "flow lists"]),
+)
+@example(values={"fit.bounds.g1_ghz": [0.5, 5.0], "output.format": "json"}, style="flow lists")
+def test_plain_reader_reads_dumped_trees_as_the_pure_parser_does(values, style):
+    # PyYAML's dumps of trees over the config's paths, in block style, with
+    # scalar-only collections in flow style, and with flow lists alone: the
+    # reader builds the pure parser's tree or leaves the text to it
+    tree = {}
+    for path, value in values.items():
+        *sections, key = path.split(".")
+        node = tree
+        for name in sections:
+            node = node.setdefault(name, {})
+        node[key] = value
+    if style == "flow lists":
+        text = yaml.dump(tree, Dumper=_FlowListDumper)
+    else:
+        text = yaml.safe_dump(tree, default_flow_style=None if style == "flow" else False)
+    read = config._plain_tree(text)
+    assert read is None or repr(read) == repr(yaml.load(text, Loader=yaml.SafeLoader)), text
 
 
 def test_negative_frequency_carries_field_path(tmp_path):
@@ -244,9 +336,11 @@ def test_unknown_key_refusal_lists_the_keys_in_field_order(tmp_path):
     ("? " + "k" * 200000 + "\n  : 1.0", "'" + "k" * 12 + "..." + "k" * 13 + "'"),
     ('? "' + "k" * 60 + "\\n" + "k" * 60 + '"\n  : 1.0', "'" + "k" * 12 + "..." + "k" * 13 + "'"),
     ("k" * 99 + ": 1.0", "k" * 99),  # short: as written
-], ids=["explicit", "explicit-with-newline", "short"])
+    ('? "ab\\ncd"\n  : 1.0', "'ab\\ncd'"),  # short, but not printable: quoted
+], ids=["explicit", "explicit-with-newline", "short", "short-with-newline"])
 def test_unknown_key_refusal_quotes_a_long_key_within_bounds(tmp_path, key, shown):
-    # an explicit "? key" has no length limit; the refusal stays one short line
+    # an explicit "? key" has no length limit, and a quoted one can hold a
+    # line break; the refusal stays one short line
     path = tmp_path / "config.yaml"
     path.write_text(paper_device_path().read_text().replace("device:\n", f"device:\n  {key}\n", 1))
     env = dict(os.environ, PYTHONPATH=str(Path(dscqed.__file__).parents[1]))

@@ -100,6 +100,15 @@ def test_import_runs_no_submodule():
     assert proc.stdout.splitlines() == ["['dscqed']", "True", "True 35"], proc.stderr
 
 
+def test_lazy_import_of_a_missing_module_is_an_import_error():
+    # numpy and PyYAML are bound lazily; without one, importing dscqed
+    # fails as `import` itself would
+    from dscqed._lazy import _lazy_import
+
+    with pytest.raises(ModuleNotFoundError, match="No module named 'dscqed_no_such_module'"):
+        _lazy_import("dscqed_no_such_module")
+
+
 def test_eigen_system_holds_values_and_vectors_only():
     # a state's parity is read from its vector, not carried beside it
     es = dscqed.EigenSystem(np.zeros(2), np.eye(2))

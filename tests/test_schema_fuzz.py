@@ -218,8 +218,8 @@ def test_config_values_keep_the_failure_contract(case, tmp):
         node["bogus_key"] = 1.0
     config = tmp / "config.yaml"
     config.write_text(yaml.safe_dump(tree))
-    libyaml, pure = parser_outcomes(config)
-    assert libyaml == pure
+    read, pure = parser_outcomes(config)
+    assert read == pure
     probe = ["spectrum"] if path == "sweep.epsilon_steps" else _probe_for_path(path)
     if path == "output.out":
         probe += ["--format", "csv"]

@@ -39,7 +39,10 @@ p = +-1, split H into two tridiagonal chains, one per parity:
 data's |bias|) share one kernel, ``_eigenpairs``, which puts the chains in
 at zero bias.  There every eigenvector lies on one chain, so it is a parity
 eigenstate: its parity is the sign of <v| sigma_x (-1)^n |v>, which is +-1
-to 1e-8, and forbidden lines (same parity) stay forbidden.
+to 1e-8, and forbidden lines (same parity) stay forbidden.  On a wide
+truncation the sweep takes each nonzero bias from a reduced basis instead,
+where a certificate accepts it, and every other bias from the kernel
+(``_sweep_eigensystems``).
 """
 
 from __future__ import annotations
@@ -55,6 +58,8 @@ N_MAX_CEILING = 4096
 _N_MAX_START = 8  # base of the truncation search's doubling schedule
 _STRAY_WEIGHT = 5e-9  # weight off its chain: parity expectation 1e-8 from +-1
 _STACK_BYTES = 1 << 25  # most bytes of Hamiltonians diagonalized in one stack
+_SNAPSHOTS = 5  # Chebyshev biases of the sweep's reduced basis
+_BASIS_CUT = 1e-10  # snapshot singular values kept, relative to the largest
 
 
 class QrmParams(Record):
@@ -267,6 +272,73 @@ def _eigenpairs(delta_prime, biases, omega1, g1, t, k):
     return EigenSystem(
         np.concatenate([es.values for es in parts]), np.concatenate([es.vectors for es in parts])
     )
+
+
+def _sweep_eigensystems(delta_prime, biases, omega1, g1, t, k):
+    """Yield, in order, an EigenSystem at each bias of the 1-D array
+    ``biases`` with at least the lowest ``k`` eigenvalues and their vectors.
+
+    When the grid holds more than _SNAPSHOTS nonzero biases and dim is at
+    least 4 * _SNAPSHOTS * k, H(eps) = H(0) - (eps / 2) S_z is solved in a
+    reduced basis Q: the lowest 2 k eigenvectors at _SNAPSHOTS Chebyshev
+    biases, orthonormalized by an SVD, then one stacked eigensystem call per
+    chunk of nonzero biases.  A bias takes its Ritz pairs when they are
+    certified: each residual against the full H within 1e-9 * max|Ritz
+    value|, and exactly k eigenvalues of H below the midpoint of the kth and
+    (k+1)th Ritz values (``_count_below``).  Every other bias, zero
+    included, is one ``_eigenpairs`` call.
+    """
+
+    def dense(b):
+        es = _eigenpairs(delta_prime, biases[b : b + 1], omega1, g1, t, k)
+        return EigenSystem(es.values[0], es.vectors[0])
+
+    if 2 * _SNAPSHOTS * k > t.dim // 2 or np.count_nonzero(biases) <= _SNAPSHOTS:
+        yield from map(dense, range(len(biases)))
+        return
+    chebyshev = np.cos(np.pi * np.arange(1, 2 * _SNAPSHOTS, 2) / (2 * _SNAPSHOTS))
+    h = _hamiltonians(delta_prime, np.max(np.abs(biases)) * chebyshev, omega1, g1, t)
+    u, sv, _ = np.linalg.svd(np.hstack(eigensystem(h, 2 * k).vectors), full_matrices=False)
+    q = u[:, sv > _BASIS_CUT * sv[0]]
+    h0, s = _hamiltonians(delta_prime, 0.0, omega1, g1, t), _photons_and_spin(t.dim)[1]
+    a0, sz = q.T @ h0 @ q, (q.T * s) @ q
+    a0, sz = (a0 + a0.T) / 2, (sz + sz.T) / 2  # exactly symmetric
+    chunk = max(1, _STACK_BYTES // (8 * t.dim * q.shape[1]))
+    for start in range(0, len(biases), chunk):
+        part = biases[start : start + chunk]
+        eps = part[part != 0.0]
+        if eps.size:
+            es = eigensystem(a0 - 0.5 * eps[:, None, None] * sz, k)
+            x, theta = q @ es.vectors, es.values
+            _fix_signs(x)
+            resid = h0 @ x - 0.5 * (eps[:, None] * s)[..., None] * x - x * theta[:, None, :k]
+            bound = 1e-9 * np.abs(theta).max(axis=-1, keepdims=True)
+            ok = (np.linalg.norm(resid, axis=-2) <= bound).all(axis=-1)
+            sigma = 0.5 * (theta[:, k - 1] + theta[:, k])
+            ok &= _count_below(delta_prime, eps, omega1, g1, t, sigma) == k
+            ritz = zip(ok.tolist(), theta[:, :k], x)
+        for b in range(start, start + len(part)):
+            certified, values, vectors = next(ritz) if biases[b] != 0.0 else (False, None, None)
+            yield EigenSystem(values, vectors) if certified else dense(b)
+
+
+def _count_below(delta_prime, biases, omega1, g1, t, sigma):
+    """The number of eigenvalues of H below ``sigma`` at each bias of the
+    1-D array ``biases`` (one sigma per bias), by Sylvester's law of inertia
+    on the 2x2-block LDL^T of H - sigma over the Fock ladder; -1 where a
+    pivot block is singular or not finite."""
+    count, ok = np.zeros(len(biases), dtype=int), np.ones(len(biases), dtype=bool)
+    off = -0.5 * delta_prime  # off-diagonal of the pivot block
+    with np.errstate(all="ignore"):  # a failed pivot propagates as inf or nan
+        for n in range(t.n_states):
+            a, c = omega1 * n - 0.5 * biases - sigma, omega1 * n + 0.5 * biases - sigma
+            if n:  # minus C S^-1 C of the previous pivot S, C = g1 sqrt(n) sigma_z
+                w = g1 * g1 * n / det
+                a, c, off = a - w * c_prev, c - w * a_prev, -0.5 * delta_prime - w * off
+            a_prev, c_prev, det = a, c, a * c - off * off
+            ok &= np.isfinite(det) & (det != 0.0)
+            count += np.where(det < 0.0, 1, np.where(a < 0.0, 2, 0))
+    return np.where(ok, count, -1)
 
 
 def _fix_signs(vectors):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from ._lazy import np
 from ._record import Record
-from .rabi import EigenSystem, _eigenpairs, _grid_truncation, drive_matrix_element
+from .rabi import _grid_truncation, _sweep_eigensystems, drive_matrix_element
 
 
 class SweepConfig(Record):
@@ -69,9 +69,15 @@ def sweep(delta_prime: float, omega1: float, g1: float, cfg: SweepConfig) -> lis
     frequency falls in the probe band.
 
     One converged truncation (probed at zero and at the largest |bias|) is
-    used across the whole grid, keeping the output deterministic.  Lines are
-    ordered by (bias, i, j); amplitudes below ``cfg.amplitude_floor`` are
-    still emitted (classification is the consumer's business).
+    used across the whole grid, keeping the output deterministic.  When the
+    grid holds more than 5 nonzero biases and the truncation's dimension is
+    at least 20 * k_levels, each nonzero bias is solved in a reduced basis
+    and kept only when certified (residuals and an inertia count against
+    the full H); zero and every uncertified bias take one dense eigensolve
+    each, as every bias does on smaller problems (``_sweep_eigensystems``).
+    Lines are ordered by (bias, i, j); amplitudes below
+    ``cfg.amplitude_floor`` are still emitted (classification is the
+    consumer's business).
     """
     grid = np.sort(np.asarray(cfg.epsilon_grid, dtype=float))
     trunc = _grid_truncation(delta_prime, omega1, g1, grid, cfg.k_levels, cfg.truncation_tol)
@@ -79,10 +85,9 @@ def sweep(delta_prime: float, omega1: float, g1: float, cfg: SweepConfig) -> lis
     pairs = _candidate_lines(cfg.k_levels)
 
     lines = []
-    for b in range(len(grid)):  # one eigensolve per bias, its lowest k_levels vectors kept
-        stacked = _eigenpairs(delta_prime, grid[b : b + 1], omega1, g1, trunc, cfg.k_levels)
-        es = EigenSystem(stacked.values[0], stacked.vectors[0])
-        eps, levels = float(grid[b]), es.values.tolist()
+    eigensystems = _sweep_eigensystems(delta_prime, grid, omega1, g1, trunc, cfg.k_levels)
+    for eps, es in zip(grid.tolist(), eigensystems):
+        levels = es.values.tolist()
         for i, j in pairs:
             f = levels[j] - levels[i]  # the float64 difference, in plain floats
             if lo <= f <= hi:

@@ -645,6 +645,58 @@ def test_bundled_spectrum_call_counts(monkeypatch, capsys):
     }
 
 
+def test_deep_spectrum_call_counts(tmp_path, monkeypatch, capsys):
+    # The benchmark's deep device (0.15, 1.5, 5 GHz) over 201 biases at
+    # n_max 64 (dim 130): one stacked eigensystem at the 5 snapshot biases,
+    # one over the 200 nonzero biases in the 34-column reduced basis, all
+    # certified, and one per-bias call at zero, after two truncation
+    # searches that each probe n_max 16, 32, 64 and 128.
+    from collections import Counter
+
+    import numpy as np
+
+    from dscqed import rabi, spectrum
+
+    calls = Counter()
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key(*args)] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for kind in ("eigh", "eigvalsh"):
+        fn = getattr(np.linalg, kind)
+        monkeypatch.setattr(
+            np.linalg, kind, counted(fn, lambda h, *_, kind=kind: f"{kind}@{h.shape[-1]}")
+        )
+    for mod, name in (
+        (rabi, "eigensystem"),
+        (rabi, "_eigenpairs"),
+        (spectrum, "drive_matrix_element"),
+        (rabi, "converged_truncation"),
+    ):
+        monkeypatch.setattr(mod, name, counted(getattr(mod, name), lambda *_, n=name: n))
+    qrm = {"delta_prime_ghz": 0.15, "omega1_ghz": 1.5, "g1_ghz": 5.0}
+    path = _config_variant(tmp_path, lambda t: t["qrm"].update(qrm))
+
+    assert main(["spectrum", "--config", path, "--epsilon-steps", "201"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 902
+    assert calls == {
+        "eigensystem": 3,
+        "eigh@130": 2,
+        "eigh@34": 1,
+        "_eigenpairs": 1,
+        "drive_matrix_element": 902,
+        "converged_truncation": 2,
+        "eigvalsh@34": 2,
+        "eigvalsh@66": 2,
+        "eigvalsh@130": 2,
+        "eigvalsh@258": 2,
+    }
+
+
 def test_bundled_spectrum_builds_the_bands_once_per_dimension(capsys):
     # the truncation searches touch dims 18, 34 and 66 and the sweep stays
     # at 34: three builds, every other read of the bands a cache hit

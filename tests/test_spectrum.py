@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dscqed import SweepConfig, sweep
+from dscqed import EigenSystem, FockTruncation, SweepConfig, drive_matrix_element, eigensystem, sweep
+from dscqed.rabi import _count_below, _eigenpairs, _hamiltonians, _sweep_eigensystems
+from dscqed.spectrum import _candidate_lines
 
 PAPER = dict(delta_prime=0.147, omega1=2.57, g1=2.39)
 
@@ -75,6 +79,17 @@ def test_forbidden_lines_vanish_at_symmetry_point():
             assert line.amplitude < 1e-10
 
 
+def test_forbidden_lines_vanish_at_zero_in_a_reduced_basis_sweep():
+    # the deep device's grid goes through the reduced basis; zero bias still
+    # takes the parity chains, so same-parity lines stay forbidden there
+    cfg = SweepConfig(epsilon_grid=tuple(np.linspace(-1.0, 1.0, 21)), freq_window=(0.0, 20.0))
+    at_zero = [line for line in sweep(0.15, 1.5, 5.0, cfg) if line.epsilon == 0.0]
+    assert {(line.i, line.j) for line in at_zero} >= {(0, 2), (1, 3), (0, 4), (1, 5)}
+    for line in at_zero:
+        if (line.i, line.j) in ((0, 2), (1, 3), (0, 4), (1, 5)):
+            assert line.amplitude < 1e-10
+
+
 def test_sweep_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(epsilon_grid=(), freq_window=(2.0, 8.0))
@@ -94,3 +109,171 @@ def test_sweep_propagates_truncation_failure(monkeypatch):
     )
     with pytest.raises(ConvergenceError):
         sweep(0.147, 2.57, 2.39, cfg)
+
+
+# ---------------------------------------------------------------------------
+# Reduced basis of deep-coupling sweeps
+# ---------------------------------------------------------------------------
+
+K = SweepConfig.k_levels
+TOL = SweepConfig.truncation_tol  # levels closer than this are one level to the sweep
+BAND = (2.0, 8.0)
+
+
+def _lines(grid, eigensystems):
+    """{(bias, i, j): (frequency, amplitude, isolated)} of the band's lines;
+    ``isolated`` when both levels lie at least TOL from every other level,
+    the only lines whose amplitude a double-precision eigenvector fixes."""
+    out = {}
+    for eps, es in zip(grid.tolist(), eigensystems):
+        levels, near = es.values[:K], es.values[: K + 1]
+        gaps = np.where(np.eye(K, len(near)), np.inf, np.abs(levels[:, None] - near))
+        for i, j in _candidate_lines(K):
+            f = levels[j] - levels[i]
+            if BAND[0] <= f <= BAND[1]:
+                isolated = gaps[[i, j]].min() >= TOL
+                out[eps, i, j] = (f, drive_matrix_element(es, i, j), isolated)
+    return out
+
+
+def _dense(delta, grid, omega, g, t):
+    es = _eigenpairs(delta, grid, omega, g, t, K)
+    return [EigenSystem(v, x) for v, x in zip(es.values, es.vectors)]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    delta=st.floats(0.01, 1.0),
+    omega=st.floats(0.5, 3.0),
+    ratio=st.floats(1.0, 4.0),
+    n_max=st.integers(64, 96),
+    half=st.floats(0.05, 3.0),
+    steps=st.integers(7, 25),
+)
+def test_reduced_sweep_matches_the_dense_path(delta, omega, ratio, n_max, half, steps):
+    g, t = ratio * omega, FockTruncation(n_max)
+    grid = np.linspace(-half, half, steps)
+    reduced = list(_sweep_eigensystems(delta, grid, omega, g, t, K))
+    got, ref = _lines(grid, reduced), _lines(grid, _dense(delta, grid, omega, g, t))
+    for key in got.keys() ^ ref.keys():  # only lines at the band edges may fall either way
+        f = (got.get(key) or ref[key])[0]
+        assert min(abs(f - BAND[0]), abs(f - BAND[1])) < 10 * TOL
+    for key in got.keys() & ref.keys():
+        assert abs(got[key][0] - ref[key][0]) <= 1e-9
+        if ref[key][2]:
+            assert abs(got[key][1] - ref[key][1]) <= 1e-9
+    # each certified Ritz value (a bias whose system holds K values) lies
+    # within its Kato-Temple bound r^2 / gap of eigvalsh's eigenvalue, give
+    # or take the rounding of the two eigensolves
+    h = _hamiltonians(delta, grid, omega, g, t)
+    exact = np.linalg.eigvalsh(h)
+    for b, es in enumerate(reduced):
+        if es.values.size != K:
+            continue
+        resid = np.linalg.norm(h[b] @ es.vectors - es.vectors * es.values, axis=0)
+        others = np.where(np.eye(K, t.dim), np.inf, np.abs(exact[b] - es.values[:, None]))
+        rounding = 16 * np.finfo(float).eps * np.abs(exact[b]).max()
+        assert np.all(np.abs(es.values - exact[b][:K]) <= resid**2 / others.min(axis=1) + rounding)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    delta=st.floats(0.0, 1.0),
+    omega=st.floats(0.5, 3.0),
+    g=st.floats(0.0, 10.0),
+    n_max=st.integers(1, 80),
+    eps=st.floats(-3.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_ldlt_count_is_the_eigvalsh_count(delta, omega, g, n_max, eps, seed):
+    t = FockTruncation(n_max)
+    exact = np.linalg.eigvalsh(_hamiltonians(delta, eps, omega, g, t))
+    span = exact[-1] - exact[0] + 1.0
+    shifts = np.random.default_rng(seed).uniform(exact[0] - 0.1 * span, exact[-1] + 0.1 * span, 50)
+    # shifts within rounding of an eigenvalue may count it either way
+    shifts = shifts[np.abs(shifts[:, None] - exact).min(axis=1) > 1e-9 * np.abs(exact).max()]
+    counts = _count_below(delta, np.full(len(shifts), eps), omega, g, t, shifts)
+    assert counts.tolist() == np.searchsorted(exact, shifts).tolist()
+
+
+def test_singular_or_non_finite_pivot_fails_the_count():
+    # delta 0, bias 2: the first pivot block is diag(-1 - sigma, 1 - sigma),
+    # singular at sigma = 1
+    t, shifts = FockTruncation(8), np.array([1.0, np.nan, np.inf, 0.5])
+    exact = np.linalg.eigvalsh(_hamiltonians(0.0, 2.0, 1.5, 5.0, t))
+    counts = _count_below(0.0, np.full(4, 2.0), 1.5, 5.0, t, shifts)
+    assert counts.tolist() == [-1, -1, -1, np.searchsorted(exact, 0.5)]
+
+
+def test_one_node_basis_falls_back_where_it_misses(monkeypatch):
+    # a basis from one snapshot (bias ~0) certifies only the biases next to
+    # it; every other bias falls back to the dense path, and the lines are
+    # the dense path's
+    from dscqed import rabi
+
+    fallbacks = []
+    dense = rabi._eigenpairs
+
+    def recorded(delta, biases, *args):
+        fallbacks.extend(biases.tolist())
+        return dense(delta, biases, *args)
+
+    monkeypatch.setattr(rabi, "_SNAPSHOTS", 1)
+    monkeypatch.setattr(rabi, "_eigenpairs", recorded)
+    t, grid = FockTruncation(64), np.linspace(-1e-4, 1e-4, 21)
+    reduced = list(_sweep_eigensystems(0.15, grid, 1.5, 5.0, t, K))
+    certified = [eps for eps, es in zip(grid.tolist(), reduced) if es.values.size == K]
+    assert certified and all(abs(eps) < 5e-5 for eps in certified)
+    assert sorted(fallbacks + certified) == grid.tolist()
+    got, ref = _lines(grid, reduced), _lines(grid, _dense(0.15, grid, 1.5, 5.0, t))
+    assert got.keys() == ref.keys()
+    for key, (f, amplitude, isolated) in ref.items():
+        assert abs(got[key][0] - f) <= 1e-9
+        assert not isolated or abs(got[key][1] - amplitude) <= 1e-9
+
+
+def test_basis_without_the_lowest_levels_fails_the_inertia_count(monkeypatch):
+    # at g1 = 0 the Fock states are exact, so a basis missing the n = 0 pair
+    # gives exact eigenpairs of the levels above it: every residual passes,
+    # and only the count of the levels below sigma refuses them
+    from dscqed import rabi
+
+    def without_lowest_pair(h, k):
+        es = eigensystem(h, k)
+        return EigenSystem(es.values, es.vectors[..., 2:]) if k == 2 * K else es
+
+    monkeypatch.setattr(rabi, "eigensystem", without_lowest_pair)
+    t, grid = FockTruncation(64), np.linspace(-1.0, 1.0, 21)
+    reduced = list(_sweep_eigensystems(0.15, grid, 1.5, 0.0, t, K))
+    assert all(es.values.size == t.dim for es in reduced)  # every bias fell back
+    assert _lines(grid, reduced).keys() == _lines(grid, _dense(0.15, grid, 1.5, 0.0, t)).keys()
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_reduced_chunks_give_the_one_chunk_result(chunk, monkeypatch):
+    # memory is bounded by chunks of nonzero biases; a chunk may hold only
+    # the zero bias, and chunking changes no bit of the result
+    from dscqed import rabi
+
+    t, grid = FockTruncation(64), np.linspace(-1.0, 1.0, 41)
+    whole = list(_sweep_eigensystems(0.15, grid, 1.5, 5.0, t, K))
+    monkeypatch.setattr(rabi, "_STACK_BYTES", chunk * 8 * t.dim * 34)  # 34 basis columns
+    for a, b in zip(whole, _sweep_eigensystems(0.15, grid, 1.5, 5.0, t, K), strict=True):
+        assert np.array_equal(a.values, b.values) and np.array_equal(a.vectors, b.vectors)
+
+
+@pytest.mark.parametrize("n_max, grid", [
+    (16, np.linspace(-1.0, 1.0, 41)),
+    (32, np.linspace(-1.0, 1.0, 41)),
+    (64, np.linspace(0.0, 1.0, 6)),
+])
+def test_small_truncations_and_grids_stay_per_bias(n_max, grid, monkeypatch):
+    # dim 34 and 66 (the bundled sweep and its probes) and a grid of 5
+    # nonzero biases never build a reduced basis: one eigensystem per bias
+    from dscqed import rabi
+
+    calls = []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: pytest.fail("reduced basis built"))
+    monkeypatch.setattr(rabi, "eigensystem", lambda h, k: calls.append(h.shape) or eigensystem(h, k))
+    assert len(list(_sweep_eigensystems(0.15, grid, 1.5, 5.0, FockTruncation(n_max), K))) == len(grid)
+    assert calls == [(1, 2 * n_max + 2, 2 * n_max + 2)] * len(grid)

@@ -164,17 +164,13 @@ def _cmd_spectrum(args, run) -> int:
 
 
 def _cmd_fit(args, run) -> int:
-    data = fitting.read_peaks_csv(args.data, run.sweep.k_levels)
-    try:
-        result = fitting.fit(
-            data,
-            initial=run.fit.initial,
-            bounds=run.fit.bounds,
-            k_levels=run.sweep.k_levels,
-            amplitude_floor=run.sweep.amplitude_floor,
-        )
-    except fitting._RowError as exc:  # name the file line the row was read from
-        raise ConfigError(f"{args.data}:{data.line[exc.row - 1]}: {exc.reason}") from None
+    result = fitting.fit(
+        fitting.read_peaks_csv(args.data),
+        initial=run.fit.initial,
+        bounds=run.fit.bounds,
+        k_levels=run.sweep.k_levels,
+        amplitude_floor=run.sweep.amplitude_floor,
+    )
     return _emit(args, run, partial(output.record, result.as_dict(), "residual"))
 
 

@@ -2,12 +2,14 @@
 spectral peaks by a bounded Levenberg-Marquardt descent on the Rabi spectrum.
 
 Data rows carry a bias, a frequency, an optional transition label ("03",
-"12", ...) and an optional positive weight.  Labeled rows are matched to the
-named transition.  An unlabeled row takes the nearest of ``spectrum``'s
-candidate lines (i, j) whose drive amplitude is above the floor, ties going
-to the lowest (i, j); this can be unstable near avoided crossings, so
-down-weight such points.  One band product from ``rabi`` per distinct |bias|
-gives all the amplitudes.
+"12", ...) and an optional positive weight; each rule on a row is checked
+once, and a refusal names the row by "path:line", or by "row N" for rows
+built in memory (``_refusal``).  Labeled rows are matched to the named
+transition.  An unlabeled row takes the nearest of ``spectrum``'s candidate
+lines (i, j) whose drive amplitude is above the floor, ties going to the
+lowest (i, j); this can be unstable near avoided crossings, so down-weight
+such points.  One band product from ``rabi`` per distinct |bias| gives all
+the amplitudes.
 
 The eigenvectors give the residuals' exact Jacobian with the residuals:
 each level's gradient is its Hellmann-Feynman product with the bands of
@@ -51,8 +53,8 @@ _STEP_RTOL = 1e-10  # step length relative to |x| at convergence
 
 
 class PeakData(Record):
-    """Measured peak positions: bias and frequency in GHz; ``line`` holds
-    each row's line in the file it was read from, if any."""
+    """Measured peak positions: bias and frequency in GHz; ``source`` is
+    (path, each row's file line) for rows read from a file, else None."""
 
     def __init__(
         self,
@@ -60,26 +62,29 @@ class PeakData(Record):
         frequency: np.ndarray,
         label: tuple,
         weight: np.ndarray,
-        line: tuple | None = None,
+        source: tuple | None = None,
     ) -> None:
         self.__dict__.update(
-            epsilon=epsilon, frequency=frequency, label=label, weight=weight, line=line
+            epsilon=epsilon, frequency=frequency, label=label, weight=weight, source=source
         )
         n = len(self.epsilon)
         if n < 3:
-            raise ValueError(f"need at least 3 rows, got {n}")
+            raise _refusal(source, None, f"need at least 3 rows, got {n}")
         if not (len(self.frequency) == len(self.label) == len(self.weight) == n):
-            raise ValueError("column lengths differ")
-        if not (np.all(np.isfinite(self.epsilon)) and np.all(np.isfinite(self.frequency))):
-            raise ValueError("bias and frequency values must be finite")
-        if not np.all(np.isfinite(self.weight) & (self.weight > 0.0)):
-            raise ValueError("weights must be finite and > 0")
+            raise _refusal(source, None, "column lengths differ")
+        bad = ~(np.isfinite(self.epsilon) & np.isfinite(self.frequency))
+        if bad.any():
+            raise _refusal(source, bad.argmax(), "bias and frequency values must be finite")
+        bad = ~(np.isfinite(self.weight) & (self.weight > 0.0))
+        if bad.any():
+            m = bad.argmax()
+            raise _refusal(source, m, f"weight must be finite and > 0, got {float(self.weight[m])}")
 
     def __len__(self):
         return len(self.epsilon)
 
     @classmethod
-    def from_rows(cls, rows, line=None):
+    def from_rows(cls, rows, source=None):
         """Build from (epsilon, frequency[, label[, weight]]) tuples."""
         eps, freq, labels, weights = [], [], [], []
         for row in rows:
@@ -92,16 +97,17 @@ class PeakData(Record):
             frequency=np.array(freq),
             label=tuple(labels),
             weight=np.array(weights),
-            line=line,
+            source=source,
         )
 
 
-class _RowError(ValueError):
-    """A refusal of data row ``row`` (from 1): "row N: <reason>"."""
-
-    def __init__(self, row: int, reason: str):
-        super().__init__(f"row {row}: {reason}")
-        self.row, self.reason = row, reason
+def _refusal(source, m, reason: str) -> ValueError:
+    """The error refusing row ``m`` (from 0; None: all rows) of peak data from
+    ``source``: a ConfigError naming "path:line", or a ValueError "row N"."""
+    if source is None:
+        return ValueError(reason if m is None else f"row {m + 1}: {reason}")
+    path, lines = source
+    return ConfigError(f"{path}: {reason}" if m is None else f"{path}:{lines[m]}: {reason}")
 
 
 class FitResult(Record):
@@ -149,10 +155,9 @@ class FitResult(Record):
         }
 
 
-def read_peaks_csv(path, k_levels: int = SweepConfig.k_levels) -> PeakData:
+def read_peaks_csv(path) -> PeakData:
     """Load peaks from CSV with header epsilon_ghz,frequency_ghz[,label][,weight];
-    labels are checked against ``k_levels`` as ``fit`` checks them."""
-    allowed = ("epsilon_ghz", "frequency_ghz", "label", "weight")
+    ``PeakData`` and ``fit`` check the rows that the file holds."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             records = list(csv.reader(fh))
@@ -166,7 +171,7 @@ def read_peaks_csv(path, k_levels: int = SweepConfig.k_levels) -> PeakData:
     for k, name in enumerate(header[2:], start=2):
         if name in header[:k]:
             raise ConfigError(f"{path}:1: duplicate column {name!r}")
-        if name not in allowed[2:]:
+        if name not in ("label", "weight"):
             raise ConfigError(f"{path}:1: unknown column {name!r}")
     rows, lines = [], []
     for lineno, raw in enumerate(records[1:], start=2):
@@ -177,22 +182,12 @@ def read_peaks_csv(path, k_levels: int = SweepConfig.k_levels) -> PeakData:
         cell = dict(zip(header, raw))
         try:
             eps, freq = float(cell["epsilon_ghz"]), float(cell["frequency_ghz"])
-            if not (math.isfinite(eps) and math.isfinite(freq)):
-                raise ValueError("bias and frequency values must be finite")
-            label = cell.get("label", "").strip() or None
-            if label is not None:
-                _parse_label(label, k_levels)
             weight = float(cell["weight"]) if cell.get("weight", "").strip() else 1.0
-            if not (math.isfinite(weight) and weight > 0.0):
-                raise ValueError(f"weight must be finite and > 0, got {weight}")
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from None
-        rows.append((eps, freq, label, weight))
+        rows.append((eps, freq, cell.get("label", "").strip() or None, weight))
         lines.append(lineno)
-    try:
-        return PeakData.from_rows(rows, tuple(lines))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    return PeakData.from_rows(rows, (path, tuple(lines)))
 
 
 def _parse_label(label: str, k_levels: int):
@@ -213,10 +208,11 @@ class _Layout(Record):
     """The data rows as the evaluation reads them, with their labels
     parsed; built once per fit.
 
-    Row m (data row ``row[m]``, from 1) is the transition (``i[m]``, ``j[m]``)
-    at bias +-``biases[at[m]]``, ``biases`` being the data's distinct |bias|
-    in ascending order.  An unlabeled row has i = j = -1 and takes the
-    drive-allowed line nearest its measured frequency ``measured[m]``.
+    Row m (row ``row[m]``, from 0, of the data from ``source``) is the
+    transition (``i[m]``, ``j[m]``) at bias +-``biases[at[m]]``, ``biases``
+    being the data's distinct |bias| in ascending order.  An unlabeled row has
+    i = j = -1 and takes the drive-allowed line nearest its measured
+    frequency ``measured[m]``.
     """
 
     def __init__(
@@ -228,24 +224,25 @@ class _Layout(Record):
         j: np.ndarray,
         measured: np.ndarray,
         k_levels: int,
+        source: tuple | None,
     ) -> None:
         self.__dict__.update(
-            row=row, at=at, biases=biases, i=i, j=j, measured=measured, k_levels=k_levels
+            row=row, at=at, biases=biases, i=i, j=j, measured=measured, k_levels=k_levels,
+            source=source,
         )
 
 
 def _layout(data: PeakData, k_levels: int) -> _Layout:
-    """Lay ``data`` out for evaluation; a malformed label raises ValueError
-    naming its row."""
+    """Lay ``data`` out for evaluation; a malformed label is refused by row."""
     pairs = []
-    for row, label in enumerate(data.label, start=1):
+    for m, label in enumerate(data.label):
         try:
             pairs.append((-1, -1) if label is None else _parse_label(label, k_levels))
         except ValueError as exc:
-            raise _RowError(row, str(exc)) from None
+            raise _refusal(data.source, m, str(exc)) from None
     biases, at = np.unique(np.abs(data.epsilon), return_inverse=True)
     i, j = np.array(pairs, dtype=int).T
-    return _Layout(np.arange(1, len(data) + 1), at, biases, i, j, data.frequency, k_levels)
+    return _Layout(np.arange(len(data)), at, biases, i, j, data.frequency, k_levels, data.source)
 
 
 def _predicted(params, layout: _Layout, n_max: int, floor: float, jacobian=False):
@@ -265,8 +262,8 @@ def _predicted(params, layout: _Layout, n_max: int, floor: float, jacobian=False
         v = vectors[b].T
         allowed = ~(np.abs(_drive(v[lower], v[upper])) <= floor)
         if not allowed.any():
-            raise _RowError(
-                int(layout.row[rows[0]]),
+            raise _refusal(
+                layout.source, layout.row[rows[0]],
                 f"no drive-allowed transition within k_levels ({layout.k_levels}) "
                 f"above the amplitude floor {floor}",
             )
@@ -290,6 +287,7 @@ def _predicted(params, layout: _Layout, n_max: int, floor: float, jacobian=False
             layout.j[fallback],
             layout.measured[fallback],
             layout.k_levels,
+            layout.source,
         )
         grad[fallback] = _central_differences(lambda x: _predicted(x, sub, n_max, floor), params)
     return freqs, grad

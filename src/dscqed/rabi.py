@@ -203,14 +203,9 @@ def eigensystem(h: np.ndarray, k: int | None = None) -> EigenSystem:
         if np.any(np.max(np.abs(h - h_t), axis=(-2, -1)) > 1e-12 * scale):
             raise ValueError("matrix is not symmetric within 1e-12 relative")
 
-    try:
-        if k == 0:
-            values = np.linalg.eigvalsh(h)
-            return EigenSystem(values, np.empty(h.shape[:-1] + (0,)))
-        values, vectors = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
-
+    if k == 0:
+        return EigenSystem(_lapack(h, vectors=False), np.empty(h.shape[:-1] + (0,)))
+    values, vectors = _lapack(h, vectors=True)
     vectors = vectors[..., :k]
     _fix_signs(vectors)
     gram = np.swapaxes(vectors, -1, -2) @ vectors
@@ -221,6 +216,15 @@ def eigensystem(h: np.ndarray, k: int | None = None) -> EigenSystem:
     if (np.linalg.norm(resid, axis=-2) > 1e-9 * h_norm).any():
         raise ConvergenceError("eigenpair residual exceeds 1e-9 * |H|")
     return EigenSystem(values=values, vectors=vectors)
+
+
+def _lapack(h, vectors: bool):
+    """numpy's eigh of ``h``, or its eigvalsh without ``vectors`` (the one call
+    of either in this module); a failure raises ConvergenceError."""
+    try:
+        return np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
 
 
 def solve(p: QrmParams, t: FockTruncation) -> EigenSystem:
@@ -286,8 +290,12 @@ def _sweep_eigensystems(delta_prime, biases, omega1, g1, t, k):
     certified: each residual against the full H within 1e-9 * max|Ritz
     value|, and exactly k eigenvalues of H below the midpoint of the kth and
     (k+1)th Ritz values (``_count_below``).  Every other bias, zero
-    included, is one ``_eigenpairs`` call.
+    included, is one ``_eigenpairs`` call.  A bias within 4 ulps of
+    max|bias| of zero is solved at zero: linspace's interior points are off
+    by about one ulp of the endpoints, and a middle point at 1.1e-16 would
+    split doublets degenerate to rounding at random.
     """
+    biases = np.where(np.abs(biases) <= 4 * np.spacing(np.max(np.abs(biases))), 0.0, biases)
 
     def dense(b):
         es = _eigenpairs(delta_prime, biases[b : b + 1], omega1, g1, t, k)
@@ -416,12 +424,8 @@ def converged_truncation(p: QrmParams, k_levels: int, tol: float) -> FockTruncat
 
 
 def _lowest_levels(p: QrmParams, n_max: int, k_levels: int):
-    """The lowest ``k_levels`` eigenvalues of H at truncation ``n_max``; a
-    failed eigensolve raises ConvergenceError."""
-    try:
-        return np.linalg.eigvalsh(build_hamiltonian(p, FockTruncation(n_max)))[:k_levels]
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
+    """The lowest ``k_levels`` eigenvalues of H at truncation ``n_max``."""
+    return _lapack(build_hamiltonian(p, FockTruncation(n_max)), vectors=False)[:k_levels]
 
 
 def _grid_truncation(delta_prime, omega1, g1, biases, k_levels, tol):

@@ -1,8 +1,10 @@
+import ast
 import json
 import os
 import stat
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -137,6 +139,16 @@ def test_spectrum_decoupled_single_line(tmp_path, capsys):
     eps, i, j, label, freq, _amp = rows[0].split(",")
     assert label == "01"
     assert float(freq) == pytest.approx(0.147, abs=1e-9)
+
+
+@pytest.mark.parametrize("form, out", [
+    ("json", "[]\n"), ("csv", "epsilon_ghz,i,j,label,frequency_ghz,amplitude\n"),
+])
+def test_spectrum_with_no_line_in_the_band_prints_an_empty_table(form, out, tmp_path, capsys):
+    # a probe band above every candidate line: no rows, exit 0
+    path = _config_variant(tmp_path, lambda t: t["sweep"].update(freq_min_ghz=500.0, freq_max_ghz=600.0))
+    assert main(["spectrum", "--config", path, "--epsilon-steps", "3", "--format", form]) == 0
+    assert capsys.readouterr() == (out, "")
 
 
 def test_spectrum_byte_deterministic(tmp_path):
@@ -601,15 +613,11 @@ def test_huge_integer_config_value_exits_1(tmp_path, capsys):
     assert "qrm.omega1_ghz: must be finite" in capsys.readouterr().err
 
 
-def test_bundled_spectrum_call_counts(monkeypatch, capsys):
-    # The same exact counts the benchmark's traced run checks for the
-    # bundled sweep: 81 biases at n_max 16 (dim 34), after two truncation
-    # searches that each probe n_max 8, 16 and 32.
-    from collections import Counter
-
+def _count_calls(monkeypatch, targets):
+    """Counter of numpy's eigh and eigvalsh calls by kind and dimension
+    ("eigh@34") and of the calls of each (module, name) in ``targets`` by
+    name, for the rest of the test."""
     import numpy as np
-
-    from dscqed import rabi, spectrum
 
     calls = Counter()
 
@@ -625,24 +633,51 @@ def test_bundled_spectrum_call_counts(monkeypatch, capsys):
         monkeypatch.setattr(
             np.linalg, kind, counted(fn, lambda h, *_, kind=kind: f"{kind}@{h.shape[-1]}")
         )
-    for mod, name in (
-        (rabi, "eigensystem"),
-        (spectrum, "drive_matrix_element"),
-        (rabi, "converged_truncation"),
-    ):
+    for mod, name in targets:
         monkeypatch.setattr(mod, name, counted(getattr(mod, name), lambda *_, n=name: n))
+    return calls
 
+
+# The bundled sweep's exact counts: 81 biases at n_max 16 (dim 34), after
+# two truncation searches that each probe n_max 8, 16 and 32.  The
+# benchmark's traced run checks the same counts (bench/tracer.py SELF_CHECK).
+BUNDLED_SPECTRUM_COUNTS = {
+    "eigensystem": 81,
+    "eigh@34": 81,
+    "drive_matrix_element": 612,
+    "converged_truncation": 2,
+    "eigvalsh@18": 2,
+    "eigvalsh@34": 2,
+    "eigvalsh@66": 2,
+}
+
+
+def test_bundled_spectrum_call_counts(monkeypatch, capsys):
+    from dscqed import rabi, spectrum
+
+    targets = (
+        (rabi, "eigensystem"), (spectrum, "drive_matrix_element"), (rabi, "converged_truncation")
+    )
+    calls = _count_calls(monkeypatch, targets)
     assert main(["spectrum"]) == 0
     capsys.readouterr()
-    assert calls == {
-        "eigensystem": 81,
-        "eigh@34": 81,
-        "drive_matrix_element": 612,
-        "converged_truncation": 2,
-        "eigvalsh@18": 2,
-        "eigvalsh@34": 2,
-        "eigvalsh@66": 2,
-    }
+    assert calls == BUNDLED_SPECTRUM_COUNTS
+
+
+def test_bundled_count_pin_is_the_benchmark_self_check():
+    # SELF_CHECK names each rabi function with its module and adds the
+    # eigvalsh total; read as source, so the benchmark is neither imported
+    # nor run, and re-pinning one of the two without the other fails here
+    tracer = Path(__file__).parents[1] / "bench" / "tracer.py"
+    (self_check,) = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(tracer.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign)
+        and [getattr(target, "id", None) for target in node.targets] == ["SELF_CHECK"]
+    ]
+    total = self_check.pop("eigvalsh")
+    assert {key.removeprefix("rabi."): n for key, n in self_check.items()} == BUNDLED_SPECTRUM_COUNTS
+    assert total == sum(n for key, n in self_check.items() if key.startswith("eigvalsh@"))
 
 
 def test_deep_spectrum_call_counts(tmp_path, monkeypatch, capsys):
@@ -651,33 +686,15 @@ def test_deep_spectrum_call_counts(tmp_path, monkeypatch, capsys):
     # one over the 200 nonzero biases in the 34-column reduced basis, all
     # certified, and one per-bias call at zero, after two truncation
     # searches that each probe n_max 16, 32, 64 and 128.
-    from collections import Counter
-
-    import numpy as np
-
     from dscqed import rabi, spectrum
 
-    calls = Counter()
-
-    def counted(fn, key):
-        def wrapper(*args, **kwargs):
-            calls[key(*args)] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    for kind in ("eigh", "eigvalsh"):
-        fn = getattr(np.linalg, kind)
-        monkeypatch.setattr(
-            np.linalg, kind, counted(fn, lambda h, *_, kind=kind: f"{kind}@{h.shape[-1]}")
-        )
-    for mod, name in (
+    targets = (
         (rabi, "eigensystem"),
         (rabi, "_eigenpairs"),
         (spectrum, "drive_matrix_element"),
         (rabi, "converged_truncation"),
-    ):
-        monkeypatch.setattr(mod, name, counted(getattr(mod, name), lambda *_, n=name: n))
+    )
+    calls = _count_calls(monkeypatch, targets)
     qrm = {"delta_prime_ghz": 0.15, "omega1_ghz": 1.5, "g1_ghz": 5.0}
     path = _config_variant(tmp_path, lambda t: t["qrm"].update(qrm))
 

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -660,18 +661,19 @@ def test_read_peaks_bad_number_carries_line(tmp_path):
 
 
 def test_read_peaks_label_above_k_levels_carries_line(tmp_path):
-    # the rule fit applies by row, applied where the row is read
+    # fit applies the rule and names the file line the row was read from
     path = tmp_path / "peaks.csv"
     path.write_text("epsilon_ghz,frequency_ghz,label\n0.0,2.61,03\n0.1,2.7,04\n0.2,2.3,12\n")
+    data = read_peaks_csv(path)
+    assert data.label == ("03", "04", "12")
     with pytest.raises(ConfigError, match=r":3: transition label '04' needs j < k_levels \(4\)$"):
-        read_peaks_csv(path, k_levels=4)
-    assert read_peaks_csv(path, k_levels=5).label == ("03", "04", "12")
+        fit(data, initial=(0.15, 2.6, 2.4), bounds=BOUNDS, k_levels=4)
 
 
 @pytest.mark.parametrize("weight", [math.inf, math.nan, 0.0, -1.0])
 def test_peak_data_refuses_bad_weights(weight):
     rows = [(-0.1, 2.5, "03", 1.0), (0.0, 2.6, "03", weight), (0.1, 2.7, "03", 1.0)]
-    with pytest.raises(ValueError, match="weights must be finite and > 0"):
+    with pytest.raises(ValueError, match=rf"^row 2: weight must be finite and > 0, got {weight}$"):
         PeakData.from_rows(rows)
 
 
@@ -686,7 +688,43 @@ def test_read_peaks_label_not_written_as_ij_carries_line(tmp_path):
     path = tmp_path / "peaks.csv"
     path.write_text("epsilon_ghz,frequency_ghz,label\n0.0,2.61,03\n0.1,2.7,003\n0.2,2.3,12\n")
     with pytest.raises(ConfigError, match=r":3: transition label '003' must be written '03'$"):
+        fit(read_peaks_csv(path), initial=(0.15, 2.6, 2.4), bounds=BOUNDS)
+
+
+def test_library_fit_names_the_file_line_of_a_refused_row(tmp_path):
+    # rows read from a file are named by their file line in the library as
+    # under the CLI: behind a blank line, data row 2 is line 4
+    path = tmp_path / "peaks.csv"
+    path.write_text("epsilon_ghz,frequency_ghz,label\n0.0,2.61,03\n\n0.1,2.7,04\n0.2,2.3,12\n")
+    message = rf"^{re.escape(str(path))}:4: transition label '04' needs j < k_levels \(4\)$"
+    with pytest.raises(ConfigError, match=message):
+        fit(read_peaks_csv(path), initial=(0.15, 2.6, 2.4), bounds=BOUNDS, k_levels=4)
+    path.write_text("epsilon_ghz,frequency_ghz\n\n0.0,2.61\n0.1,2.7\n0.2,2.3\n")
+    message = (
+        rf"^{re.escape(str(path))}:3: no drive-allowed transition within k_levels \(6\) "
+        r"above the amplitude floor 10.0$"
+    )
+    with pytest.raises(ConfigError, match=message):
+        fit(read_peaks_csv(path), initial=(0.15, 2.6, 2.4), bounds=BOUNDS, amplitude_floor=10.0)
+
+
+@pytest.mark.parametrize("row, reason", [
+    ((math.nan, 2.7, 1.0), "bias and frequency values must be finite"),
+    ((0.1, -math.inf, 1.0), "bias and frequency values must be finite"),
+    ((0.1, 2.7, 0.0), "weight must be finite and > 0, got 0.0"),
+])
+def test_peak_data_names_a_refused_row_by_its_source(row, reason, tmp_path):
+    # one check per rule, in PeakData: "path:line" for a row read from a
+    # file, "row N" for rows built in memory
+    path = tmp_path / "peaks.csv"
+    cells = ",".join(map(str, row))
+    path.write_text(f"epsilon_ghz,frequency_ghz,weight\n0.0,2.61,1\n\n{cells}\n0.2,2.3,1\n")
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:4: {re.escape(reason)}$"):
         read_peaks_csv(path)
+    rows = [(0.0, 2.61, None, 1.0), (*row[:2], None, row[2]), (0.2, 2.3, None, 1.0)]
+    with pytest.raises(ValueError, match=rf"^row 2: {re.escape(reason)}$") as refused:
+        PeakData.from_rows(rows)
+    assert not isinstance(refused.value, ConfigError)
 
 
 def test_bundled_peaks_are_what_the_script_writes(tmp_path, monkeypatch, capsys):

@@ -160,8 +160,9 @@ RECORDS = (
      ("qrm.g1_ghz", float, 1.0, "[0, 1e6]", "--g1")),
     ("fitting", "PeakData",
      "(epsilon: 'np.ndarray', frequency: 'np.ndarray', label: 'tuple', "
-     "weight: 'np.ndarray', line: 'tuple | None' = None)",
-     (np.array([-0.1, 0.0, 0.1]), np.array([2.5, 2.6, 2.7]), ("03",) * 3, np.ones(3), (2, 3, 4))),
+     "weight: 'np.ndarray', source: 'tuple | None' = None)",
+     (np.array([-0.1, 0.0, 0.1]), np.array([2.5, 2.6, 2.7]), ("03",) * 3, np.ones(3),
+      ("peaks.csv", (2, 3, 4)))),
     ("fitting", "FitResult",
      "(delta_prime: 'float', omega1: 'float', g1: 'float', residual_rms: 'float', "
      "per_point_residuals: 'np.ndarray', iterations: 'int', converged: 'bool', "
@@ -169,8 +170,8 @@ RECORDS = (
      (0.1, 2.6, 2.4, 1e-3, (0.0, 1e-3), 5, True, (1e-4,) * 3, "cost")),
     ("fitting", "_Layout",
      "(row: 'np.ndarray', at: 'np.ndarray', biases: 'np.ndarray', i: 'np.ndarray', "
-     "j: 'np.ndarray', measured: 'np.ndarray', k_levels: 'int')",
-     ((1, 2), (0, 1), (0.0, 0.1), (0, 0), (3, 3), (2.5, 2.6), 6)),
+     "j: 'np.ndarray', measured: 'np.ndarray', k_levels: 'int', source: 'tuple | None')",
+     ((0, 1), (0, 1), (0.0, 0.1), (0, 0), (3, 3), (2.5, 2.6), 6, ("peaks.csv", (2, 3)))),
 )
 
 

@@ -90,6 +90,34 @@ def test_forbidden_lines_vanish_at_zero_in_a_reduced_basis_sweep():
             assert line.amplitude < 1e-10
 
 
+@pytest.mark.parametrize("device", [(0.15, 1.5, 5.0), (0.159, 1.706, 6.283)])
+def test_a_bias_zero_to_rounding_is_solved_at_zero(device, monkeypatch):
+    # linspace puts this window's middle point at 1.1e-16, one ulp of its
+    # endpoints; it is solved at exactly zero, on the reduced and the dense
+    # path alike, so the forbidden lines 02 and 13 read 0 there and every
+    # line matches the grid whose middle point is an exact zero
+    from dscqed import rabi
+
+    grid = np.linspace(-0.785, 0.785, 201)
+    exact = np.where(np.arange(201) == 100, 0.0, grid)
+    assert 0.0 < grid[100] <= np.spacing(0.785)
+
+    def middle(g):
+        cfg = SweepConfig(epsilon_grid=tuple(g), freq_window=(0.0, 1e3))
+        return {l.label: (l.frequency, l.amplitude) for l in sweep(*device, cfg) if l.epsilon == g[100]}
+
+    counted = []
+    count_below = rabi._count_below
+    monkeypatch.setattr(rabi, "_count_below", lambda *a: counted.append(1) or count_below(*a))
+    reduced = middle(grid)
+    assert counted  # the grid went through the reduced basis
+    assert reduced == middle(exact)
+    assert reduced["02"][1] == reduced["13"][1] == 0.0
+    monkeypatch.setattr(rabi, "_SNAPSHOTS", 10**6)  # the size gate sends every bias to the dense path
+    counted.clear()
+    assert middle(grid) == reduced and not counted
+
+
 def test_sweep_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(epsilon_grid=(), freq_window=(2.0, 8.0))

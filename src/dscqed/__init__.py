@@ -22,8 +22,8 @@ _HOME = {
         "errors": ("ConfigError", "ConvergenceError"),
         "fitting": ("FitResult", "PeakData", "fit", "read_peaks_csv"),
         "lamb": (
-            "LambShiftReport", "asymptotic_sum", "cutoff_sum", "full_report",
-            "multimode_renorm", "per_mode_shifts", "single_mode_renorm",
+            "LambShiftReport", "asymptotic_sum", "cutoff_sum", "multimode_renorm",
+            "per_mode_shifts", "single_mode_renorm",
         ),
         "rabi": (
             "EigenSystem", "FockTruncation", "QrmParams", "build_hamiltonian",

@@ -2,10 +2,11 @@
 
 A subclass's fields are its ``__init__``'s parameters, in order; the
 ``__init__`` stores them with ``self.__dict__.update(...)``, then checks
-them.  Records compare and hash field by field, print as
-``Name(field=value, ...)``, serve ``match`` by position and refuse
-assignment and deletion with AttributeError, as a frozen dataclass does;
-no source is generated or compiled when a subclass is defined.
+them, and may store values derived from them the same way.  Records
+compare and hash field by field, print as ``Name(field=value, ...)``,
+serve ``match`` by position and refuse assignment and deletion with
+AttributeError, as a frozen dataclass does; no source is generated or
+compiled when a subclass is defined.
 """
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+import warnings
 from functools import partial
 
 from . import config as cfg_mod
@@ -84,18 +85,21 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-        source = args.config or cfg_mod.paper_device_path()
-        tree = cfg_mod.read_tree(source)
-        runs = [cfg_mod.validate(tree, source, over) for over in _overrides(args)]
-        return _COMMANDS[args.command][0](args, *runs)
-    except ConvergenceError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():  # restores the caller's showwarning
+        # a library warning prints as one line, without the source file and line
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            args = parser.parse_args(argv)
+            source = args.config or cfg_mod.paper_device_path()
+            tree = cfg_mod.read_tree(source)
+            runs = [cfg_mod.validate(tree, source, over) for over in _overrides(args)]
+            return _COMMANDS[args.command][0](args, *runs)
+        except ConvergenceError as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return 2
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 def _overrides(args) -> list:
@@ -143,12 +147,8 @@ def _cmd_couplings(args, *runs) -> int:
 
 
 def _cmd_lamb(args, run) -> int:
-    report = lamb.full_report(
-        g1=run.qrm.g1,
-        omega1=run.qrm.omega1,
-        n_cutoff=run.lamb.n_cutoff,
-        delta_measured=run.lamb.delta_measured,
-        n_modes=run.lamb.n_modes,
+    report = lamb.LambShiftReport(
+        run.qrm.g1, run.qrm.omega1, run.lamb.n_cutoff, run.lamb.delta_measured, run.lamb.n_modes
     )
     return _emit(
         args, run,
@@ -197,7 +197,7 @@ def _reference_checks(run):
     """The six published numbers with their tolerances."""
     q = run.qrm
     delta = lamb.single_mode_renorm(q.delta_prime, q.g1, q.omega1)
-    report = lamb.full_report(q.g1, q.omega1, run.lamb.n_cutoff, run.lamb.delta_measured)
+    report = lamb.LambShiftReport(q.g1, q.omega1, run.lamb.n_cutoff, run.lamb.delta_measured)
     return [
         ("renormalized gap (GHz)", delta, 0.026, 0.001),
         ("fundamental-mode shift (%)", 100 * report.fundamental_shift, 82.3, 0.3),

@@ -50,6 +50,7 @@ _FD_STEP = 1e-6  # step of those differences, relative to max(|x|, 1 GHz)
 _DAMPING_START = 1e-3  # initial damping, relative to mean(diag(J^T J))
 _COST_RTOL = 1e-10  # relative cost change, actual and predicted, at convergence
 _STEP_RTOL = 1e-10  # step length relative to |x| at convergence
+_MAX_ITER = 400  # descent iterations of all passes together
 
 
 class PeakData(Record):
@@ -113,7 +114,8 @@ def _refusal(source, m, reason: str) -> ValueError:
 class FitResult(Record):
     """The fitted triple (GHz), the residuals, and how the descent ended:
     ``stderr`` per parameter, GHz, is sqrt(diag((J^T W J)^-1) * chi2 / dof)
-    and ``reason`` is "cost", "step" or "max_iter"."""
+    and ``reason`` is "cost", "step" or "max_iter"; ``converged`` is false
+    after "max_iter" only."""
 
     def __init__(
         self,
@@ -123,7 +125,6 @@ class FitResult(Record):
         residual_rms: float,
         per_point_residuals: np.ndarray,
         iterations: int,
-        converged: bool,
         stderr: tuple,
         reason: str,
     ) -> None:
@@ -134,7 +135,6 @@ class FitResult(Record):
             residual_rms=residual_rms,
             per_point_residuals=per_point_residuals,
             iterations=iterations,
-            converged=converged,
             stderr=stderr,
             reason=reason,
         )
@@ -142,6 +142,10 @@ class FitResult(Record):
     @property
     def params(self):
         return (self.delta_prime, self.omega1, self.g1)
+
+    @property
+    def converged(self) -> bool:
+        return self.reason != "max_iter"
 
     def as_dict(self) -> dict:
         return {
@@ -383,12 +387,12 @@ def _levenberg_marquardt(residuals, x0, lo, hi, max_iter: int):
     return x, r, jac, max_iter, "max_iter", trace
 
 
-def _descend(data, weight, layout, x0, bounds, floor, max_iter):
+def _descend(data, weight, layout, x0, bounds, floor):
     """Levenberg-Marquardt on the residuals weighted by ``weight`` at the
     truncation that converges at ``x0``, repeated from the optimum while the
     optimum needs a larger one.  A truncation converges at x when the lowest
     k_levels levels settle to _TRUNCATION_TOL both at zero bias and at the
-    data's largest |bias|, as in ``spectrum.sweep``.  ``max_iter`` bounds the
+    data's largest |bias|, as in ``spectrum.sweep``.  _MAX_ITER bounds the
     iterations of all passes together.
 
     Returns (x, weighted residuals, weighted jacobian, iterations, reason),
@@ -409,7 +413,7 @@ def _descend(data, weight, layout, x0, bounds, floor, max_iter):
     while True:
         with np.errstate(over="ignore"):  # an overflowing cost is refused as not finite
             x, r, jac, it, reason, _ = _levenberg_marquardt(
-                residuals, x, lo, hi, max_iter - iterations
+                residuals, x, lo, hi, _MAX_ITER - iterations
             )
         iterations += it
         needed = converged_at(x)
@@ -435,13 +439,13 @@ def fit(
     bounds,
     k_levels: int = SweepConfig.k_levels,
     amplitude_floor: float = SweepConfig.amplitude_floor,
-    max_iter: int = 400,
 ) -> FitResult:
     """Weighted least squares over the peak data.
 
     Runs the bounded Levenberg-Marquardt descent from ``initial`` (see the
-    module docstring for the Jacobian and the truncation).  When ``max_iter``
-    runs out, the best point so far is returned with ``converged=False``.
+    module docstring for the Jacobian and the truncation).  When _MAX_ITER
+    iterations run out, the best point so far is returned with
+    ``converged=False``.
     """
     initial = tuple(float(v) for v in initial)
     bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
@@ -455,7 +459,7 @@ def fit(
     except ValueError as exc:
         raise ValueError(f"lower bounds outside the model domain: {exc}") from None
     if np.all(np.abs(data.epsilon) == abs(data.epsilon[0])):  # the spectrum is even in the bias
-        raise ValueError("degenerate data: all bias values are equal in magnitude")
+        raise _refusal(data.source, None, "degenerate data: all bias values are equal in magnitude")
     layout = _layout(data, k_levels)  # fails loudly here, not inside the descent
     # the optimum, rms and stderr do not depend on the weights' scale, and
     # at most 1 they neither overflow nor underflow the cost; the floor keeps
@@ -463,7 +467,7 @@ def fit(
     # so that its row's residual can still be unweighted
     weight = np.maximum(data.weight / data.weight.max(), np.finfo(float).tiny)
     best, r, jac, iterations, reason = _descend(
-        data, weight, layout, initial, bounds, amplitude_floor, max_iter
+        data, weight, layout, initial, bounds, amplitude_floor
     )
     chi2 = float(r @ r)
     rms = float(np.sqrt(chi2 / np.sum(weight)))
@@ -474,7 +478,6 @@ def fit(
         residual_rms=rms,
         per_point_residuals=r / np.sqrt(weight),
         iterations=iterations,
-        converged=reason != "max_iter",
         stderr=_standard_errors(jac, chi2, len(data) - 3),
         reason=reason,
     )

@@ -7,7 +7,9 @@ with the dimensionless cutoff n_cutoff = omega_cutoff / omega1, whose mode sum
 
     S(n_cutoff) = sum over odd n of coupling_law(n, n / n_cutoff) / n^2
 
-and large-n_cutoff asymptote are both in closed form.
+and large-n_cutoff asymptote are both in closed form.  ``LambShiftReport``
+inverts that chain from the measured gap delta: with x = 2 (g1/omega1)^2 and
+S = S(n_cutoff), delta -> delta0_prime = delta e^x -> delta0 = delta e^(x S).
 """
 
 from __future__ import annotations
@@ -39,55 +41,50 @@ _STIRLING = ((1, 1 / 2), (2, 1 / 12), (4, -1 / 120), (6, 1 / 252), (8, -1 / 240)
 
 
 class LambShiftReport(Record):
-    """Bare / partially renormalized / fully renormalized gap triple (GHz),
-    the mode sum, and relative shifts.
+    """The renormalization chain (module docstring) inverted from the
+    measured gap ``delta``: the bare and partially renormalized gaps delta0
+    and delta0_prime (GHz), the mode sum ``sum_value`` and the relative shifts.
 
-    per_mode_shift[k] is the shift the (k+1)-th mode alone would induce,
-    normalized to the bare gap; fundamental_shift is 1 - delta/delta0_prime
-    (normalized to the partially renormalized gap) -- the two conventions
-    differ and are both carried.
+    The fields are the five inputs; the constructor computes the rest, so
+    ``_replace`` recomputes the whole chain.  per_mode_shift[k] is the shift
+    the (k+1)-th mode alone would induce, normalized to the bare gap;
+    fundamental_shift is 1 - delta/delta0_prime (normalized to the partially
+    renormalized gap) -- the two conventions differ and are both carried.
     """
 
     def __init__(
         self,
-        delta0: float,
-        delta0_prime: float,
-        delta: float,
-        sum_value: float,
+        g1: float,
+        omega1: float,
         n_cutoff: float,
-        per_mode_shift: tuple,
-        total_shift: float,
-        fundamental_shift: float,
+        delta: float,
+        n_modes: int = DEFAULT_N_MODES,
     ) -> None:
-        self.__dict__.update(
-            delta0=delta0,
-            delta0_prime=delta0_prime,
-            delta=delta,
-            sum_value=sum_value,
-            n_cutoff=n_cutoff,
-            per_mode_shift=per_mode_shift,
-            total_shift=total_shift,
-            fundamental_shift=fundamental_shift,
-        )
-        if not 0.0 < self.delta <= self.delta0_prime <= self.delta0:
+        self.__dict__.update(g1=g1, omega1=omega1, n_cutoff=n_cutoff, delta=delta, n_modes=n_modes)
+        if not delta > 0.0:
+            raise ValueError(f"delta_measured must be > 0, got {delta}")
+        check_coupling_domain(g1, omega1, omega1, n_cutoff)
+        s = cutoff_sum(n_cutoff)
+        if s < 1.0 and g1 > 0.0:
+            # The coupling law puts the n=1 term below one, so here the partially
+            # renormalized gap would come out above the bare gap -- outside validity.
             raise ValueError(
-                "require 0 < delta <= delta0_prime <= delta0, got "
-                f"{self.delta}, {self.delta0_prime}, {self.delta0}"
+                f"mode sum S({n_cutoff}) = {s:.4g} < 1: report inconsistent below "
+                f"n_cutoff {N_CUTOFF_MIN}"
             )
-        for name in ("total_shift", "fundamental_shift"):
-            v = getattr(self, name)
-            if not 0.0 <= v < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1), got {v}")
-        if any(not 0.0 <= s < 1.0 for s in self.per_mode_shift):
-            raise ValueError("per-mode shifts must lie in [0, 1)")
-        # self-consistency: the gap triple and the two shifts describe the
-        # same renormalization chain
-        for derived, name in (
-            (self.delta0_prime * (1.0 - self.fundamental_shift), "fundamental_shift"),
-            (self.delta0 * (1.0 - self.total_shift), "total_shift"),
-        ):
-            if abs(derived - self.delta) > 1e-10 * self.delta:
-                raise ValueError(f"{name} inconsistent with the gap triple")
+        x = 2.0 * (g1 / omega1) ** 2
+        if not -math.expm1(-x * s) < 1.0:
+            raise ConvergenceError(
+                f"total shift 1 - exp(-{x * s:.4g}) rounds to 1 in double precision"
+            )
+        self.__dict__.update(
+            delta0=delta * math.exp(x * s),
+            delta0_prime=delta * math.exp(x),
+            sum_value=s,
+            per_mode_shift=per_mode_shifts(g1, omega1, n_cutoff, n_modes),
+            total_shift=float(-math.expm1(-x * s)),
+            fundamental_shift=float(-math.expm1(-x)),
+        )
 
     def as_dict(self) -> dict:
         return {
@@ -192,39 +189,3 @@ def per_mode_shifts(g1: float, omega1: float, n_cutoff: float, n_modes: int) -> 
     odd = map(float, range(1, 2 * n_modes, 2))
     return tuple([-math.expm1(x * coupling_law(n, n / n_cutoff) / (n * n)) for n in odd])
 
-
-def full_report(
-    g1: float,
-    omega1: float,
-    n_cutoff: float,
-    delta_measured: float,
-    n_modes: int = DEFAULT_N_MODES,
-) -> LambShiftReport:
-    """Invert the cutoff-regularized renormalization: from the measured gap,
-    recover the bare gap, the partially renormalized gap, and all shifts."""
-    if not delta_measured > 0.0:
-        raise ValueError(f"delta_measured must be > 0, got {delta_measured}")
-    check_coupling_domain(g1, omega1, omega1, n_cutoff)
-    s = cutoff_sum(n_cutoff)
-    if s < 1.0 and g1 > 0.0:
-        # The coupling law puts the n=1 term below one, so here the partially
-        # renormalized gap would come out above the bare gap -- outside validity.
-        raise ValueError(
-            f"mode sum S({n_cutoff}) = {s:.4g} < 1: report inconsistent below "
-            f"n_cutoff {N_CUTOFF_MIN}"
-        )
-    x = 2.0 * (g1 / omega1) ** 2
-    if not -math.expm1(-x * s) < 1.0:
-        raise ConvergenceError(
-            f"total shift 1 - exp(-{x * s:.4g}) rounds to 1 in double precision"
-        )
-    return LambShiftReport(
-        delta0=delta_measured * math.exp(x * s),
-        delta0_prime=delta_measured * math.exp(x),
-        delta=delta_measured,
-        sum_value=s,
-        n_cutoff=n_cutoff,
-        per_mode_shift=per_mode_shifts(g1, omega1, n_cutoff, n_modes),
-        total_shift=float(-math.expm1(-x * s)),
-        fundamental_shift=float(-math.expm1(-x)),
-    )

@@ -10,6 +10,7 @@ import numpy as np
 
 from dscqed import (
     FockTruncation,
+    LambShiftReport,
     QrmParams,
     ResonatorModel,
     SweepConfig,
@@ -20,7 +21,6 @@ from dscqed import (
     cutoff_sum,
     drive_matrix_element,
     fit,
-    full_report,
     mode_wavenumbers,
     single_mode_renorm,
     solve,
@@ -65,7 +65,7 @@ def test_criterion_03_cutoff_sum_and_asymptote():
 
 
 def test_criterion_04_total_lamb_shift_chain():
-    rep = full_report(2.39, 2.57, 13.2, 0.026)
+    rep = LambShiftReport(2.39, 2.57, 13.2, 0.026)
     ok = abs(rep.total_shift - 0.965) <= 0.003 and abs(rep.delta0 - 0.732) <= 0.010
     assert _line(
         4, ok, f"total shift {100 * rep.total_shift:.2f}%, bare gap {rep.delta0 * 1e3:.1f} MHz"

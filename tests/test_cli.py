@@ -387,6 +387,21 @@ def test_unrepresentable_reports_exit_2(argv, qrm, message, tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
+def test_library_warning_prints_one_line(tmp_path, capsys):
+    import warnings
+
+    path = _config_variant(tmp_path, lambda t: t["qrm"].update(delta_prime_ghz=1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        shown = warnings.showwarning
+        assert main(["reproduce-paper", "--config", path]) == 2
+        assert warnings.showwarning is shown
+    assert capsys.readouterr().err == (
+        "warning: delta0/omega = 0.389 exceeds 0.2; the exponential formula assumes "
+        "delta0 << omega\nreference-value mismatch\n"
+    )
+
+
 def test_uncertified_mode_roots_exit_2(tmp_path, capsys):
     # l_c = 1e-7 pH puts the inductance ratio near 2e10, where the
     # fundamental root cannot be certified to 1e-9 in double precision
@@ -424,6 +439,15 @@ def test_fit_malformed_csv_exits_1(tmp_path, capsys):
     bad.write_text("epsilon_ghz,frequency_ghz\n0.0,oops\n")
     assert main(["fit", "--data", str(bad)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_fit_names_the_file_of_degenerate_data(tmp_path, capsys):
+    path = tmp_path / "eq.csv"
+    path.write_text("epsilon_ghz,frequency_ghz\n0.1,3.0\n-0.1,3.1\n0.1,3.2\n")
+    assert main(["fit", "--data", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: degenerate data: all bias values are equal in magnitude\n"
+    )
 
 
 @pytest.mark.parametrize("column, value", [

@@ -5,12 +5,12 @@ import pytest
 
 from dscqed import (
     FockTruncation,
+    LambShiftReport,
     QrmParams,
     asymptotic_sum,
     coupling_strength_at,
     cutoff_frequency,
     cutoff_sum,
-    full_report,
     load_config,
     mode_table,
     multimode_renorm,
@@ -318,14 +318,14 @@ def test_idealized_and_solved_mode_sums_split_in_three_steps():
 
 
 def test_report_published_numbers():
-    rep = full_report(2.39, 2.57, 13.2, 0.026)
+    rep = LambShiftReport(2.39, 2.57, 13.2, 0.026)
     assert abs(rep.total_shift - 0.965) <= 0.003
     assert abs(rep.delta0 - 0.732) <= 0.010
     assert abs(rep.fundamental_shift - 0.823) <= 0.003
 
 
 def test_report_consistency_invariants():
-    rep = full_report(2.39, 2.57, 13.2, 0.026)
+    rep = LambShiftReport(2.39, 2.57, 13.2, 0.026)
     assert 0.0 < rep.delta <= rep.delta0_prime <= rep.delta0
     assert abs(rep.delta - rep.delta0_prime * math.exp(-PAPER_X)) <= 1e-10 * rep.delta
     assert (
@@ -335,7 +335,7 @@ def test_report_consistency_invariants():
 
 
 def test_report_no_coupling():
-    rep = full_report(0.0, 2.57, 13.2, 0.026)
+    rep = LambShiftReport(0.0, 2.57, 13.2, 0.026)
     assert rep.total_shift == 0.0
     assert rep.fundamental_shift == 0.0
     assert rep.delta0 == rep.delta == 0.026
@@ -343,25 +343,25 @@ def test_report_no_coupling():
 
 def test_report_forward_direction_round_trip():
     delta = 0.7 * math.exp(-2.0 * (2.39 / 2.57) ** 2 * cutoff_sum(13.2))
-    back = full_report(2.39, 2.57, 13.2, delta)
+    back = LambShiftReport(2.39, 2.57, 13.2, delta)
     assert back.delta0 == pytest.approx(0.7, rel=1e-12)
 
 
 def test_report_survival_under_cutoff():
     # finite coupling to infinitely many modes leaves a finite gap
     for ratio in (0.5, 1.0, 1.5):
-        rep = full_report(ratio * 2.0, 2.0, 50.0, 0.01)
+        rep = LambShiftReport(ratio * 2.0, 2.0, 50.0, 0.01)
         assert rep.delta > 0.0
         assert rep.total_shift < 1.0
 
 
 def test_report_monotonic_in_coupling_and_cutoff():
     shifts = [
-        full_report(g, 2.57, 13.2, 0.026).total_shift for g in (1.0, 1.5, 2.0, 2.5)
+        LambShiftReport(g, 2.57, 13.2, 0.026).total_shift for g in (1.0, 1.5, 2.0, 2.5)
     ]
     assert all(a < b for a, b in zip(shifts, shifts[1:]))
     shifts = [
-        full_report(2.39, 2.57, nc, 0.026).total_shift for nc in (5.0, 13.2, 40.0)
+        LambShiftReport(2.39, 2.57, nc, 0.026).total_shift for nc in (5.0, 13.2, 40.0)
     ]
     assert all(a < b for a, b in zip(shifts, shifts[1:]))
 
@@ -369,14 +369,14 @@ def test_report_monotonic_in_coupling_and_cutoff():
 def test_report_rejects_tiny_cutoff_ratio():
     # below S = 1 the partially renormalized gap would exceed the bare one
     with pytest.raises(ValueError):
-        full_report(2.39, 2.57, 1.0, 0.026)
+        LambShiftReport(2.39, 2.57, 1.0, 0.026)
 
 
 def test_smallest_cutoff_ratio_is_where_the_sum_reaches_one():
     assert cutoff_sum(N_CUTOFF_MIN) >= 1.0 > cutoff_sum(math.nextafter(N_CUTOFF_MIN, 0.0))
-    full_report(2.39, 2.57, N_CUTOFF_MIN, 0.026)
+    LambShiftReport(2.39, 2.57, N_CUTOFF_MIN, 0.026)
     with pytest.raises(ValueError, match="mode sum"):
-        full_report(2.39, 2.57, math.nextafter(N_CUTOFF_MIN, 0.0), 0.026)
+        LambShiftReport(2.39, 2.57, math.nextafter(N_CUTOFF_MIN, 0.0), 0.026)
 
 
 @pytest.mark.parametrize("g1, omega1", [(5.0, 1.5), (1e3, 2.57), (2.39, 1e-9)])
@@ -384,4 +384,27 @@ def test_report_refuses_a_total_shift_that_rounds_to_one(g1, omega1):
     # 2 (g1/omega1)^2 S above ~37: the shift is 1 in double precision and
     # the bare gap grows without bound (it overflowed for large ratios)
     with pytest.raises(ConvergenceError, match="rounds to 1"):
-        full_report(g1, omega1, 13.2, 0.026)
+        LambShiftReport(g1, omega1, 13.2, 0.026)
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.026, math.nan])
+def test_report_refuses_a_gap_that_is_not_positive(delta):
+    with pytest.raises(ValueError, match="delta_measured must be > 0"):
+        LambShiftReport(2.39, 2.57, 13.2, delta)
+
+
+@pytest.mark.parametrize("n_cutoff", [N_CUTOFF_MIN, 3.1, 40.0, 31415.9])
+def test_report_replace_recomputes_the_chain(n_cutoff):
+    rep = LambShiftReport(2.39, 2.57, 13.2, 0.026)._replace(n_cutoff=n_cutoff)
+    fresh = LambShiftReport(2.39, 2.57, n_cutoff, 0.026)
+    assert rep == fresh and rep.as_dict() == fresh.as_dict()
+
+
+@pytest.mark.parametrize("g1", [6.0, 7.0, 8.0])
+def test_report_near_the_rounding_limit_is_its_closed_form(g1):
+    # 1 - shift loses the shift's relative accuracy here, so a 1e-10 check of
+    # delta0_prime (1 - fundamental_shift) against delta refused these reports
+    rep = LambShiftReport(g1, 2.57, 13.2, 0.026)
+    x = 2.0 * (g1 / 2.57) ** 2
+    assert rep.fundamental_shift == -math.expm1(-x) < rep.total_shift < 1.0
+    assert rep.delta0 == 0.026 * math.exp(x * cutoff_sum(13.2))

@@ -9,19 +9,21 @@ from hypothesis import strategies as st
 
 from dscqed import (
     FockTruncation,
+    LambShiftReport,
     QrmParams,
     SweepConfig,
     build_hamiltonian,
     converged_truncation,
     coupling_strength_at,
     drive_matrix_element,
-    full_report,
     mode_wavenumbers,
     single_mode_renorm,
     solve,
     sweep,
 )
 from dscqed.errors import ConvergenceError
+from dscqed.lamb import N_CUTOFF_MIN, cutoff_sum
+from dscqed.resonator import N_MODES_CEILING
 from dscqed.output import fmt
 from conftest import (
     bisection_roots,
@@ -235,7 +237,7 @@ def test_mode_roots_bitwise_equal_to_bisection(log_r):
 )
 def test_report_self_consistency_and_survival(gratio, n_cutoff, delta):
     omega = 2.0
-    rep = full_report(gratio * omega, omega, n_cutoff, delta)
+    rep = LambShiftReport(gratio * omega, omega, n_cutoff, delta)
     x = 2.0 * gratio * gratio
     assert rep.delta > 0.0
     assert abs(rep.delta - rep.delta0_prime * math.exp(-x)) <= 1e-10 * rep.delta
@@ -243,8 +245,54 @@ def test_report_self_consistency_and_survival(gratio, n_cutoff, delta):
         abs(rep.delta - rep.delta0 * math.exp(-x * rep.sum_value)) <= 1e-10 * rep.delta
     )
     if gratio > 1e-6:  # underflow makes the shift exactly zero below this
-        wider = full_report(gratio * omega, omega, n_cutoff * 1.5, delta)
+        wider = LambShiftReport(gratio * omega, omega, n_cutoff * 1.5, delta)
         assert wider.total_shift > rep.total_shift
+
+
+@st.composite
+def report_inputs(draw):
+    """(g1, omega1, n_cutoff, delta, n_modes) inside the config's domains; g1
+    is drawn either over its whole domain or as up to 5 omega1, which reaches
+    past the total shift that rounds to 1."""
+    omega1 = draw(st.floats(min_value=1e-9, max_value=1e6))
+    g1 = draw(st.one_of(
+        st.floats(min_value=0.0, max_value=1e6),
+        st.floats(min_value=0.0, max_value=5.0).map(lambda r: min(r * omega1, 1e6)),
+    ))
+    n_cutoff = draw(st.floats(min_value=N_CUTOFF_MIN, max_value=1e6))
+    delta = draw(st.floats(min_value=1e-9, max_value=1e6))
+    return g1, omega1, n_cutoff, delta, draw(st.integers(1, N_MODES_CEILING))
+
+
+@settings(FAST, max_examples=50)
+@given(report_inputs())
+def test_report_is_the_closed_form_chain(inputs):
+    g1, omega1, nc, delta, n_modes = inputs
+    x = 2.0 * (g1 / omega1) ** 2
+    s = cutoff_sum(nc)
+    if not -math.expm1(-x * s) < 1.0:
+        with pytest.raises(ConvergenceError, match="rounds to 1"):
+            LambShiftReport(*inputs)
+        return
+    rep = LambShiftReport(*inputs)
+    odd = [float(n) for n in range(1, 2 * n_modes, 2)]
+    assert rep.as_dict() == {
+        "delta0_ghz": delta * math.exp(x * s),
+        "delta0_prime_ghz": delta * math.exp(x),
+        "delta_ghz": delta,
+        "sum_value": s,
+        "n_cutoff": nc,
+        "total_shift": -math.expm1(-x * s),
+        "fundamental_shift": -math.expm1(-x),
+        "per_mode_shift": [-math.expm1(-x * (n / (1.0 + (n / nc) * (n / nc))) / (n * n)) for n in odd],
+    }
+    # the invariants the record used to check, at the accuracy the shifts
+    # carry: 1 - shift is off by up to an ulp of 1, scaled by the larger gap
+    assert 0.0 < rep.delta <= rep.delta0_prime <= rep.delta0
+    assert all(0.0 <= v < 1.0 for v in (rep.total_shift, rep.fundamental_shift, *rep.per_mode_shift))
+    eps = np.finfo(float).eps
+    for gap, shift in ((rep.delta0_prime, rep.fundamental_shift), (rep.delta0, rep.total_shift)):
+        assert abs(gap * (1.0 - shift) - delta) <= 1e-10 * delta + eps * gap
 
 
 @FAST

@@ -127,16 +127,20 @@ def _argv_probe(flag_argv):
 
 def _run(argv, tmp, form="json"):
     """``main(argv)`` in-process, with the output as ``form`` unless argv
-    chooses the format itself."""
+    chooses the format itself; the warnings are those ``main`` prints as
+    "warning:" lines, which are taken out of stderr."""
     argv = [a.replace("{tmp}", str(tmp)) for a in argv]
     if not any(a.startswith("--format") for a in argv) and form:
         argv += ["--format", form]
     out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True) as caught:
+    with warnings.catch_warnings():
         warnings.simplefilter("always")
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = main(argv)
-    return rc, out.getvalue(), err.getvalue(), argv, [str(w.message) for w in caught]
+    lines = err.getvalue().splitlines(keepends=True)
+    caught = [line for line in lines if line.startswith("warning: ")]
+    err = "".join(line for line in lines if line not in caught)
+    return rc, out.getvalue(), err, argv, caught
 
 
 def _option(argv, flag):

@@ -18,6 +18,7 @@ __version__ = "0.1.0"
 _HOME = {
     name: module
     for module, names in {
+        "_params": ("QrmParams", "SweepConfig"),
         "config": ("RunConfig", "load_config", "paper_device_path", "synthetic_peaks_path"),
         "errors": ("ConfigError", "ConvergenceError"),
         "fitting": ("FitResult", "PeakData", "fit", "read_peaks_csv"),
@@ -26,14 +27,14 @@ _HOME = {
             "per_mode_shifts", "single_mode_renorm",
         ),
         "rabi": (
-            "EigenSystem", "FockTruncation", "QrmParams", "build_hamiltonian",
+            "EigenSystem", "FockTruncation", "build_hamiltonian",
             "converged_truncation", "drive_matrix_element", "eigensystem", "solve",
         ),
         "resonator": (
             "ModeTable", "ResonatorModel", "coupling_strength_at", "cutoff_frequency",
             "mode_table", "mode_wavenumbers", "zero_point_current",
         ),
-        "spectrum": ("SpectralLine", "SweepConfig", "sweep"),
+        "spectrum": ("SpectralLine", "sweep"),
     }.items()
     for name in names
 }

@@ -3,8 +3,10 @@
 ``lamb-shift``, ``reproduce-paper``, ``modes`` and ``couplings`` compute in
 plain floats, so a fresh process running them never pays numpy's import;
 ``spectrum`` and ``fit`` load it at their first array operation.  ``cli``
-binds ``fitting`` the same way, so only ``fit`` executes it, and ``config``
-binds ``yaml``, so only a config outside its plain subset executes PyYAML.  This is the
+binds ``rabi`` and ``spectrum`` the same way, so only ``spectrum`` and
+``fit`` execute them, and ``fitting``, so only ``fit`` executes it; ``config``
+binds ``yaml``, so only a config outside its plain subset executes PyYAML.
+A lazily bound module is in ``sys.modules`` before it is executed.  This is the
 ``importlib.util.LazyLoader`` recipe of the Python documentation
 ("Implementing lazy imports"); a submodule is also bound on its package, as
 an import binds it.  When the module is already imported, the result is that

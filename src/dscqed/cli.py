@@ -14,11 +14,16 @@ import warnings
 from functools import partial
 
 from . import config as cfg_mod
-from . import lamb, output, resonator, spectrum
+from . import lamb, output, resonator
 from ._lazy import _lazy_import
 from .errors import ConfigError, ConvergenceError
 
-fitting = _lazy_import("dscqed.fitting")  # executed by `fit` alone
+# Registered in sys.modules, not executed: `spectrum` and `fit` execute rabi
+# and spectrum, `fit` alone fitting.  rabi is bound, not read, so that every
+# layer that bench/tracer.py wraps is in sys.modules once cli is imported.
+rabi = _lazy_import("dscqed.rabi")
+spectrum = _lazy_import("dscqed.spectrum")
+fitting = _lazy_import("dscqed.fitting")
 
 
 class _Parser(argparse.ArgumentParser):

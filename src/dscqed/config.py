@@ -21,12 +21,11 @@ from importlib import resources
 from pathlib import Path
 
 from ._lazy import _lazy_import
+from ._params import QrmParams, SweepConfig
 from ._record import Record
 from .errors import ConfigError, io_error
 from .lamb import DEFAULT_N_MODES, N_CUTOFF_MIN
-from .rabi import QrmParams
 from .resonator import N_MODES_CEILING, ResonatorModel
-from .spectrum import SweepConfig
 
 yaml = _lazy_import("yaml")  # executed only for a config outside _plain_tree's subset
 

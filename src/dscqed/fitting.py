@@ -39,10 +39,11 @@ import csv
 import math
 
 from ._lazy import np
+from ._params import QrmParams, SweepConfig
 from ._record import Record
 from .errors import ConfigError, ConvergenceError, io_error
-from .rabi import FockTruncation, QrmParams, _drive, _eigenpairs, _grid_truncation, _level_gradients
-from .spectrum import SweepConfig, _candidate_lines
+from .rabi import FockTruncation, _drive, _eigenpairs, _grid_truncation, _level_gradients
+from .spectrum import _candidate_lines
 
 _TRUNCATION_TOL = 1e-8  # GHz, movement of the lowest k_levels on doubling n_max
 _DEGENERATE_TOL = 1e-6  # GHz, level spacing below which gradients are differenced

@@ -42,7 +42,11 @@ eigenstate: its parity is the sign of <v| sigma_x (-1)^n |v>, which is +-1
 to 1e-8, and forbidden lines (same parity) stay forbidden.  On a wide
 truncation the sweep takes each nonzero bias from a reduced basis instead,
 where a certificate accepts it, and every other bias from the kernel
-(``_sweep_eigensystems``).
+(``_sweep_eigensystems``); the basis holds the lowest k + 1 eigenvectors at
+five Chebyshev biases.
+
+``QrmParams`` is defined in ``_params`` and read here, so ``config`` builds
+it without executing this module or importing numpy.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ import functools
 import math
 
 from ._lazy import np
+from ._params import QrmParams
 from ._record import Record
 from .errors import ConvergenceError
 
@@ -60,28 +65,6 @@ _STRAY_WEIGHT = 5e-9  # weight off its chain: parity expectation 1e-8 from +-1
 _STACK_BYTES = 1 << 25  # most bytes of Hamiltonians diagonalized in one stack
 _SNAPSHOTS = 5  # Chebyshev biases of the sweep's reduced basis
 _BASIS_CUT = 1e-10  # snapshot singular values kept, relative to the largest
-
-
-class QrmParams(Record):
-    """Single-mode Rabi parameters, ordinary frequencies in GHz.
-
-    delta_prime -- qubit tunnel gap (>= 0)
-    epsilon     -- flux bias, zero at the symmetry point (any sign)
-    omega1      -- mode frequency (> 0)
-    g1          -- qubit-mode coupling (>= 0)
-    """
-
-    def __init__(self, delta_prime: float, epsilon: float, omega1: float, g1: float) -> None:
-        self.__dict__.update(delta_prime=delta_prime, epsilon=epsilon, omega1=omega1, g1=g1)
-        for name in self.__match_args__:
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.delta_prime >= 0.0:
-            raise ValueError(f"delta_prime must be >= 0, got {self.delta_prime}")
-        if not self.omega1 > 0.0:
-            raise ValueError(f"omega1 must be > 0, got {self.omega1}")
-        if not self.g1 >= 0.0:
-            raise ValueError(f"g1 must be >= 0, got {self.g1}")
 
 
 class FockTruncation(Record):
@@ -284,8 +267,9 @@ def _sweep_eigensystems(delta_prime, biases, omega1, g1, t, k):
 
     When the grid holds more than _SNAPSHOTS nonzero biases and dim is at
     least 4 * _SNAPSHOTS * k, H(eps) = H(0) - (eps / 2) S_z is solved in a
-    reduced basis Q: the lowest 2 k eigenvectors at _SNAPSHOTS Chebyshev
-    biases, orthonormalized by an SVD, then one stacked eigensystem call per
+    reduced basis Q: the lowest k + 1 eigenvectors at _SNAPSHOTS Chebyshev
+    biases (the fewest the certificate can use, which reads the (k+1)th Ritz
+    value), orthonormalized by an SVD, then one stacked eigensystem call per
     chunk of nonzero biases.  A bias takes its Ritz pairs when they are
     certified: each residual against the full H within 1e-9 * max|Ritz
     value|, and exactly k eigenvalues of H below the midpoint of the kth and
@@ -306,7 +290,7 @@ def _sweep_eigensystems(delta_prime, biases, omega1, g1, t, k):
         return
     chebyshev = np.cos(np.pi * np.arange(1, 2 * _SNAPSHOTS, 2) / (2 * _SNAPSHOTS))
     h = _hamiltonians(delta_prime, np.max(np.abs(biases)) * chebyshev, omega1, g1, t)
-    u, sv, _ = np.linalg.svd(np.hstack(eigensystem(h, 2 * k).vectors), full_matrices=False)
+    u, sv, _ = np.linalg.svd(np.hstack(eigensystem(h, k + 1).vectors), full_matrices=False)
     q = u[:, sv > _BASIS_CUT * sv[0]]
     h0, s = _hamiltonians(delta_prime, 0.0, omega1, g1, t), _photons_and_spin(t.dim)[1]
     a0, sz = q.T @ h0 @ q, (q.T * s) @ q

@@ -11,43 +11,9 @@ emits those in its probe band, and the fit matches unlabeled peaks to them.
 from __future__ import annotations
 
 from ._lazy import np
+from ._params import SweepConfig
 from ._record import Record
 from .rabi import _grid_truncation, _sweep_eigensystems, drive_matrix_element
-
-
-class SweepConfig(Record):
-    """Bias grid, probe band, number of levels, and the amplitude floor
-    below which a line counts as forbidden.  The defaults are also class
-    attributes, which the config's field table and the fit read."""
-
-    k_levels = 6
-    amplitude_floor = 1e-6
-    truncation_tol = 1e-6  # GHz, Fock-cutoff convergence tolerance
-
-    def __init__(
-        self,
-        epsilon_grid: tuple,
-        freq_window: tuple,
-        k_levels: int = k_levels,
-        amplitude_floor: float = amplitude_floor,
-        truncation_tol: float = truncation_tol,
-    ) -> None:
-        self.__dict__.update(
-            epsilon_grid=epsilon_grid,
-            freq_window=freq_window,
-            k_levels=k_levels,
-            amplitude_floor=amplitude_floor,
-            truncation_tol=truncation_tol,
-        )
-        if len(self.epsilon_grid) == 0:
-            raise ValueError("epsilon_grid must be non-empty")
-        lo, hi = self.freq_window
-        if not lo < hi:
-            raise ValueError(f"freq_window must satisfy min < max, got {lo}, {hi}")
-        if self.k_levels < 2:
-            raise ValueError(f"k_levels must be >= 2, got {self.k_levels}")
-        if not self.truncation_tol > 0.0:
-            raise ValueError("truncation_tol must be > 0")
 
 
 class SpectralLine(Record):
@@ -72,6 +38,7 @@ def sweep(delta_prime: float, omega1: float, g1: float, cfg: SweepConfig) -> lis
     used across the whole grid, keeping the output deterministic.  When the
     grid holds more than 5 nonzero biases and the truncation's dimension is
     at least 20 * k_levels, each nonzero bias is solved in a reduced basis
+    (the lowest k_levels + 1 eigenvectors at five Chebyshev biases)
     and kept only when certified (residuals and an inertia count against
     the full H); zero and every uncertified bias take one dense eigensolve
     each, as every bias does on smaller problems (``_sweep_eigensystems``).

@@ -54,12 +54,13 @@ def test_scalar_commands_run_without_numpy(tmp_path):
     # floats, and a refused config stops before any array, as does a report
     # that double precision cannot represent (exit 2): a fresh process
     # running them never imports numpy, which spectrum's first array
-    # operation then does, nor executes `fitting`, which only fit does (a
-    # module not yet executed is still of LazyLoader's module type); the
-    # value records are plain classes, so no command loads `dataclasses`,
-    # and the scalar ones do not load `inspect`, which it imports; the
-    # bundled config is in the plain subset, so PyYAML is executed first by
-    # a config outside it (a quoted value), which reads the same
+    # operation then does, nor executes `rabi` and `spectrum`, which spectrum
+    # and fit do, nor `fitting`, which only fit does (a module not yet
+    # executed is still of LazyLoader's module type); the value records are
+    # plain classes, so no command loads `dataclasses`, and the scalar ones
+    # do not load `inspect`, which it imports; the bundled config is in the
+    # plain subset, so PyYAML is executed first by a config outside it (a
+    # quoted value), which reads the same
     bad = _config_variant(tmp_path, lambda t: t["qrm"].update(omega1_ghz="fast"))
     deep = _config_variant(tmp_path, lambda t: t["qrm"].update(g1_ghz=60.0), "deep.yaml")
     quoted = tmp_path / "quoted.yaml"
@@ -86,10 +87,10 @@ def test_scalar_commands_run_without_numpy(tmp_path):
         "print(lazy('yaml'))\n"
         f"print(output('modes', '--config', {str(quoted)!r}) == bundled, lazy('yaml'))\n"
         f"codes += [bundled[0], run('lamb-shift', '--config', {bad!r}), run('lamb-shift', '--config', {deep!r})]\n"
-        "print(codes, 'numpy._core' in sys.modules, lazy(),\n"
+        "print(codes, 'numpy._core' in sys.modules, lazy(), lazy('dscqed.rabi'), lazy('dscqed.spectrum'),\n"
         "      'dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
         "print(run('spectrum', '--epsilon-min', '0.3', '--epsilon-max', '0.3', '--epsilon-steps', '1'),\n"
-        "      'numpy._core' in sys.modules, lazy())\n"
+        "      'numpy._core' in sys.modules, lazy(), lazy('dscqed.rabi'), lazy('dscqed.spectrum'))\n"
         f"print(run('fit', '--data', {str(synthetic_peaks_path())!r}), lazy(),\n"
         "      'dataclasses' in sys.modules)\n"
     )
@@ -101,8 +102,8 @@ def test_scalar_commands_run_without_numpy(tmp_path):
         "False",
         "True",
         "True False",
-        "[0, 0, 0, 0, 0, 0, 1, 2] False True False False",
-        "0 True True",
+        "[0, 0, 0, 0, 0, 0, 1, 2] False True True True False False",
+        "0 True True False False",
         "0 False False",
     ], proc.stderr
 
@@ -688,26 +689,49 @@ def test_bundled_spectrum_call_counts(monkeypatch, capsys):
     assert calls == BUNDLED_SPECTRUM_COUNTS
 
 
-def test_bundled_count_pin_is_the_benchmark_self_check():
-    # SELF_CHECK names each rabi function with its module and adds the
-    # eigvalsh total; read as source, so the benchmark is neither imported
-    # nor run, and re-pinning one of the two without the other fails here
+def _tracer_constant(name):
+    """The literal value of the top-level ``name = ...`` of bench/tracer.py,
+    read as source, so the benchmark is neither imported nor run."""
     tracer = Path(__file__).parents[1] / "bench" / "tracer.py"
-    (self_check,) = [
+    (value,) = [
         ast.literal_eval(node.value)
         for node in ast.parse(tracer.read_text(encoding="utf-8")).body
         if isinstance(node, ast.Assign)
-        and [getattr(target, "id", None) for target in node.targets] == ["SELF_CHECK"]
+        and [getattr(target, "id", None) for target in node.targets] == [name]
     ]
+    return value
+
+
+def test_bundled_count_pin_is_the_benchmark_self_check():
+    # SELF_CHECK names each rabi function with its module and adds the
+    # eigvalsh total; re-pinning one of the two without the other fails here
+    self_check = _tracer_constant("SELF_CHECK")
     total = self_check.pop("eigvalsh")
     assert {key.removeprefix("rabi."): n for key, n in self_check.items()} == BUNDLED_SPECTRUM_COUNTS
     assert total == sum(n for key, n in self_check.items() if key.startswith("eigvalsh@"))
 
 
+def test_cli_import_registers_every_traced_layer():
+    # the benchmark's tracer reads sys.modules["dscqed.<layer>"] for each of
+    # its LAYERS right after `import dscqed.cli`; a layer bound lazily is
+    # registered there without being executed
+    layers = _tracer_constant("LAYERS")
+    script = (
+        "import sys\n"
+        "import dscqed.cli\n"
+        f"print([layer for layer in {layers!r} if f'dscqed.{{layer}}' not in sys.modules])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(dscqed.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert "rabi" in layers and proc.stdout.splitlines() == ["[]"], proc.stderr
+
+
 def test_deep_spectrum_call_counts(tmp_path, monkeypatch, capsys):
     # The benchmark's deep device (0.15, 1.5, 5 GHz) over 201 biases at
     # n_max 64 (dim 130): one stacked eigensystem at the 5 snapshot biases,
-    # one over the 200 nonzero biases in the 34-column reduced basis, all
+    # one over the 200 nonzero biases in the 22-column reduced basis, all
     # certified, and one per-bias call at zero, after two truncation
     # searches that each probe n_max 16, 32, 64 and 128.
     from dscqed import rabi, spectrum
@@ -727,7 +751,7 @@ def test_deep_spectrum_call_counts(tmp_path, monkeypatch, capsys):
     assert calls == {
         "eigensystem": 3,
         "eigh@130": 2,
-        "eigh@34": 1,
+        "eigh@22": 1,
         "_eigenpairs": 1,
         "drive_matrix_element": 902,
         "converged_truncation": 2,

@@ -263,12 +263,15 @@ def test_one_node_basis_falls_back_where_it_misses(monkeypatch):
 def test_basis_without_the_lowest_levels_fails_the_inertia_count(monkeypatch):
     # at g1 = 0 the Fock states are exact, so a basis missing the n = 0 pair
     # gives exact eigenpairs of the levels above it: every residual passes,
-    # and only the count of the levels below sigma refuses them
+    # and only the count of the levels below sigma refuses them; each
+    # snapshot keeps K + 1 vectors, as many as the certificate reads
     from dscqed import rabi
 
     def without_lowest_pair(h, k):
-        es = eigensystem(h, k)
-        return EigenSystem(es.values, es.vectors[..., 2:]) if k == 2 * K else es
+        if k != K + 1:
+            return eigensystem(h, k)
+        es = eigensystem(h, k + 2)
+        return EigenSystem(es.values, es.vectors[..., 2:])
 
     monkeypatch.setattr(rabi, "eigensystem", without_lowest_pair)
     t, grid = FockTruncation(64), np.linspace(-1.0, 1.0, 21)

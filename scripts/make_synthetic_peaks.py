@@ -20,9 +20,8 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from dscqed import load_config, paper_device_path, sweep  # noqa: E402
+from dscqed import SweepConfig, load_config, paper_device_path, sweep  # noqa: E402
 from dscqed.output import csv_text, write_atomic  # noqa: E402
-from dscqed.spectrum import SweepConfig  # noqa: E402
 
 NOISE_SEED = 17
 NOISE_SIGMA_GHZ = 0.002

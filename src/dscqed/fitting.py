@@ -5,11 +5,12 @@ Data rows carry a bias, a frequency, an optional transition label ("03",
 "12", ...) and an optional positive weight; each rule on a row is checked
 once, and a refusal names the row by "path:line", or by "row N" for rows
 built in memory (``_refusal``).  Labeled rows are matched to the named
-transition.  An unlabeled row takes the nearest of ``spectrum``'s candidate
+transition.  An unlabeled row takes the nearest of ``rabi``'s candidate
 lines (i, j) whose drive amplitude is above the floor, ties going to the
 lowest (i, j); this can be unstable near avoided crossings, so down-weight
 such points.  One band product from ``rabi`` per distinct |bias| gives all
-the amplitudes.
+the amplitudes.  A bias within 4 ulps of the data's largest |bias| of zero
+is zero, as in the sweep (``rabi._zero_snapped``).
 
 The eigenvectors give the residuals' exact Jacobian with the residuals:
 each level's gradient is its Hellmann-Feynman product with the bands of
@@ -23,8 +24,10 @@ uses: the eigenpairs kept are checked as ``eigensystem`` checks them, and
 zero bias enters the stack as the two parity chains, so its eigenvectors
 keep their parity and the forbidden lines of a near-degenerate doublet stay
 forbidden.  A level closer than _DEGENERATE_TOL to a neighbour has no
-well-defined eigenvector, so rows using one take central differences
-instead, through the same evaluation.
+well-defined eigenvector, so rows using one take central differences of
+their own line's levels instead: the label's line, or the line the
+unlabeled match picked at the centre point, over those rows' biases, one
+values-only eigensolve per point.
 
 The Fock truncation is sized as the sweep sizes it, at zero bias and at the
 data's largest |bias|, first at the start point; the descent is repeated
@@ -42,8 +45,9 @@ from ._lazy import np
 from ._params import QrmParams, SweepConfig
 from ._record import Record
 from .errors import ConfigError, ConvergenceError, io_error
-from .rabi import FockTruncation, _drive, _eigenpairs, _grid_truncation, _level_gradients
-from .spectrum import _candidate_lines
+from .rabi import (
+    _candidate_lines, _drive, _eigenpairs, _grid_truncation, _level_gradients, _zero_snapped,
+)
 
 _TRUNCATION_TOL = 1e-8  # GHz, movement of the lowest k_levels on doubling n_max
 _DEGENERATE_TOL = 1e-6  # GHz, level spacing below which gradients are differenced
@@ -210,31 +214,19 @@ def _parse_label(label: str, k_levels: int):
 
 
 class _Layout(Record):
-    """The data rows as the evaluation reads them, with their labels
+    """The rows of peak data as the evaluation reads them, with their labels
     parsed; built once per fit.
 
-    Row m (row ``row[m]``, from 0, of the data from ``source``) is the
-    transition (``i[m]``, ``j[m]``) at bias +-``biases[at[m]]``, ``biases``
-    being the data's distinct |bias| in ascending order.  An unlabeled row has
-    i = j = -1 and takes the drive-allowed line nearest its measured
-    frequency ``measured[m]``.
+    Row m is the transition (``i[m]``, ``j[m]``) at bias +-``biases[at[m]]``,
+    ``biases`` being the data's distinct |bias| in ascending order.  An
+    unlabeled row has i = j = -1 and takes the drive-allowed line nearest its
+    measured frequency.
     """
 
     def __init__(
-        self,
-        row: np.ndarray,
-        at: np.ndarray,
-        biases: np.ndarray,
-        i: np.ndarray,
-        j: np.ndarray,
-        measured: np.ndarray,
-        k_levels: int,
-        source: tuple | None,
+        self, at: np.ndarray, biases: np.ndarray, i: np.ndarray, j: np.ndarray, k_levels: int
     ) -> None:
-        self.__dict__.update(
-            row=row, at=at, biases=biases, i=i, j=j, measured=measured, k_levels=k_levels,
-            source=source,
-        )
+        self.__dict__.update(at=at, biases=biases, i=i, j=j, k_levels=k_levels)
 
 
 def _layout(data: PeakData, k_levels: int) -> _Layout:
@@ -245,21 +237,21 @@ def _layout(data: PeakData, k_levels: int) -> _Layout:
             pairs.append((-1, -1) if label is None else _parse_label(label, k_levels))
         except ValueError as exc:
             raise _refusal(data.source, m, str(exc)) from None
-    biases, at = np.unique(np.abs(data.epsilon), return_inverse=True)
+    biases, at = np.unique(np.abs(_zero_snapped(data.epsilon)), return_inverse=True)
     i, j = np.array(pairs, dtype=int).T
-    return _Layout(np.arange(len(data)), at, biases, i, j, data.frequency, k_levels, data.source)
+    return _Layout(at, biases, i, j, k_levels)
 
 
-def _predicted(params, layout: _Layout, n_max: int, floor: float, jacobian=False):
-    """Model frequencies for every data row; with ``jacobian``,
-    (frequencies, (rows, 3) gradient matrix).  All rows come from one
-    stacked eigensolve over the distinct |bias|.  An unlabeled row gives the
+def _predicted(params, data: PeakData, layout: _Layout, t, floor: float):
+    """Model frequencies for every row of ``data`` at truncation ``t`` and
+    their (rows, 3) gradient matrix.  All rows come from one stacked
+    eigensolve over the distinct |bias|.  An unlabeled row gives the
     drive-allowed line nearest its measured frequency (the lowest (i, j) on
     ties) and the gradient of that line."""
     at, i, j = layout.at, layout.i.copy(), layout.j.copy()
     unlabeled = np.nonzero(j < 0)[0]
-    k = layout.k_levels if unlabeled.size else (j.max() + 1 if jacobian else 0)
-    es = _eigenpairs(params[0], layout.biases, params[1], params[2], FockTruncation(n_max), k)
+    k = layout.k_levels if unlabeled.size else j.max() + 1
+    es = _eigenpairs(params[0], layout.biases, params[1], params[2], t, k)
     values, vectors = es.values, es.vectors
     lower, upper = np.array(_candidate_lines(layout.k_levels)).T
     for b in dict.fromkeys(at[unlabeled].tolist()):  # row order; one (lines, dim) block at a time
@@ -268,33 +260,27 @@ def _predicted(params, layout: _Layout, n_max: int, floor: float, jacobian=False
         allowed = ~(np.abs(_drive(v[lower], v[upper])) <= floor)
         if not allowed.any():
             raise _refusal(
-                layout.source, layout.row[rows[0]],
+                data.source, rows[0],
                 f"no drive-allowed transition within k_levels ({layout.k_levels}) "
                 f"above the amplitude floor {floor}",
             )
         li, lj = lower[allowed], upper[allowed]
-        best = np.abs(values[b, lj] - values[b, li] - layout.measured[rows, None]).argmin(axis=1)
+        best = np.abs(values[b, lj] - values[b, li] - data.frequency[rows, None]).argmin(axis=1)
         i[rows], j[rows] = li[best], lj[best]
     freqs = values[at, j] - values[at, i]
-    if not jacobian:
-        return freqs
     level_grad = _level_gradients(vectors[..., : j.max() + 1])
     grad = level_grad[at, j] - level_grad[at, i]
     near = _degenerate(values)
     fallback = near[at, i] | near[at, j]
-    if fallback.any():  # the same evaluation, on those rows and their biases
+    if fallback.any():  # those rows' lines, over those rows' biases
         used, sub_at = np.unique(at[fallback], return_inverse=True)
-        sub = _Layout(
-            layout.row[fallback],
-            sub_at,
-            layout.biases[used],
-            layout.i[fallback],
-            layout.j[fallback],
-            layout.measured[fallback],
-            layout.k_levels,
-            layout.source,
-        )
-        grad[fallback] = _central_differences(lambda x: _predicted(x, sub, n_max, floor), params)
+        sub_i, sub_j = i[fallback], j[fallback]
+
+        def lines(x):
+            levels = _eigenpairs(x[0], layout.biases[used], x[1], x[2], t, 0).values
+            return levels[sub_at, sub_j] - levels[sub_at, sub_i]
+
+        grad[fallback] = _central_differences(lines, params)
     return freqs, grad
 
 
@@ -307,10 +293,9 @@ def _degenerate(values):
 
 
 def _central_differences(frequencies, params):
-    """Central differences of ``frequencies(x)`` in each parameter (unlabeled
-    rows pick their nearest line again at every point).  The spectrum is
-    even in delta_prime and g1 (conjugation by sigma_z or (-1)^n flips
-    their sign), so abs() keeps the lower point valid at zero."""
+    """Central differences of ``frequencies(x)`` in each parameter.  The
+    spectrum is even in delta_prime and g1 (conjugation by sigma_z or
+    (-1)^n flips their sign), so abs() keeps the lower point valid at zero."""
     grad = []
     for p in range(3):
         step = _FD_STEP * max(abs(params[p]), 1.0)
@@ -404,13 +389,13 @@ def _descend(data, weight, layout, x0, bounds, floor):
     root_w = np.sqrt(weight)
 
     def converged_at(x):
-        return _grid_truncation(*x, data.epsilon, layout.k_levels, _TRUNCATION_TOL).n_max
+        return _grid_truncation(*x, data.epsilon, layout.k_levels, _TRUNCATION_TOL)
 
     def residuals(x):
-        pred, jac = _predicted(tuple(x), layout, n_max, floor, jacobian=True)
+        pred, jac = _predicted(tuple(x), data, layout, t, floor)
         return root_w * (pred - data.frequency), root_w[:, None] * jac
 
-    x, n_max, iterations = np.array(x0, dtype=float), converged_at(x0), 0
+    x, t, iterations = np.array(x0, dtype=float), converged_at(x0), 0
     while True:
         with np.errstate(over="ignore"):  # an overflowing cost is refused as not finite
             x, r, jac, it, reason, _ = _levenberg_marquardt(
@@ -418,9 +403,9 @@ def _descend(data, weight, layout, x0, bounds, floor):
             )
         iterations += it
         needed = converged_at(x)
-        if needed <= n_max:
+        if needed.n_max <= t.n_max:
             return x, r, jac, iterations, reason
-        n_max = needed
+        t = needed
 
 
 def _standard_errors(jac, chi2, dof):
@@ -459,9 +444,9 @@ def fit(
         QrmParams(bounds[0][0], 0.0, bounds[1][0], bounds[2][0])
     except ValueError as exc:
         raise ValueError(f"lower bounds outside the model domain: {exc}") from None
-    if np.all(np.abs(data.epsilon) == abs(data.epsilon[0])):  # the spectrum is even in the bias
-        raise _refusal(data.source, None, "degenerate data: all bias values are equal in magnitude")
     layout = _layout(data, k_levels)  # fails loudly here, not inside the descent
+    if len(layout.biases) == 1:  # the spectrum is even in the bias
+        raise _refusal(data.source, None, "degenerate data: all bias values are equal in magnitude")
     # the optimum, rms and stderr do not depend on the weights' scale, and
     # at most 1 they neither overflow nor underflow the cost; the floor keeps
     # a weight more than 1e308 times below the largest from rounding to 0,

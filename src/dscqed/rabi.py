@@ -274,12 +274,10 @@ def _sweep_eigensystems(delta_prime, biases, omega1, g1, t, k):
     certified: each residual against the full H within 1e-9 * max|Ritz
     value|, and exactly k eigenvalues of H below the midpoint of the kth and
     (k+1)th Ritz values (``_count_below``).  Every other bias, zero
-    included, is one ``_eigenpairs`` call.  A bias within 4 ulps of
-    max|bias| of zero is solved at zero: linspace's interior points are off
-    by about one ulp of the endpoints, and a middle point at 1.1e-16 would
-    split doublets degenerate to rounding at random.
+    included, is one ``_eigenpairs`` call; a bias that ``_zero_snapped``
+    sets to zero is solved at zero.
     """
-    biases = np.where(np.abs(biases) <= 4 * np.spacing(np.max(np.abs(biases))), 0.0, biases)
+    biases = _zero_snapped(biases)
 
     def dense(b):
         es = _eigenpairs(delta_prime, biases[b : b + 1], omega1, g1, t, k)
@@ -312,6 +310,14 @@ def _sweep_eigensystems(delta_prime, biases, omega1, g1, t, k):
         for b in range(start, start + len(part)):
             certified, values, vectors = next(ritz) if biases[b] != 0.0 else (False, None, None)
             yield EigenSystem(values, vectors) if certified else dense(b)
+
+
+def _zero_snapped(biases):
+    """``biases`` with every value within 4 ulps of max|bias| of zero set to
+    zero, the one zero-bias rule of the sweep and the fit: linspace's
+    interior points are off by about one ulp of the endpoints, and a middle
+    point at 1.1e-16 would split doublets degenerate to rounding at random."""
+    return np.where(np.abs(biases) <= 4 * np.spacing(np.max(np.abs(biases))), 0.0, biases)
 
 
 def _count_below(delta_prime, biases, omega1, g1, t, sigma):
@@ -347,6 +353,12 @@ def drive_matrix_element(es: EigenSystem, i: int, j: int) -> float:
     if not (0 <= i < kept and 0 <= j < kept):
         raise IndexError(f"state indices ({i}, {j}) out of range for the {kept} states kept")
     return float(abs(_drive(es.vectors[:, i], es.vectors[:, j])))
+
+
+def _candidate_lines(k_levels: int) -> list:
+    """The lines (i, j), i in {0, 1} and i < j < k_levels, in (i, j) order:
+    the sweep's lines, and the fit's candidates for an unlabeled peak."""
+    return [(i, j) for i in (0, 1) for j in range(i + 1, k_levels)]
 
 
 def _drive(u, v):

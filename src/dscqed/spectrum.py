@@ -4,8 +4,9 @@ amplitudes versus flux bias, as plot-ready line lists.
 State labels are energy-ordered independently at each bias point; a label
 "03" always means the transition between the instantaneous ground state and
 the third excited state.  The candidate lines are the pairs (i, j) with i in
-{0, 1} and i < j < k_levels, in (i, j) order (``_candidate_lines``): the sweep
-emits those in its probe band, and the fit matches unlabeled peaks to them.
+{0, 1} and i < j < k_levels, in (i, j) order (``rabi._candidate_lines``, next
+to the drive rule ``rabi._drive``): the sweep emits those in its probe band,
+and the fit matches unlabeled peaks to them.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from ._lazy import np
 from ._params import SweepConfig
 from ._record import Record
-from .rabi import _grid_truncation, _sweep_eigensystems, drive_matrix_element
+from .rabi import _candidate_lines, _grid_truncation, _sweep_eigensystems, drive_matrix_element
 
 
 class SpectralLine(Record):
@@ -61,7 +62,3 @@ def sweep(delta_prime: float, omega1: float, g1: float, cfg: SweepConfig) -> lis
                 lines.append(SpectralLine(eps, i, j, f, drive_matrix_element(es, i, j)))
     return lines
 
-
-def _candidate_lines(k_levels: int) -> list:
-    """The lines (i, j), i in {0, 1} and i < j < k_levels, in (i, j) order."""
-    return [(i, j) for i in (0, 1) for j in range(i + 1, k_levels)]

@@ -4,7 +4,9 @@ import struct
 import numpy as np
 import pytest
 
-from dscqed import EigenSystem, PeakData, QrmParams, ResonatorModel, config, drive_matrix_element
+from dscqed import (
+    EigenSystem, FockTruncation, PeakData, QrmParams, ResonatorModel, config, drive_matrix_element,
+)
 from dscqed.errors import ConfigError, ConvergenceError
 from dscqed.resonator import zero_point_current
 from dscqed.fitting import _layout, _predicted
@@ -85,7 +87,8 @@ def nearest_line(lines, measured):
 def predicted(params, data, n_max, jacobian=False):
     """The fit's model frequencies (and Jacobian) for every row of ``data``
     at k_levels 6 and amplitude floor 1e-6."""
-    return _predicted(params, _layout(data, 6), n_max, 1e-6, jacobian)
+    pred, jac = _predicted(params, data, _layout(data, 6), FockTruncation(n_max), 1e-6)
+    return (pred, jac) if jacobian else pred
 
 
 def lines_table(lines, form):

@@ -108,6 +108,24 @@ def test_scalar_commands_run_without_numpy(tmp_path):
     ], proc.stderr
 
 
+def test_fit_does_not_execute_spectrum():
+    # the fit reads its candidate lines and truncation rule from rabi, so a
+    # fresh process running only `fit` leaves `spectrum` bound but unexecuted
+    script = (
+        "import contextlib, importlib.util, io, sys\n"
+        "from dscqed.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main(['fit', '--data', {str(synthetic_peaks_path())!r}])\n"
+        "print(code, type(sys.modules['dscqed.spectrum']) is importlib.util._LazyModule,\n"
+        "      type(sys.modules['dscqed.fitting']) is importlib.util._LazyModule)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(dscqed.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.stdout.splitlines() == ["0 True False"], proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 # ---------------------------------------------------------------------------

@@ -15,9 +15,11 @@ from dscqed import (
     FockTruncation,
     PeakData,
     QrmParams,
+    SweepConfig,
     fit,
     read_peaks_csv,
     solve,
+    sweep,
     synthetic_peaks_path,
 )
 from dscqed import fitting, rabi
@@ -446,7 +448,6 @@ def test_mixed_labeled_and_unlabeled_biases_match_dense_oracle(monkeypatch):
     assert layout.biases.tolist() == [0.0, 0.3, 0.6]
     assert layout.at.tolist() == [2, 2, 2, 1, 0, 1, 1, 0, 2]
     assert np.nonzero(layout.j < 0)[0].tolist() == [5, 6, 7, 8]
-    assert layout.measured.tolist() == measured
     solves = []
     original = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda h: solves.append(h.shape) or original(h))
@@ -530,21 +531,28 @@ def test_no_line_above_the_floor_names_the_first_unlabeled_row():
 @pytest.mark.parametrize("unlabeled", [False, True])
 def test_near_degenerate_rows_take_central_differences(monkeypatch, unlabeled):
     # at g1 / omega1 = 5 and zero bias the levels pair up within 1e-20 GHz:
-    # rows on them are differenced, labeled or not
+    # rows on them are differenced, labeled or not, on the line the row has
+    # at the centre point, from values-only eigensolves: one eigh in all
     params, n_max = (1.0, 1.0, 5.0), 64
     values = _dense_levels(params, 0.0, n_max)[0]
     assert values[1] - values[0] < 1e-6
-    calls = []
+    calls, solves = [], []
     original = fitting._central_differences
     monkeypatch.setattr(
         fitting, "_central_differences", lambda f, x: calls.append(1) or original(f, x)
     )
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: solves.append(h.shape) or eigh(h))
     # the unlabeled row sits 0.1 MHz from the allowed line 03
     labels = ("03", "12", None if unlabeled else "03")
     measured = np.full(3, values[3] - values[0] + 1e-4)
     data = PeakData(np.array([0.3, 0.0, 0.0]), measured, labels, np.ones(3))
-    _, jac = predicted(params, data, n_max, jacobian=True)
-    assert calls == [1]
+    pred, jac = predicted(params, data, n_max, jacobian=True)
+    assert calls == [1] and solves == [(2, 130, 130)]
+    if unlabeled:  # the gradient of the line it picked, to the bit
+        labeled = PeakData(data.epsilon, measured, ("03", "12", "03"), np.ones(3))
+        pred_03, jac_03 = predicted(params, labeled, n_max, jacobian=True)
+        assert pred[2] == pred_03[2] and jac[2].tobytes() == jac_03[2].tobytes()
 
     def dense(x, k):
         v = _dense_levels(x, 0.0, n_max)[0]
@@ -561,6 +569,34 @@ def test_near_degenerate_rows_take_central_differences(monkeypatch, unlabeled):
             assert abs(jac[k, p] - fd) <= 1e-6 * (1.0 + abs(fd)), (k, p, jac[k, p], fd)
 
 
+def test_fit_and_sweep_share_the_zero_bias_rule():
+    # the middle of linspace(-0.785, 0.785, 201) is 1.1e-16, within 4 ulps
+    # of 0.785: the sweep solves it at zero, where the 02 line of the deep
+    # device's degenerate doublets is forbidden, and so does the fit, whose
+    # unlabeled row measured at E2 - E0 there takes the line it takes at zero
+    params, n_max = (0.15, 1.5, 5.0), 64
+    mid = np.linspace(-0.785, 0.785, 201)[100]
+    assert 0.0 < mid <= 4 * np.spacing(0.785)
+    cfg = SweepConfig(epsilon_grid=(-0.785, mid, 0.785), freq_window=(0.0, 10.0))
+    at_mid = {line.label: line for line in sweep(*params, cfg) if line.epsilon == mid}
+    assert at_mid["02"].amplitude == 0.0 < at_mid["12"].amplitude
+    values = _dense_levels(params, 0.0, n_max)[0]
+    evaluated = []
+    for eps in (mid, 0.0):
+        data = PeakData(
+            np.array([0.785, -0.785, eps]), np.array([3.0, 3.0, values[2] - values[0]]),
+            ("03", "12", None), np.ones(3),
+        )
+        evaluated.append(predicted(params, data, n_max, jacobian=True))
+    (f_mid, jac_mid), (f_zero, jac_zero) = evaluated
+    assert f_mid[2] == f_zero[2] and jac_mid[2].tobytes() == jac_zero[2].tobytes()
+    assert abs(f_zero[2] - (values[2] - values[1])) <= 1e-12
+    # the equal-|bias| refusal sees the same biases: all three are zero
+    tiny = PeakData(np.array([0.0, 5e-324, 1e-323]), np.full(3, 3.0), (None,) * 3, np.ones(3))
+    with pytest.raises(ValueError, match="^degenerate data"):
+        fit(tiny, initial=(0.15, 2.6, 2.4), bounds=BOUNDS)
+
+
 def test_one_bias_per_chunk_gives_identical_results(monkeypatch):
     # the byte budget only chunks the stack: a budget below one matrix
     # diagonalizes bias by bias and changes no bit
@@ -572,7 +608,7 @@ def test_one_bias_per_chunk_gives_identical_results(monkeypatch):
 
     def run():
         solves.clear()
-        pred, jac = fitting._predicted(PAPER_TRIPLE, layout, 40, 1e-6, jacobian=True)
+        pred, jac = fitting._predicted(PAPER_TRIPLE, data, layout, FockTruncation(40), 1e-6)
         res = fit(data, initial=(0.16, 2.4, 2.6), bounds=BOUNDS)
         return pred, jac, res, list(solves)
 

@@ -167,9 +167,9 @@ RECORDS = (
      "reason: 'str')",
      (0.1, 2.6, 2.4, 1e-3, (0.0, 1e-3), 5, (1e-4,) * 3, "cost")),
     ("fitting", "_Layout",
-     "(row: 'np.ndarray', at: 'np.ndarray', biases: 'np.ndarray', i: 'np.ndarray', "
-     "j: 'np.ndarray', measured: 'np.ndarray', k_levels: 'int', source: 'tuple | None')",
-     ((0, 1), (0, 1), (0.0, 0.1), (0, 0), (3, 3), (2.5, 2.6), 6, ("peaks.csv", (2, 3)))),
+     "(at: 'np.ndarray', biases: 'np.ndarray', i: 'np.ndarray', j: 'np.ndarray', "
+     "k_levels: 'int')",
+     ((0, 1), (0.0, 0.1), (0, 0), (3, 3), 6)),
 )
 
 

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dscqed import EigenSystem, FockTruncation, SweepConfig, drive_matrix_element, eigensystem, sweep
-from dscqed.rabi import _count_below, _eigenpairs, _hamiltonians, _sweep_eigensystems
-from dscqed.spectrum import _candidate_lines
+from dscqed.rabi import (
+    _candidate_lines, _count_below, _eigenpairs, _hamiltonians, _sweep_eigensystems,
+)
 
 PAPER = dict(delta_prime=0.147, omega1=2.57, g1=2.39)
 
@@ -283,14 +284,28 @@ def test_basis_without_the_lowest_levels_fails_the_inertia_count(monkeypatch):
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_reduced_chunks_give_the_one_chunk_result(chunk, monkeypatch):
     # memory is bounded by chunks of nonzero biases; a chunk may hold only
-    # the zero bias, and chunking changes no bit of the result
+    # the zero bias (one of 41 with chunks of 1, none of 6 with chunks of 7),
+    # and chunking changes no bit of the result
     from dscqed import rabi
 
     t, grid = FockTruncation(64), np.linspace(-1.0, 1.0, 41)
+    stacks = {1: 40, 7: 6}[chunk]  # the chunks holding a nonzero bias
+    reduced = []
+
+    def counted(h, k):  # the reduced stacks, narrower than H
+        if h.shape[-1] < t.dim:
+            reduced.append(h.shape)
+        return eigensystem(h, k)
+
+    monkeypatch.setattr(rabi, "eigensystem", counted)
     whole = list(_sweep_eigensystems(0.15, grid, 1.5, 5.0, t, K))
-    monkeypatch.setattr(rabi, "_STACK_BYTES", chunk * 8 * t.dim * 34)  # 34 basis columns
+    (width,) = {shape[-1] for shape in reduced}
+    assert reduced == [(40, width, width)]
+    reduced.clear()
+    monkeypatch.setattr(rabi, "_STACK_BYTES", chunk * 8 * t.dim * width)
     for a, b in zip(whole, _sweep_eigensystems(0.15, grid, 1.5, 5.0, t, K), strict=True):
         assert np.array_equal(a.values, b.values) and np.array_equal(a.vectors, b.vectors)
+    assert len(reduced) == stacks and {shape[0] for shape in reduced} <= {chunk, chunk - 1}
 
 
 @pytest.mark.parametrize("n_max, grid", [

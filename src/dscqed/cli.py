@@ -68,7 +68,8 @@ def _build_parser() -> _Parser:
         epilog=(
             "A flag that sets a config key overrides that key of the --config "
             f"file and is checked by the same rules. Set {output.TMPDIR_ENV} to "
-            "redirect temp files used for atomic writes."
+            "redirect temp files used for atomic writes; it must be on the "
+            "output's file system, and elsewhere the write is refused."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -95,7 +95,10 @@ class Field(Record):
 GHZ = "[-1e6, 1e6]"
 POSITIVE = "[1e-9, 1e6]"  # a magnitude in its unit; the floor keeps ratios finite
 NON_NEGATIVE = "[0, 1e6]"
-PARAMS = ("delta_prime_ghz", "omega1_ghz", "g1_ghz")  # the fitted triple
+# the model domain of each parameter of the fitted triple, read by its qrm
+# key and by each entry of its fit.bounds pair
+DOMAIN = {"delta_prime_ghz": NON_NEGATIVE, "omega1_ghz": POSITIVE, "g1_ghz": NON_NEGATIVE}
+PARAMS = tuple(DOMAIN)
 DEFAULT_BOUNDS = ((1e-6, 100.0), (1e-3, 100.0), (0.0, 100.0))  # the fit's box, GHz
 
 FIELDS = (
@@ -107,9 +110,7 @@ FIELDS = (
     Field("device.i_q_na", float, None, POSITIVE),
     Field("device.alpha", float, REQUIRED, "(0, 1)"),
     Field("device.e_j_ghz", float, REQUIRED, POSITIVE),
-    Field("qrm.delta_prime_ghz", float, REQUIRED, NON_NEGATIVE),
-    Field("qrm.omega1_ghz", float, REQUIRED, POSITIVE),
-    Field("qrm.g1_ghz", float, REQUIRED, NON_NEGATIVE),
+    *(Field(f"qrm.{k}", float, REQUIRED, DOMAIN[k]) for k in PARAMS),
     Field("sweep.epsilon_min_ghz", float, -1.0, GHZ, "--epsilon-min"),
     Field("sweep.epsilon_max_ghz", float, 1.0, GHZ, "--epsilon-max"),
     Field("sweep.epsilon_steps", int, 81, "[1, 1000000]", "--epsilon-steps"),
@@ -122,7 +123,7 @@ FIELDS = (
     Field("lamb.delta_measured_ghz", float, LambSettings.delta_measured, POSITIVE, "--delta-ghz"),
     Field("lamb.n_modes", int, LambSettings.n_modes, f"[1, {N_MODES_CEILING}]", "--n-modes"),
     *(Field(f"fit.initial.{k}", float, f"qrm.{k}", GHZ) for k in PARAMS),
-    *(Field(f"fit.bounds.{k}", tuple, b, GHZ) for k, b in zip(PARAMS, DEFAULT_BOUNDS)),
+    *(Field(f"fit.bounds.{k}", tuple, b, DOMAIN[k]) for k, b in zip(PARAMS, DEFAULT_BOUNDS)),
     Field("output.format", str, "csv", ("csv", "json"), "--format"),
     Field("output.out", str, None, None, "--out"),
 )
@@ -306,13 +307,8 @@ def validate(tree: dict, source, overrides=None) -> RunConfig:
         if not _OPS[op](v[lo], v[hi]):
             raise ConfigError(f"{name(lo)}: {v[lo]} must be {op} {name(hi)} ({v[hi]})")
 
-    qrm = QrmParams(v["qrm.delta_prime_ghz"], 0.0, v["qrm.omega1_ghz"], v["qrm.g1_ghz"])
     for k in PARAMS:
         lo, hi = v[f"fit.bounds.{k}"]
-        try:  # QrmParams holds the model domain
-            qrm._replace(**{k.removesuffix("_ghz"): lo})
-        except ValueError as exc:
-            raise ConfigError(f"{name(f'fit.bounds.{k}')}.0: {exc}") from None
         if not lo <= v[f"fit.initial.{k}"] <= hi:
             raise ConfigError(
                 f"{name(f'fit.initial.{k}')}: value {v[f'fit.initial.{k}']} "
@@ -326,7 +322,7 @@ def validate(tree: dict, source, overrides=None) -> RunConfig:
             l_c=v["device.l_c_ph"] * 1e-12,
             l_2=v["device.l_2_ph"] * 1e-12,
         ),
-        qrm=qrm,
+        qrm=QrmParams(v["qrm.delta_prime_ghz"], 0.0, v["qrm.omega1_ghz"], v["qrm.g1_ghz"]),
         sweep=SweepConfig(
             epsilon_grid=_linspace(
                 v["sweep.epsilon_min_ghz"], v["sweep.epsilon_max_ghz"], v["sweep.epsilon_steps"]

@@ -8,15 +8,14 @@ CSV with the list expanded to numbered rows (the Lamb-shift report, the fit
 result).  Floats are rendered with 12 significant digits ('.' separator, no
 locale), so the CSV and JSON forms carry byte-identical numeric tokens.
 Files are written whole (temp file + rename); the ``DSCQED_TMPDIR``
-environment variable overrides where temp files go.
+environment variable overrides where temp files go, and must name a
+directory on the output's file system (the rename is refused elsewhere).
 """
 
 from __future__ import annotations
 
-import errno
 import json
 import os
-import shutil
 import stat
 import tempfile
 
@@ -79,7 +78,8 @@ def write_atomic(path, text: str) -> None:
     """Whole-file write: temp file then rename over the target, which is
     the file a symlink at ``path`` names.  Any other target that exists and
     is neither a regular file nor a directory (a FIFO, a device) is refused
-    and left as it is.
+    and left as it is, as is every target when the temp directory lies on
+    another file system (the rename fails with EXDEV).
 
     Any OSError becomes a ConfigError naming ``path``.
     """
@@ -106,12 +106,7 @@ def write_atomic(path, text: str) -> None:
             os.umask(umask)
             os.fchmod(fd, 0o666 & ~umask)
             fh.write(text)
-        try:
-            os.replace(tmp, target)
-        except OSError as exc:
-            if exc.errno != errno.EXDEV:
-                raise
-            shutil.copyfile(tmp, target)  # temp directory on another file system
+        os.replace(tmp, target)  # refused (EXDEV) from another file system
     except OSError as exc:
         raise io_error(path, exc) from None
     finally:

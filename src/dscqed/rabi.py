@@ -35,15 +35,15 @@ p = +-1, split H into two tridiagonal chains, one per parity:
     diagonal       omega1 * n - p * (-1)^n * delta_prime / 2
     off-diagonal   g1 * sqrt(n + 1) between |p, n> and |p, n + 1>
 
-``solve`` (one bias), the sweep (one bias at a time) and the fit (all the
-data's |bias|) share one kernel, ``_eigenpairs``, which puts the chains in
-at zero bias.  There every eigenvector lies on one chain, so it is a parity
-eigenstate: its parity is the sign of <v| sigma_x (-1)^n |v>, which is +-1
-to 1e-8, and forbidden lines (same parity) stay forbidden.  On a wide
-truncation the sweep takes each nonzero bias from a reduced basis instead,
-where a certificate accepts it, and every other bias from the kernel
-(``_sweep_eigensystems``); the basis holds the lowest k + 1 eigenvectors at
-five Chebyshev biases.
+``solve``, the sweep (per bias, and its snapshots) and the fit (all the
+data's |bias|) share one kernel, ``_eigenpairs``: one assembly per chunk of
+at most _STACK_BYTES, with the chains laid over its zero biases.  There
+every eigenvector lies on one chain, so it is a parity eigenstate: its
+parity is the sign of <v| sigma_x (-1)^n |v>, which is +-1 to 1e-8, and
+forbidden lines (same parity) stay forbidden.  On a wide truncation the
+sweep takes each nonzero bias from a reduced basis instead, where a
+certificate accepts it, and every other bias from the kernel
+(``_sweep_eigensystems``, which builds the basis).
 
 ``QrmParams`` is defined in ``_params`` and read here, so ``config`` builds
 it without executing this module or importing numpy.
@@ -226,21 +226,18 @@ def solve(p: QrmParams, t: FockTruncation) -> EigenSystem:
 def _eigenpairs(delta_prime, biases, omega1, g1, t, k):
     """The eigensystem of H at each bias of the 1-D array ``biases``, stacked:
     every eigenvalue (biases, dim) and the lowest ``k`` eigenvectors
-    (biases, dim, k), as ``solve`` gives them at one bias; one eigensystem
-    call per chunk of at most _STACK_BYTES of matrices."""
+    (biases, dim, k), as ``solve`` gives them at one bias; per chunk of at
+    most _STACK_BYTES of matrices, one assembly, chains laid over its zero
+    biases, and one eigensystem call."""
     n = t.n_states
     chunk = max(1, _STACK_BYTES // (8 * t.dim * t.dim))
     parts = []
     for start in range(0, len(biases), chunk):
         part = biases[start : start + chunk]
         zero = part == 0.0
-        if zero.any():  # H(0) is the chains; assemble only the other biases
-            h = np.empty(part.shape + (t.dim, t.dim))
+        h = _hamiltonians(delta_prime, part, omega1, g1, t)
+        if zero.any():  # H(0) is diagonalized as the chains
             h[zero] = _parity_chains(delta_prime, omega1, g1, t)
-            if not zero.all():
-                h[~zero] = _hamiltonians(delta_prime, part[~zero], omega1, g1, t)
-        else:
-            h = _hamiltonians(delta_prime, part, omega1, g1, t)
         es = eigensystem(h, k)
         for b in zero.nonzero()[0]:  # unfold the chain vectors into the composite basis
             chain = es.vectors[b]
@@ -269,8 +266,9 @@ def _sweep_eigensystems(delta_prime, biases, omega1, g1, t, k):
     least 4 * _SNAPSHOTS * k, H(eps) = H(0) - (eps / 2) S_z is solved in a
     reduced basis Q: the lowest k + 1 eigenvectors at _SNAPSHOTS Chebyshev
     biases (the fewest the certificate can use, which reads the (k+1)th Ritz
-    value), orthonormalized by an SVD, then one stacked eigensystem call per
-    chunk of nonzero biases.  A bias takes its Ritz pairs when they are
+    value) from one ``_eigenpairs`` call, chunked like every stack of H,
+    orthonormalized by an SVD, then one stacked eigensystem call per chunk
+    of nonzero biases.  A bias takes its Ritz pairs when they are
     certified: each residual against the full H within 1e-9 * max|Ritz
     value|, and exactly k eigenvalues of H below the midpoint of the kth and
     (k+1)th Ritz values (``_count_below``).  Every other bias, zero
@@ -287,8 +285,8 @@ def _sweep_eigensystems(delta_prime, biases, omega1, g1, t, k):
         yield from map(dense, range(len(biases)))
         return
     chebyshev = np.cos(np.pi * np.arange(1, 2 * _SNAPSHOTS, 2) / (2 * _SNAPSHOTS))
-    h = _hamiltonians(delta_prime, np.max(np.abs(biases)) * chebyshev, omega1, g1, t)
-    u, sv, _ = np.linalg.svd(np.hstack(eigensystem(h, k + 1).vectors), full_matrices=False)
+    snapshots = _eigenpairs(delta_prime, np.max(np.abs(biases)) * chebyshev, omega1, g1, t, k + 1)
+    u, sv, _ = np.linalg.svd(np.hstack(snapshots.vectors), full_matrices=False)
     q = u[:, sv > _BASIS_CUT * sv[0]]
     h0, s = _hamiltonians(delta_prime, 0.0, omega1, g1, t), _photons_and_spin(t.dim)[1]
     a0, sz = q.T @ h0 @ q, (q.T * s) @ q

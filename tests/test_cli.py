@@ -605,6 +605,27 @@ def test_tmpdir_override_honored(tmp_path, monkeypatch):
     assert os.listdir(scratch) == []  # temp file renamed away
 
 
+def test_rename_across_file_systems_is_refused_and_leaves_the_target(tmp_path, monkeypatch, capsys):
+    # a temp directory on another file system makes the rename fail with
+    # EXDEV: the write is refused and the target keeps its old bytes, since
+    # rewriting it in place could leave a partial file
+    import errno
+
+    out = tmp_path / "modes.csv"
+    out.write_text("old\n")
+
+    def cross_device(src, dst):
+        raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
+
+    monkeypatch.setattr(os, "replace", cross_device)
+    assert main(["modes", "--n-modes", "2", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {out}: {os.strerror(errno.EXDEV)}\n"
+    assert out.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["modes.csv"]  # no temp file left
+
+
 @pytest.mark.parametrize(
     "argv, field",
     [
@@ -748,10 +769,11 @@ def test_cli_import_registers_every_traced_layer():
 
 def test_deep_spectrum_call_counts(tmp_path, monkeypatch, capsys):
     # The benchmark's deep device (0.15, 1.5, 5 GHz) over 201 biases at
-    # n_max 64 (dim 130): one stacked eigensystem at the 5 snapshot biases,
-    # one over the 200 nonzero biases in the 22-column reduced basis, all
-    # certified, and one per-bias call at zero, after two truncation
-    # searches that each probe n_max 16, 32, 64 and 128.
+    # n_max 64 (dim 130): one stacked eigensystem at the 5 snapshot biases
+    # (an _eigenpairs call), one over the 200 nonzero biases in the
+    # 22-column reduced basis, all certified, and one per-bias _eigenpairs
+    # call at zero, after two truncation searches that each probe n_max 16,
+    # 32, 64 and 128.
     from dscqed import rabi, spectrum
 
     targets = (
@@ -770,7 +792,7 @@ def test_deep_spectrum_call_counts(tmp_path, monkeypatch, capsys):
         "eigensystem": 3,
         "eigh@130": 2,
         "eigh@22": 1,
-        "_eigenpairs": 1,
+        "_eigenpairs": 2,
         "drive_matrix_element": 902,
         "converged_truncation": 2,
         "eigvalsh@34": 2,

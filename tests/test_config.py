@@ -397,8 +397,38 @@ def test_bound_outside_model_domain_carries_field_path(tmp_path):
     path = _write_variant(
         tmp_path, lambda t: t["fit"]["bounds"].update(omega1_ghz=[-1.0, 100.0])
     )
-    with pytest.raises(ConfigError, match=r"fit\.bounds\.omega1_ghz\.0: omega1 must be > 0"):
+    with pytest.raises(ConfigError, match=r"fit\.bounds\.omega1_ghz\.0: must be >= 1e-9, got -1\.0$"):
         load_config(path)
+
+
+def test_bound_below_the_parameter_floor_is_refused(tmp_path):
+    # each fit.bounds entry lies in its qrm key's domain: omega1's floor
+    # 1e-9 keeps ratios finite, so a low end of 1e-12 is refused too
+    path = _write_variant(
+        tmp_path, lambda t: t["fit"]["bounds"].update(omega1_ghz=[1.0e-12, 5.0])
+    )
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value) == f"{path}: fit.bounds.omega1_ghz.0: must be >= 1e-9, got 1e-12"
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda t: t.update(device=3), "device: expected a mapping"),
+    (lambda t: t["fit"]["bounds"].update(g1_ghz=0.5), "fit.bounds.g1_ghz: expected a [low, high] pair"),
+], ids=["section-not-a-mapping", "bound-not-a-pair"])
+def test_misshapen_values_name_their_path(tmp_path, mutate, message):
+    path = _write_variant(tmp_path, mutate)
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_top_level_list_names_the_file(tmp_path):
+    path = tmp_path / "list.yaml"
+    path.write_text("- device\n- qrm\n")
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value) == f"{path}:1: top level must be a mapping"
 
 
 @pytest.mark.parametrize("n_modes", [10**6 + 1, 10**400])

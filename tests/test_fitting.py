@@ -792,3 +792,20 @@ def test_read_peaks_too_few_rows(tmp_path):
     path.write_text("epsilon_ghz,frequency_ghz\n0.0,2.61\n")
     with pytest.raises(ConfigError):
         read_peaks_csv(path)
+
+
+@pytest.mark.parametrize("text, where, reason", [
+    ("", 1, "empty file"),
+    ("epsilon_ghz,frequency_ghz,label\n0.0,2.61,03\n0.1,2.7\n0.2,2.3,12\n", 3, "expected 3 fields, got 2"),
+], ids=["empty", "missing-field"])
+def test_read_peaks_refusal_names_its_line(text, where, reason, tmp_path):
+    path = tmp_path / "peaks.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as refused:
+        read_peaks_csv(path)
+    assert str(refused.value) == f"{path}:{where}: {reason}"
+
+
+def test_peak_data_refuses_columns_of_different_lengths():
+    with pytest.raises(ValueError, match="^column lengths differ$"):
+        PeakData(np.zeros(3), np.zeros(2), (None,) * 3, np.ones(3))

@@ -178,6 +178,8 @@ def test_sum_validation():
         cutoff_sum(0.0)
     with pytest.raises(ValueError):
         cutoff_sum(math.inf)
+    with pytest.raises(ValueError, match=r"^n_cutoff must be > 0, got 0\.0$"):
+        asymptotic_sum(0.0)
 
 
 # lambda(s) = sum over odd n of n^-s = (1 - 2^-s) zeta(s)

@@ -150,6 +150,62 @@ def test_truncation_ceiling():
         build_hamiltonian(QrmParams(0.1, 0.0, 1.0, 0.1), FockTruncation(5000))
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: FockTruncation(0), "n_max must be >= 1, got 0"),
+    (lambda: QrmParams(-0.1, 0.0, 1.0, 1.0), "delta_prime must be >= 0, got -0.1"),
+    (lambda: QrmParams(0.1, 0.0, 1.0, -1.0), "g1 must be >= 0, got -1.0"),
+    (lambda: eigensystem(np.zeros((3, 4))), "expected a square matrix or a stack of them, got shape (3, 4)"),
+], ids=["truncation", "negative-gap", "negative-coupling", "not-square"])
+def test_records_refuse_values_outside_their_domain(make, message):
+    with pytest.raises(ValueError) as refused:
+        make()
+    assert str(refused.value) == message
+
+
+def test_residual_beyond_tolerance_is_refused(monkeypatch, capsys):
+    # eigh's own orthonormal vectors with every eigenvalue shifted by 1e-6
+    # pass the orthonormality check and fail the residual check, in the
+    # library and the CLI (the values-only truncation probes are untouched)
+    from dscqed import rabi
+    from dscqed.cli import main
+
+    lapack = rabi._lapack
+
+    def shifted(h, vectors):
+        if not vectors:
+            return lapack(h, vectors)
+        values, v = lapack(h, vectors)
+        return values + 1e-6, v
+
+    monkeypatch.setattr(rabi, "_lapack", shifted)
+    with pytest.raises(ConvergenceError, match=r"^eigenpair residual exceeds 1e-9 \* \|H\|$"):
+        eigensystem(build_hamiltonian(QrmParams(0.147, 0.3, 2.57, 2.39), T40), 6)
+    assert main(["spectrum"]) == 2
+    assert "numerical failure:" in capsys.readouterr().err
+
+
+def test_vector_off_its_chain_is_refused(monkeypatch):
+    # on the deep device at zero bias E1 - E0 is about 3e-11 GHz: eigh's
+    # columns 0 and 1 turned by 45 degrees stay orthonormal with residuals
+    # far below 1e-9 |H|, and each holds half its weight off its chain
+    from dscqed import rabi
+
+    lapack = rabi._lapack
+
+    def turned(h, vectors):
+        out = lapack(h, vectors)
+        if vectors:
+            v = out[1]
+            v[..., :2] = v[..., :2] @ (np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0))
+        return out
+
+    p, t = QrmParams(0.15, 0.0, 1.5, 5.0), FockTruncation(64)
+    assert np.diff(solve(p, t).values[:2])[0] < 1e-10
+    monkeypatch.setattr(rabi, "_lapack", turned)
+    with pytest.raises(ConvergenceError, match="off its parity chain"):
+        solve(p, t)
+
+
 def test_displaced_oscillator_limit():
     # delta'=0: energies m*omega - g^2/omega, each doubly degenerate
     omega, g = 2.57, 2.39

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dscqed import EigenSystem, FockTruncation, SweepConfig, drive_matrix_element, eigensystem, sweep
+from dscqed import (
+    EigenSystem, FockTruncation, SpectralLine, SweepConfig, drive_matrix_element, eigensystem, sweep,
+)
 from dscqed.rabi import (
     _candidate_lines, _count_below, _eigenpairs, _hamiltonians, _sweep_eigensystems,
 )
@@ -126,6 +128,13 @@ def test_sweep_config_validation():
         SweepConfig(epsilon_grid=(0.0,), freq_window=(8.0, 2.0))
     with pytest.raises(ValueError):
         SweepConfig(epsilon_grid=(0.0,), freq_window=(2.0, 8.0), k_levels=1)
+    with pytest.raises(ValueError, match="^truncation_tol must be > 0$"):
+        SweepConfig(epsilon_grid=(0.0,), freq_window=(2.0, 8.0), truncation_tol=0.0)
+
+
+def test_spectral_line_refuses_a_negative_frequency():
+    with pytest.raises(ValueError, match=r"^frequency must be >= 0, got -0\.5$"):
+        SpectralLine(0.0, 0, 1, -0.5, 0.1)
 
 
 def test_sweep_propagates_truncation_failure(monkeypatch):
@@ -237,15 +246,17 @@ def test_singular_or_non_finite_pivot_fails_the_count():
 def test_one_node_basis_falls_back_where_it_misses(monkeypatch):
     # a basis from one snapshot (bias ~0) certifies only the biases next to
     # it; every other bias falls back to the dense path, and the lines are
-    # the dense path's
+    # the dense path's; the snapshot's own call keeps K + 1 vectors, a
+    # fallback's K
     from dscqed import rabi
 
     fallbacks = []
     dense = rabi._eigenpairs
 
-    def recorded(delta, biases, *args):
-        fallbacks.extend(biases.tolist())
-        return dense(delta, biases, *args)
+    def recorded(delta, biases, omega1, g1, t, k):
+        if k == K:
+            fallbacks.extend(biases.tolist())
+        return dense(delta, biases, omega1, g1, t, k)
 
     monkeypatch.setattr(rabi, "_SNAPSHOTS", 1)
     monkeypatch.setattr(rabi, "_eigenpairs", recorded)
@@ -306,6 +317,29 @@ def test_reduced_chunks_give_the_one_chunk_result(chunk, monkeypatch):
     for a, b in zip(whole, _sweep_eigensystems(0.15, grid, 1.5, 5.0, t, K), strict=True):
         assert np.array_equal(a.values, b.values) and np.array_equal(a.vectors, b.vectors)
     assert len(reduced) == stacks and {shape[0] for shape in reduced} <= {chunk, chunk - 1}
+
+
+def test_snapshots_are_chunked_like_every_stack(monkeypatch):
+    # the reduced basis's 5 snapshots are one _eigenpairs call, so
+    # _STACK_BYTES bounds them too: two matrices of dim 130 a chunk solve
+    # them in 3 eigensystem calls keeping K + 1 vectors, and chunking
+    # changes no bit of the result
+    from dscqed import rabi
+
+    t, grid = FockTruncation(64), np.linspace(-1.0, 1.0, 41)
+    whole = list(_sweep_eigensystems(0.15, grid, 1.5, 5.0, t, K))
+    snapshots = []
+
+    def counted(h, k):
+        if k == K + 1:
+            snapshots.append(h.shape)
+        return eigensystem(h, k)
+
+    monkeypatch.setattr(rabi, "eigensystem", counted)
+    monkeypatch.setattr(rabi, "_STACK_BYTES", 2 * 8 * t.dim**2)
+    for a, b in zip(whole, _sweep_eigensystems(0.15, grid, 1.5, 5.0, t, K), strict=True):
+        assert np.array_equal(a.values, b.values) and np.array_equal(a.vectors, b.vectors)
+    assert snapshots == [(2, t.dim, t.dim), (2, t.dim, t.dim), (1, t.dim, t.dim)]
 
 
 @pytest.mark.parametrize("n_max, grid", [

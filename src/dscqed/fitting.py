@@ -19,15 +19,16 @@ The parity P = sigma_x (-1)^n maps H(epsilon) to H(-epsilon) and commutes
 with all three dH/dtheta and maps the drive (a + a^dag) to minus itself, so
 the levels, their gradients and the drive amplitudes are even in the bias.
 Every row is therefore evaluated at its |bias|, all distinct |bias| in one
-stacked eigensolve per evaluation by ``rabi``'s kernel, the one ``solve``
-uses: the eigenpairs kept are checked as ``eigensystem`` checks them, and
-zero bias enters the stack as the two parity chains, so its eigenvectors
-keep their parity and the forbidden lines of a near-degenerate doublet stay
-forbidden.  A level closer than _DEGENERATE_TOL to a neighbour has no
+call per evaluation of ``rabi``'s kernel, which ``solve`` and the sweep use:
+its pairs are checked as ``eigensystem`` checks them, zero bias is solved as
+the two parity chains, so forbidden lines of a near-degenerate doublet stay
+forbidden, and a deep device's biases take the certified reduced basis.  It
+is asked for one level more than the rows read, their top level's upper
+neighbour: a level closer than _DEGENERATE_TOL to a neighbour has no
 well-defined eigenvector, so rows using one take central differences of
-their own line's levels instead: the label's line, or the line the
-unlabeled match picked at the centre point, over those rows' biases, one
-values-only eigensolve per point.
+their own line's levels (the label's line, or the line the unlabeled match
+picked at the centre point) over those rows' biases, one values-only
+eigensolve per point.
 
 The Fock truncation is sized as the sweep sizes it, at zero bias and at the
 data's largest |bias|, first at the start point; the descent is repeated
@@ -244,14 +245,14 @@ def _layout(data: PeakData, k_levels: int) -> _Layout:
 
 def _predicted(params, data: PeakData, layout: _Layout, t, floor: float):
     """Model frequencies for every row of ``data`` at truncation ``t`` and
-    their (rows, 3) gradient matrix.  All rows come from one stacked
-    eigensolve over the distinct |bias|.  An unlabeled row gives the
-    drive-allowed line nearest its measured frequency (the lowest (i, j) on
-    ties) and the gradient of that line."""
+    their (rows, 3) gradient matrix.  All rows come from one kernel call
+    over the distinct |bias|.  An unlabeled row gives the drive-allowed line
+    nearest its measured frequency (the lowest (i, j) on ties) and the
+    gradient of that line."""
     at, i, j = layout.at, layout.i.copy(), layout.j.copy()
     unlabeled = np.nonzero(j < 0)[0]
     k = layout.k_levels if unlabeled.size else j.max() + 1
-    es = _eigenpairs(params[0], layout.biases, params[1], params[2], t, k)
+    es = _eigenpairs(params[0], layout.biases, params[1], params[2], t, min(k + 1, t.dim))
     values, vectors = es.values, es.vectors
     lower, upper = np.array(_candidate_lines(layout.k_levels)).T
     for b in dict.fromkeys(at[unlabeled].tolist()):  # row order; one (lines, dim) block at a time

@@ -35,15 +35,13 @@ p = +-1, split H into two tridiagonal chains, one per parity:
     diagonal       omega1 * n - p * (-1)^n * delta_prime / 2
     off-diagonal   g1 * sqrt(n + 1) between |p, n> and |p, n + 1>
 
-``solve``, the sweep (per bias, and its snapshots) and the fit (all the
-data's |bias|) share one kernel, ``_eigenpairs``: one assembly per chunk of
-at most _STACK_BYTES, with the chains laid over its zero biases.  There
-every eigenvector lies on one chain, so it is a parity eigenstate: its
-parity is the sign of <v| sigma_x (-1)^n |v>, which is +-1 to 1e-8, and
-forbidden lines (same parity) stay forbidden.  On a wide truncation the
-sweep takes each nonzero bias from a reduced basis instead, where a
-certificate accepts it, and every other bias from the kernel
-(``_sweep_eigensystems``, which builds the basis).
+``solve``, the sweep and the fit (all the data's |bias|) share one kernel,
+``_eigenpairs``: the lowest k eigenpairs at each bias, dense stacks
+assembled per chunk of at most _STACK_BYTES with the chains laid over their
+zero biases.  There every eigenvector lies on one chain, so it is a parity
+eigenstate: its parity is the sign of <v| sigma_x (-1)^n |v>, +-1 to 1e-8,
+and forbidden lines (same parity) stay forbidden.  On a wide truncation the
+kernel solves many nonzero biases in a certified reduced basis instead.
 
 ``QrmParams`` is defined in ``_params`` and read here, so ``config`` builds
 it without executing this module or importing numpy.
@@ -63,7 +61,7 @@ N_MAX_CEILING = 4096
 _N_MAX_START = 8  # base of the truncation search's doubling schedule
 _STRAY_WEIGHT = 5e-9  # weight off its chain: parity expectation 1e-8 from +-1
 _STACK_BYTES = 1 << 25  # most bytes of Hamiltonians diagonalized in one stack
-_SNAPSHOTS = 5  # Chebyshev biases of the sweep's reduced basis
+_SNAPSHOTS = 5  # Chebyshev biases of the reduced basis
 _BASIS_CUT = 1e-10  # snapshot singular values kept, relative to the largest
 
 
@@ -90,8 +88,9 @@ class FockTruncation(Record):
 class EigenSystem(Record):
     """Sorted eigenvalues and eigenvector columns.
 
-    ``values`` holds every eigenvalue, (..., dim) for a stack of matrices,
-    and ``vectors`` the columns of the lowest k kept, (..., dim, k).
+    ``values`` holds every eigenvalue from ``eigensystem``, (..., dim) for a
+    stack, or the lowest k from ``_eigenpairs``, (..., k); ``vectors`` holds
+    the columns of the lowest k kept, (..., dim, k).
     """
 
     def __init__(self, values: np.ndarray, vectors: np.ndarray) -> None:
@@ -99,8 +98,8 @@ class EigenSystem(Record):
 
     @property
     def dim(self) -> int:
-        """Matrix dimension, values.shape[-1]."""
-        return self.values.shape[-1]
+        """Matrix dimension, the length of each vector, vectors.shape[-2]."""
+        return self.vectors.shape[-2]
 
 
 def build_hamiltonian(p: QrmParams, t: FockTruncation) -> np.ndarray:
@@ -224,14 +223,36 @@ def solve(p: QrmParams, t: FockTruncation) -> EigenSystem:
 
 
 def _eigenpairs(delta_prime, biases, omega1, g1, t, k):
-    """The eigensystem of H at each bias of the 1-D array ``biases``, stacked:
-    every eigenvalue (biases, dim) and the lowest ``k`` eigenvectors
-    (biases, dim, k), as ``solve`` gives them at one bias; per chunk of at
-    most _STACK_BYTES of matrices, one assembly, chains laid over its zero
-    biases, and one eigensystem call."""
+    """The lowest ``k`` eigenpairs of H at each bias of the 1-D array
+    ``biases``, as ``solve`` gives them at one bias: values (biases, k) and
+    vectors (biases, dim, k); k = 0 gives every eigenvalue, no vectors.
+    Where ``_reduces`` holds, a nonzero bias takes its certified Ritz pairs
+    (``_ritz_pairs``) in the span of the lowest k + 1 eigenvectors at
+    _SNAPSHOTS Chebyshev biases over max|bias|, the fewest the certificate
+    can use.  Those snapshots, and zero and every uncertified bias, are each
+    one dense stack (``_dense``)."""
+    if not _reduces(biases, t, k):
+        return _dense(delta_prime, biases, omega1, g1, t, k)
+    chebyshev = np.cos(np.pi * np.arange(1, 2 * _SNAPSHOTS, 2) / (2 * _SNAPSHOTS))
+    snapshots = _dense(delta_prime, np.max(np.abs(biases)) * chebyshev, omega1, g1, t, k + 1)
+    values, vectors, certified = _ritz_pairs(delta_prime, biases, omega1, g1, t, snapshots.vectors)
+    if not certified.all():
+        es = _dense(delta_prime, biases[~certified], omega1, g1, t, k)
+        values[~certified], vectors[~certified] = es.values, es.vectors
+    return EigenSystem(values, vectors)
+
+
+def _reduces(biases, t, k):
+    """The reduced-basis gate: k >= 1, > _SNAPSHOTS nonzero biases, dim >= 4 * _SNAPSHOTS * k."""
+    return k >= 1 and np.count_nonzero(biases) > _SNAPSHOTS and t.dim >= 4 * _SNAPSHOTS * k
+
+
+def _dense(delta_prime, biases, omega1, g1, t, k):
+    """``_eigenpairs`` by dense eigensolves: per chunk of at most _STACK_BYTES
+    of matrices, one assembly, chains laid over its zero biases, one eigensystem."""
     n = t.n_states
     chunk = max(1, _STACK_BYTES // (8 * t.dim * t.dim))
-    parts = []
+    values, vectors = [], []
     for start in range(0, len(biases), chunk):
         part = biases[start : start + chunk]
         zero = part == 0.0
@@ -250,64 +271,44 @@ def _eigenpairs(delta_prime, biases, omega1, g1, t, k):
             even, odd = top + bot, (-1.0) ** np.arange(n)[:, None] * (top - bot)
             chain[0::2], chain[1::2] = even / math.sqrt(2.0), odd / math.sqrt(2.0)
             _fix_signs(chain)  # the convention holds in the basis returned
-        parts.append(es)
-    if len(parts) == 1:
-        return parts[0]
-    return EigenSystem(
-        np.concatenate([es.values for es in parts]), np.concatenate([es.vectors for es in parts])
-    )
+        values.append(es.values[:, : k or t.dim])
+        vectors.append(es.vectors)
+    if len(values) > 1:  # one chunk is returned without a copy
+        values, vectors = [np.concatenate(values)], [np.concatenate(vectors)]
+    return EigenSystem(values[0], vectors[0])
 
 
-def _sweep_eigensystems(delta_prime, biases, omega1, g1, t, k):
-    """Yield, in order, an EigenSystem at each bias of the 1-D array
-    ``biases`` with at least the lowest ``k`` eigenvalues and their vectors.
-
-    When the grid holds more than _SNAPSHOTS nonzero biases and dim is at
-    least 4 * _SNAPSHOTS * k, H(eps) = H(0) - (eps / 2) S_z is solved in a
-    reduced basis Q: the lowest k + 1 eigenvectors at _SNAPSHOTS Chebyshev
-    biases (the fewest the certificate can use, which reads the (k+1)th Ritz
-    value) from one ``_eigenpairs`` call, chunked like every stack of H,
-    orthonormalized by an SVD, then one stacked eigensystem call per chunk
-    of nonzero biases.  A bias takes its Ritz pairs when they are
-    certified: each residual against the full H within 1e-9 * max|Ritz
-    value|, and exactly k eigenvalues of H below the midpoint of the kth and
-    (k+1)th Ritz values (``_count_below``).  Every other bias, zero
-    included, is one ``_eigenpairs`` call; a bias that ``_zero_snapped``
-    sets to zero is solved at zero.
-    """
-    biases = _zero_snapped(biases)
-
-    def dense(b):
-        es = _eigenpairs(delta_prime, biases[b : b + 1], omega1, g1, t, k)
-        return EigenSystem(es.values[0], es.vectors[0])
-
-    if 2 * _SNAPSHOTS * k > t.dim // 2 or np.count_nonzero(biases) <= _SNAPSHOTS:
-        yield from map(dense, range(len(biases)))
-        return
-    chebyshev = np.cos(np.pi * np.arange(1, 2 * _SNAPSHOTS, 2) / (2 * _SNAPSHOTS))
-    snapshots = _eigenpairs(delta_prime, np.max(np.abs(biases)) * chebyshev, omega1, g1, t, k + 1)
-    u, sv, _ = np.linalg.svd(np.hstack(snapshots.vectors), full_matrices=False)
+def _ritz_pairs(delta_prime, biases, omega1, g1, t, snapshots):
+    """Ritz pairs of H(eps) = H(0) - (eps / 2) S_z in the span of the
+    ``snapshots`` (..., dim, k + 1), one eigensystem call per chunk's nonzero
+    biases: values (biases, k), vectors (biases, dim, k), and whether each
+    bias is certified (zero never is; its pairs are left unset): residuals
+    against H within 1e-9 * max|Ritz value|, and exactly k eigenvalues of H
+    below the mean of the kth and (k+1)th Ritz values (``_count_below``)."""
+    k = snapshots.shape[-1] - 1
+    u, sv, _ = np.linalg.svd(np.hstack(snapshots), full_matrices=False)
     q = u[:, sv > _BASIS_CUT * sv[0]]
     h0, s = _hamiltonians(delta_prime, 0.0, omega1, g1, t), _photons_and_spin(t.dim)[1]
     a0, sz = q.T @ h0 @ q, (q.T * s) @ q
     a0, sz = (a0 + a0.T) / 2, (sz + sz.T) / 2  # exactly symmetric
+    values, vectors = np.empty((len(biases), k)), np.empty((len(biases), t.dim, k))
+    certified = np.zeros(len(biases), dtype=bool)
     chunk = max(1, _STACK_BYTES // (8 * t.dim * q.shape[1]))
     for start in range(0, len(biases), chunk):
-        part = biases[start : start + chunk]
-        eps = part[part != 0.0]
-        if eps.size:
-            es = eigensystem(a0 - 0.5 * eps[:, None, None] * sz, k)
-            x, theta = q @ es.vectors, es.values
-            _fix_signs(x)
-            resid = h0 @ x - 0.5 * (eps[:, None] * s)[..., None] * x - x * theta[:, None, :k]
-            bound = 1e-9 * np.abs(theta).max(axis=-1, keepdims=True)
-            ok = (np.linalg.norm(resid, axis=-2) <= bound).all(axis=-1)
-            sigma = 0.5 * (theta[:, k - 1] + theta[:, k])
-            ok &= _count_below(delta_prime, eps, omega1, g1, t, sigma) == k
-            ritz = zip(ok.tolist(), theta[:, :k], x)
-        for b in range(start, start + len(part)):
-            certified, values, vectors = next(ritz) if biases[b] != 0.0 else (False, None, None)
-            yield EigenSystem(values, vectors) if certified else dense(b)
+        at = start + np.flatnonzero(biases[start : start + chunk])
+        if not at.size:
+            continue
+        eps = biases[at]
+        es = eigensystem(a0 - 0.5 * eps[:, None, None] * sz, k)
+        x, theta = q @ es.vectors, es.values
+        _fix_signs(x)
+        resid = h0 @ x - 0.5 * (eps[:, None] * s)[..., None] * x - x * theta[:, None, :k]
+        bound = 1e-9 * np.abs(theta).max(axis=-1, keepdims=True)
+        ok = (np.linalg.norm(resid, axis=-2) <= bound).all(axis=-1)
+        sigma = 0.5 * (theta[:, k - 1] + theta[:, k])
+        certified[at] = ok & (_count_below(delta_prime, eps, omega1, g1, t, sigma) == k)
+        values[at], vectors[at] = theta[:, :k], x
+    return values, vectors, certified
 
 
 def _zero_snapped(biases):

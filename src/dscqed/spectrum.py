@@ -14,7 +14,8 @@ from __future__ import annotations
 from ._lazy import np
 from ._params import SweepConfig
 from ._record import Record
-from .rabi import _candidate_lines, _grid_truncation, _sweep_eigensystems, drive_matrix_element
+from .rabi import EigenSystem, _candidate_lines, _eigenpairs, _grid_truncation, _reduces
+from .rabi import _zero_snapped, drive_matrix_element
 
 
 class SpectralLine(Record):
@@ -36,13 +37,8 @@ def sweep(delta_prime: float, omega1: float, g1: float, cfg: SweepConfig) -> lis
     frequency falls in the probe band.
 
     One converged truncation (probed at zero and at the largest |bias|) is
-    used across the whole grid, keeping the output deterministic.  When the
-    grid holds more than 5 nonzero biases and the truncation's dimension is
-    at least 20 * k_levels, each nonzero bias is solved in a reduced basis
-    (the lowest k_levels + 1 eigenvectors at five Chebyshev biases)
-    and kept only when certified (residuals and an inertia count against
-    the full H); zero and every uncertified bias take one dense eigensolve
-    each, as every bias does on smaller problems (``_sweep_eigensystems``).
+    used across the whole grid, keeping the output deterministic.  The
+    eigenpairs come from ``rabi._eigenpairs`` at the ``_zero_snapped`` grid.
     Lines are ordered by (bias, i, j); amplitudes below
     ``cfg.amplitude_floor`` are still emitted (classification is the
     consumer's business).
@@ -51,14 +47,16 @@ def sweep(delta_prime: float, omega1: float, g1: float, cfg: SweepConfig) -> lis
     trunc = _grid_truncation(delta_prime, omega1, g1, grid, cfg.k_levels, cfg.truncation_tol)
     lo, hi = cfg.freq_window
     pairs = _candidate_lines(cfg.k_levels)
-
+    biases = _zero_snapped(grid)
+    # per bias off the reduced basis, to keep the bundled sweep's pinned counts until their re-pin
+    parts = [biases] if _reduces(biases, trunc, cfg.k_levels) else np.split(biases, len(biases))
+    solved = (_eigenpairs(delta_prime, part, omega1, g1, trunc, cfg.k_levels) for part in parts)
+    systems = (EigenSystem(v, x) for es in solved for v, x in zip(es.values, es.vectors))
     lines = []
-    eigensystems = _sweep_eigensystems(delta_prime, grid, omega1, g1, trunc, cfg.k_levels)
-    for eps, es in zip(grid.tolist(), eigensystems):
+    for eps, es in zip(grid.tolist(), systems):
         levels = es.values.tolist()
         for i, j in pairs:
             f = levels[j] - levels[i]  # the float64 difference, in plain floats
             if lo <= f <= hi:
                 lines.append(SpectralLine(eps, i, j, f, drive_matrix_element(es, i, j)))
     return lines
-

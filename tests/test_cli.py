@@ -769,16 +769,15 @@ def test_cli_import_registers_every_traced_layer():
 
 def test_deep_spectrum_call_counts(tmp_path, monkeypatch, capsys):
     # The benchmark's deep device (0.15, 1.5, 5 GHz) over 201 biases at
-    # n_max 64 (dim 130): one stacked eigensystem at the 5 snapshot biases
-    # (an _eigenpairs call), one over the 200 nonzero biases in the
-    # 22-column reduced basis, all certified, and one per-bias _eigenpairs
-    # call at zero, after two truncation searches that each probe n_max 16,
-    # 32, 64 and 128.
+    # n_max 64 (dim 130): one kernel call over the grid, which makes one
+    # stacked eigensystem at the 5 snapshot biases, one over the 200 nonzero
+    # biases in the 22-column reduced basis, all certified, and one at zero,
+    # after two truncation searches that each probe n_max 16, 32, 64 and 128.
     from dscqed import rabi, spectrum
 
     targets = (
         (rabi, "eigensystem"),
-        (rabi, "_eigenpairs"),
+        (spectrum, "_eigenpairs"),
         (spectrum, "drive_matrix_element"),
         (rabi, "converged_truncation"),
     )
@@ -792,7 +791,7 @@ def test_deep_spectrum_call_counts(tmp_path, monkeypatch, capsys):
         "eigensystem": 3,
         "eigh@130": 2,
         "eigh@22": 1,
-        "_eigenpairs": 2,
+        "_eigenpairs": 1,
         "drive_matrix_element": 902,
         "converged_truncation": 2,
         "eigvalsh@34": 2,

@@ -630,6 +630,68 @@ def test_one_bias_per_chunk_gives_identical_results(monkeypatch):
     assert len(chunked[3]) == biases * len(stacked[3])
 
 
+def _deep_labeled_peaks():
+    """The deep device's (0.15, 1.5, 5 GHz) labeled lines over 41 biases in
+    [-1, 1], 0.5 to 8 GHz, with amplitude above 1e-3: 82 rows, none above
+    level 3, so the fit asks the kernel for 5 levels and dim 130 is wide
+    enough for the reduced basis."""
+    cfg = SweepConfig(epsilon_grid=tuple(np.linspace(-1.0, 1.0, 41)), freq_window=(0.5, 8.0))
+    lines = [line for line in sweep(0.15, 1.5, 5.0, cfg) if line.amplitude > 1e-3]
+    return PeakData.from_rows([(line.epsilon, line.frequency, line.label) for line in lines])
+
+
+def test_deep_fit_evaluation_agrees_with_the_dense_path(monkeypatch):
+    # one evaluation off the optimum at n_max 64 builds one reduced basis;
+    # against the same evaluation with the size gate off, its frequencies
+    # agree within the fit's 1e-8 GHz, and its Jacobian rows within 1e-9
+    # GHz per GHz, the residual certificate's relative bound (they read
+    # 3e-13 apart)
+    data = _deep_labeled_peaks()
+    layout, t = _layout(data, 6), FockTruncation(64)
+    assert len(data) == 82 and layout.j.max() == 3
+    bases = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: bases.append(1) or svd(*a, **k))
+    reduced = fitting._predicted((0.16, 1.55, 4.9), data, layout, t, 1e-6)
+    assert bases == [1]
+    monkeypatch.setattr(rabi, "_SNAPSHOTS", 10**6)
+    dense = fitting._predicted((0.16, 1.55, 4.9), data, layout, t, 1e-6)
+    assert bases == [1]
+    assert np.max(np.abs(reduced[0] - dense[0])) <= 1e-8
+    assert np.max(np.abs(reduced[1] - dense[1])) <= 1e-9
+
+
+def test_bundled_fit_never_builds_a_reduced_basis(monkeypatch):
+    # dim 82 is too narrow for the 5 levels the bundled rows ask for, so
+    # every evaluation is one dense stack
+    bundled = read_peaks_csv(synthetic_peaks_path())
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: pytest.fail("reduced basis built"))
+    assert fit(bundled, initial=(0.15, 2.6, 2.4), bounds=BOUNDS).converged
+
+
+def test_a_top_level_degenerate_with_the_level_above_is_differenced(monkeypatch):
+    # at delta' = 0 the sigma_z sectors decouple; at eps = omega1 = 1.5 and
+    # g1 = 0.5, level 1 meets level 2 (6e-15 GHz apart) while level 0 lies
+    # 1.5 GHz below, so the rows labeled 01 there have no well-defined
+    # Hellmann-Feynman gradient: the fit asks the kernel for level 2 as
+    # well and differences exactly those rows, not the rows at |eps| = 0.5
+    params, t = (0.0, 1.5, 0.5), FockTruncation(16)
+    levels = rabi._eigenpairs(0.0, np.array([0.5, 1.5]), 1.5, 0.5, t, 3).values
+    assert np.diff(levels[1]).tolist() == pytest.approx([1.5, 0.0], abs=1e-13)
+    eps = np.array([-1.5, -0.5, 0.5, 1.5, 1.5])
+    data = PeakData(eps, np.full(5, 1.0), ("01",) * 5, np.ones(5))
+    differenced = []
+    original = fitting._central_differences
+    monkeypatch.setattr(
+        fitting, "_central_differences", lambda *a: differenced.append(original(*a)) or differenced[-1]
+    )
+    freqs, jac = fitting._predicted(params, data, _layout(data, 6), t, 1e-6)
+    at = [1, 0, 0, 1, 1]  # each row's |bias|: 1.5, 0.5, 0.5, 1.5, 1.5
+    np.testing.assert_allclose(freqs, levels[at, 1] - levels[at, 0])
+    (rows,) = differenced
+    np.testing.assert_array_equal(jac[[0, 3, 4]], rows)
+
+
 def test_fit_eigenpairs_are_validated(monkeypatch, capsys):
     # a stacked eigh whose column 1 is off by 1e-6 fails eigensystem's
     # orthonormality and residual checks, in the library and the CLI

@@ -230,6 +230,26 @@ def test_only_rabi_names_the_numpy_eigensolvers():
     assert named == {"rabi.py"}
 
 
+def test_only_the_kernel_calls_eigensystem():
+    # every solved stack of H goes through rabi._eigenpairs: eigensystem is
+    # called there, or in a private rabi helper that only _eigenpairs calls
+    callers = {}  # called name -> {(module, calling function)}
+    for path in sorted((Path(dscqed.__file__).parent).glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    callers.setdefault(name, set()).add((path.stem, fn.name))
+    assert ("rabi", "_eigenpairs") in callers["_dense"]
+    for module, name in callers["eigensystem"]:
+        assert module == "rabi", name
+        assert name == "_eigenpairs" or (
+            name.startswith("_") and callers.get(name) == {("rabi", "_eigenpairs")}
+        ), name
+
+
 def test_readme_python_blocks_run(capsys):
     # every ```python block of the README, in order, in one namespace
     text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")

@@ -282,6 +282,18 @@ def test_stacked_eigensystem_is_the_per_matrix_eigensystem():
             eigensystem(stack, bad)
 
 
+def test_dim_is_the_length_of_the_vectors():
+    # a kernel result keeps the lowest k levels, a values-only eigensystem
+    # no vectors: either reports the matrix dimension, as does the certified
+    # reduced basis on the deep device
+    t = FockTruncation(64)
+    es = _eigenpairs(0.15, np.linspace(-1.0, 1.0, 41), 1.5, 5.0, t, 6)
+    assert es.values.shape == (41, 6) and es.dim == 130
+    assert EigenSystem(es.values[0], es.vectors[0]).dim == 130
+    values_only = eigensystem(_hamiltonians(0.15, np.array([0.3, 0.0]), 1.5, 5.0, t), 0)
+    assert values_only.values.shape == (2, 130) and values_only.dim == 130
+
+
 def test_rejects_asymmetric_input():
     m = np.array([[0.0, 1.0], [2.0, 0.0]])
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,9 +9,8 @@ from hypothesis import strategies as st
 from dscqed import (
     EigenSystem, FockTruncation, SpectralLine, SweepConfig, drive_matrix_element, eigensystem, sweep,
 )
-from dscqed.rabi import (
-    _candidate_lines, _count_below, _eigenpairs, _hamiltonians, _sweep_eigensystems,
-)
+from dscqed import rabi, spectrum
+from dscqed.rabi import _candidate_lines, _count_below, _eigenpairs, _hamiltonians, _zero_snapped
 
 PAPER = dict(delta_prime=0.147, omega1=2.57, g1=2.39)
 
@@ -99,8 +99,6 @@ def test_a_bias_zero_to_rounding_is_solved_at_zero(device, monkeypatch):
     # endpoints; it is solved at exactly zero, on the reduced and the dense
     # path alike, so the forbidden lines 02 and 13 read 0 there and every
     # line matches the grid whose middle point is an exact zero
-    from dscqed import rabi
-
     grid = np.linspace(-0.785, 0.785, 201)
     exact = np.where(np.arange(201) == 100, 0.0, grid)
     assert 0.0 < grid[100] <= np.spacing(0.785)
@@ -175,8 +173,28 @@ def _lines(grid, eigensystems):
 
 
 def _dense(delta, grid, omega, g, t):
-    es = _eigenpairs(delta, grid, omega, g, t, K)
-    return [EigenSystem(v, x) for v, x in zip(es.values, es.vectors)]
+    """The kernel at one bias a call, which never builds a reduced basis,
+    keeping K + 1 levels so that ``_lines`` sees the level above the lines."""
+    systems = [_eigenpairs(delta, np.array([eps]), omega, g, t, K + 1) for eps in grid]
+    return [EigenSystem(es.values[0], es.vectors[0]) for es in systems]
+
+
+def _reduced(delta, grid, omega, g, t):
+    """The kernel's eigensystem at each bias of ``grid``, zero-snapped as the
+    sweep solves it, and whether the reduced basis certified each one (all
+    False when no basis was built): ``rabi._ritz_pairs``' own verdicts."""
+    certified = []
+    ritz = rabi._ritz_pairs
+
+    def recorded(*args):
+        out = ritz(*args)
+        certified.extend(out[2].tolist())
+        return out
+
+    with mock.patch.object(rabi, "_ritz_pairs", recorded):
+        es = _eigenpairs(delta, _zero_snapped(grid), omega, g, t, K)
+    systems = [EigenSystem(v, x) for v, x in zip(es.values, es.vectors)]
+    return systems, certified or [False] * len(grid)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -191,7 +209,7 @@ def _dense(delta, grid, omega, g, t):
 def test_reduced_sweep_matches_the_dense_path(delta, omega, ratio, n_max, half, steps):
     g, t = ratio * omega, FockTruncation(n_max)
     grid = np.linspace(-half, half, steps)
-    reduced = list(_sweep_eigensystems(delta, grid, omega, g, t, K))
+    reduced, certified = _reduced(delta, grid, omega, g, t)
     got, ref = _lines(grid, reduced), _lines(grid, _dense(delta, grid, omega, g, t))
     for key in got.keys() ^ ref.keys():  # only lines at the band edges may fall either way
         f = (got.get(key) or ref[key])[0]
@@ -200,13 +218,13 @@ def test_reduced_sweep_matches_the_dense_path(delta, omega, ratio, n_max, half, 
         assert abs(got[key][0] - ref[key][0]) <= 1e-9
         if ref[key][2]:
             assert abs(got[key][1] - ref[key][1]) <= 1e-9
-    # each certified Ritz value (a bias whose system holds K values) lies
-    # within its Kato-Temple bound r^2 / gap of eigvalsh's eigenvalue, give
-    # or take the rounding of the two eigensolves
+    # each certified Ritz value lies within its Kato-Temple bound r^2 / gap
+    # of eigvalsh's eigenvalue, give or take the rounding of the two
+    # eigensolves
     h = _hamiltonians(delta, grid, omega, g, t)
     exact = np.linalg.eigvalsh(h)
     for b, es in enumerate(reduced):
-        if es.values.size != K:
+        if not certified[b]:
             continue
         resid = np.linalg.norm(h[b] @ es.vectors - es.vectors * es.values, axis=0)
         others = np.where(np.eye(K, t.dim), np.inf, np.abs(exact[b] - es.values[:, None]))
@@ -246,12 +264,10 @@ def test_singular_or_non_finite_pivot_fails_the_count():
 def test_one_node_basis_falls_back_where_it_misses(monkeypatch):
     # a basis from one snapshot (bias ~0) certifies only the biases next to
     # it; every other bias falls back to the dense path, and the lines are
-    # the dense path's; the snapshot's own call keeps K + 1 vectors, a
-    # fallback's K
-    from dscqed import rabi
-
+    # the dense path's; the snapshots' dense stack keeps K + 1 vectors, the
+    # fallbacks' K
     fallbacks = []
-    dense = rabi._eigenpairs
+    dense = rabi._dense
 
     def recorded(delta, biases, omega1, g1, t, k):
         if k == K:
@@ -259,10 +275,10 @@ def test_one_node_basis_falls_back_where_it_misses(monkeypatch):
         return dense(delta, biases, omega1, g1, t, k)
 
     monkeypatch.setattr(rabi, "_SNAPSHOTS", 1)
-    monkeypatch.setattr(rabi, "_eigenpairs", recorded)
+    monkeypatch.setattr(rabi, "_dense", recorded)
     t, grid = FockTruncation(64), np.linspace(-1e-4, 1e-4, 21)
-    reduced = list(_sweep_eigensystems(0.15, grid, 1.5, 5.0, t, K))
-    certified = [eps for eps, es in zip(grid.tolist(), reduced) if es.values.size == K]
+    reduced, verdicts = _reduced(0.15, grid, 1.5, 5.0, t)
+    certified = [eps for eps, ok in zip(grid.tolist(), verdicts) if ok]
     assert certified and all(abs(eps) < 5e-5 for eps in certified)
     assert sorted(fallbacks + certified) == grid.tolist()
     got, ref = _lines(grid, reduced), _lines(grid, _dense(0.15, grid, 1.5, 5.0, t))
@@ -277,8 +293,6 @@ def test_basis_without_the_lowest_levels_fails_the_inertia_count(monkeypatch):
     # gives exact eigenpairs of the levels above it: every residual passes,
     # and only the count of the levels below sigma refuses them; each
     # snapshot keeps K + 1 vectors, as many as the certificate reads
-    from dscqed import rabi
-
     def without_lowest_pair(h, k):
         if k != K + 1:
             return eigensystem(h, k)
@@ -287,8 +301,8 @@ def test_basis_without_the_lowest_levels_fails_the_inertia_count(monkeypatch):
 
     monkeypatch.setattr(rabi, "eigensystem", without_lowest_pair)
     t, grid = FockTruncation(64), np.linspace(-1.0, 1.0, 21)
-    reduced = list(_sweep_eigensystems(0.15, grid, 1.5, 0.0, t, K))
-    assert all(es.values.size == t.dim for es in reduced)  # every bias fell back
+    reduced, certified = _reduced(0.15, grid, 1.5, 0.0, t)
+    assert len(certified) == len(grid) and not any(certified)  # every bias fell back
     assert _lines(grid, reduced).keys() == _lines(grid, _dense(0.15, grid, 1.5, 0.0, t)).keys()
 
 
@@ -297,8 +311,6 @@ def test_reduced_chunks_give_the_one_chunk_result(chunk, monkeypatch):
     # memory is bounded by chunks of nonzero biases; a chunk may hold only
     # the zero bias (one of 41 with chunks of 1, none of 6 with chunks of 7),
     # and chunking changes no bit of the result
-    from dscqed import rabi
-
     t, grid = FockTruncation(64), np.linspace(-1.0, 1.0, 41)
     stacks = {1: 40, 7: 6}[chunk]  # the chunks holding a nonzero bias
     reduced = []
@@ -309,25 +321,23 @@ def test_reduced_chunks_give_the_one_chunk_result(chunk, monkeypatch):
         return eigensystem(h, k)
 
     monkeypatch.setattr(rabi, "eigensystem", counted)
-    whole = list(_sweep_eigensystems(0.15, grid, 1.5, 5.0, t, K))
+    whole = _reduced(0.15, grid, 1.5, 5.0, t)[0]
     (width,) = {shape[-1] for shape in reduced}
     assert reduced == [(40, width, width)]
     reduced.clear()
     monkeypatch.setattr(rabi, "_STACK_BYTES", chunk * 8 * t.dim * width)
-    for a, b in zip(whole, _sweep_eigensystems(0.15, grid, 1.5, 5.0, t, K), strict=True):
+    for a, b in zip(whole, _reduced(0.15, grid, 1.5, 5.0, t)[0], strict=True):
         assert np.array_equal(a.values, b.values) and np.array_equal(a.vectors, b.vectors)
     assert len(reduced) == stacks and {shape[0] for shape in reduced} <= {chunk, chunk - 1}
 
 
 def test_snapshots_are_chunked_like_every_stack(monkeypatch):
-    # the reduced basis's 5 snapshots are one _eigenpairs call, so
-    # _STACK_BYTES bounds them too: two matrices of dim 130 a chunk solve
-    # them in 3 eigensystem calls keeping K + 1 vectors, and chunking
-    # changes no bit of the result
-    from dscqed import rabi
-
+    # the reduced basis's 5 snapshots are one dense stack, so _STACK_BYTES
+    # bounds them too: two matrices of dim 130 a chunk solve them in 3
+    # eigensystem calls keeping K + 1 vectors, and chunking changes no bit
+    # of the result
     t, grid = FockTruncation(64), np.linspace(-1.0, 1.0, 41)
-    whole = list(_sweep_eigensystems(0.15, grid, 1.5, 5.0, t, K))
+    whole = _reduced(0.15, grid, 1.5, 5.0, t)[0]
     snapshots = []
 
     def counted(h, k):
@@ -337,7 +347,7 @@ def test_snapshots_are_chunked_like_every_stack(monkeypatch):
 
     monkeypatch.setattr(rabi, "eigensystem", counted)
     monkeypatch.setattr(rabi, "_STACK_BYTES", 2 * 8 * t.dim**2)
-    for a, b in zip(whole, _sweep_eigensystems(0.15, grid, 1.5, 5.0, t, K), strict=True):
+    for a, b in zip(whole, _reduced(0.15, grid, 1.5, 5.0, t)[0], strict=True):
         assert np.array_equal(a.values, b.values) and np.array_equal(a.vectors, b.vectors)
     assert snapshots == [(2, t.dim, t.dim), (2, t.dim, t.dim), (1, t.dim, t.dim)]
 
@@ -349,11 +359,12 @@ def test_snapshots_are_chunked_like_every_stack(monkeypatch):
 ])
 def test_small_truncations_and_grids_stay_per_bias(n_max, grid, monkeypatch):
     # dim 34 and 66 (the bundled sweep and its probes) and a grid of 5
-    # nonzero biases never build a reduced basis: one eigensystem per bias
-    from dscqed import rabi
-
+    # nonzero biases never build a reduced basis: the sweep makes one
+    # eigensystem call per bias, at the truncation given
     calls = []
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: pytest.fail("reduced basis built"))
     monkeypatch.setattr(rabi, "eigensystem", lambda h, k: calls.append(h.shape) or eigensystem(h, k))
-    assert len(list(_sweep_eigensystems(0.15, grid, 1.5, 5.0, FockTruncation(n_max), K))) == len(grid)
+    monkeypatch.setattr(spectrum, "_grid_truncation", lambda *a: FockTruncation(n_max))
+    cfg = SweepConfig(epsilon_grid=tuple(grid), freq_window=(0.0, 1e3))
+    assert len({line.epsilon for line in sweep(0.15, 1.5, 5.0, cfg)}) == len(grid)
     assert calls == [(1, 2 * n_max + 2, 2 * n_max + 2)] * len(grid)

@@ -3,7 +3,7 @@
 ``config`` and ``fitting`` build these records, and ``rabi`` and
 ``spectrum`` read them; defined here, they cost a command that computes in
 plain floats no import of numpy or of the Rabi layer.  ``rabi.QrmParams``
-and ``spectrum.SweepConfig`` are these classes.
+is this module's class; ``dscqed`` exports both.
 """
 
 from __future__ import annotations
@@ -36,9 +36,11 @@ class QrmParams(Record):
 
 
 class SweepConfig(Record):
-    """Bias grid, probe band, number of levels, and the amplitude floor
-    below which a line counts as forbidden.  The defaults are also class
-    attributes, which the config's field table and the fit read."""
+    """Bias grid, probe band, number of levels, and the amplitude floor at
+    or below which the fit's unlabeled match counts a line as forbidden;
+    ``spectrum.sweep`` emits every line in the band whatever its amplitude.
+    The defaults are also class attributes, which the config's field table
+    and the fit read."""
 
     k_levels = 6
     amplitude_floor = 1e-6

@@ -30,11 +30,13 @@ their own line's levels (the label's line, or the line the unlabeled match
 picked at the centre point) over those rows' biases, one values-only
 eigensolve per point.
 
-The Fock truncation is sized as the sweep sizes it, at zero bias and at the
-data's largest |bias|, first at the start point; the descent is repeated
-from its optimum while the optimum needs a larger one.  The reported
-residuals are the descent's own at the optimum, so they come from a
-truncation no smaller than the one that converges there.
+The Fock truncation is sized as the sweep sizes it (``rabi._grid_truncation``):
+the lowest k_levels levels settle to _TRUNCATION_TOL at zero bias and at the
+data's largest |bias|, first at the start point.  ``fit`` repeats the descent
+from its optimum while the optimum needs a larger one, _MAX_ITER bounding
+the iterations of all descents together.  The reported residuals are the
+last descent's own at the optimum, so they come from a truncation no
+smaller than the one that converges there.
 """
 
 from __future__ import annotations
@@ -215,42 +217,35 @@ def _parse_label(label: str, k_levels: int):
 
 
 class _Layout(Record):
-    """The rows of peak data as the evaluation reads them, with their labels
-    parsed; built once per fit.
+    """The rows of ``data`` as the evaluation reads them, built once per fit;
+    a malformed label is refused by row.
 
     Row m is the transition (``i[m]``, ``j[m]``) at bias +-``biases[at[m]]``,
-    ``biases`` being the data's distinct |bias| in ascending order.  An
-    unlabeled row has i = j = -1 and takes the drive-allowed line nearest its
-    measured frequency.
+    ``biases`` being the data's distinct |bias| in ascending order.  The
+    ``unlabeled`` rows have i = j = -1 and take the drive-allowed line
+    nearest their measured frequency.
     """
 
-    def __init__(
-        self, at: np.ndarray, biases: np.ndarray, i: np.ndarray, j: np.ndarray, k_levels: int
-    ) -> None:
-        self.__dict__.update(at=at, biases=biases, i=i, j=j, k_levels=k_levels)
+    def __init__(self, data: PeakData, k_levels: int) -> None:
+        self.__dict__.update(data=data, k_levels=k_levels)
+        pairs = []
+        for m, label in enumerate(data.label):
+            try:
+                pairs.append((-1, -1) if label is None else _parse_label(label, k_levels))
+            except ValueError as exc:
+                raise _refusal(data.source, m, str(exc)) from None
+        biases, at = np.unique(np.abs(_zero_snapped(data.epsilon)), return_inverse=True)
+        i, j = np.array(pairs, dtype=int).T
+        self.__dict__.update(at=at, biases=biases, i=i, j=j, unlabeled=np.nonzero(j < 0)[0])
 
 
-def _layout(data: PeakData, k_levels: int) -> _Layout:
-    """Lay ``data`` out for evaluation; a malformed label is refused by row."""
-    pairs = []
-    for m, label in enumerate(data.label):
-        try:
-            pairs.append((-1, -1) if label is None else _parse_label(label, k_levels))
-        except ValueError as exc:
-            raise _refusal(data.source, m, str(exc)) from None
-    biases, at = np.unique(np.abs(_zero_snapped(data.epsilon)), return_inverse=True)
-    i, j = np.array(pairs, dtype=int).T
-    return _Layout(at, biases, i, j, k_levels)
-
-
-def _predicted(params, data: PeakData, layout: _Layout, t, floor: float):
-    """Model frequencies for every row of ``data`` at truncation ``t`` and
+def _predicted(params, layout: _Layout, t, floor: float):
+    """Model frequencies for every row of ``layout`` at truncation ``t`` and
     their (rows, 3) gradient matrix.  All rows come from one kernel call
     over the distinct |bias|.  An unlabeled row gives the drive-allowed line
     nearest its measured frequency (the lowest (i, j) on ties) and the
     gradient of that line."""
-    at, i, j = layout.at, layout.i.copy(), layout.j.copy()
-    unlabeled = np.nonzero(j < 0)[0]
+    at, i, j, unlabeled = layout.at, layout.i.copy(), layout.j.copy(), layout.unlabeled
     k = layout.k_levels if unlabeled.size else j.max() + 1
     es = _eigenpairs(params[0], layout.biases, params[1], params[2], t, min(k + 1, t.dim))
     values, vectors = es.values, es.vectors
@@ -261,12 +256,12 @@ def _predicted(params, data: PeakData, layout: _Layout, t, floor: float):
         allowed = ~(np.abs(_drive(v[lower], v[upper])) <= floor)
         if not allowed.any():
             raise _refusal(
-                data.source, rows[0],
+                layout.data.source, rows[0],
                 f"no drive-allowed transition within k_levels ({layout.k_levels}) "
                 f"above the amplitude floor {floor}",
             )
         li, lj = lower[allowed], upper[allowed]
-        best = np.abs(values[b, lj] - values[b, li] - data.frequency[rows, None]).argmin(axis=1)
+        best = np.abs(values[b, lj] - values[b, li] - layout.data.frequency[rows, None]).argmin(axis=1)
         i[rows], j[rows] = li[best], lj[best]
     freqs = values[at, j] - values[at, i]
     level_grad = _level_gradients(vectors[..., : j.max() + 1])
@@ -374,41 +369,6 @@ def _levenberg_marquardt(residuals, x0, lo, hi, max_iter: int):
     return x, r, jac, max_iter, "max_iter", trace
 
 
-def _descend(data, weight, layout, x0, bounds, floor):
-    """Levenberg-Marquardt on the residuals weighted by ``weight`` at the
-    truncation that converges at ``x0``, repeated from the optimum while the
-    optimum needs a larger one.  A truncation converges at x when the lowest
-    k_levels levels settle to _TRUNCATION_TOL both at zero bias and at the
-    data's largest |bias|, as in ``spectrum.sweep``.  _MAX_ITER bounds the
-    iterations of all passes together.
-
-    Returns (x, weighted residuals, weighted jacobian, iterations, reason),
-    all from the last pass, whose truncation is no smaller than the one that
-    converges at x.
-    """
-    lo, hi = (np.array(b) for b in zip(*bounds))
-    root_w = np.sqrt(weight)
-
-    def converged_at(x):
-        return _grid_truncation(*x, data.epsilon, layout.k_levels, _TRUNCATION_TOL)
-
-    def residuals(x):
-        pred, jac = _predicted(tuple(x), data, layout, t, floor)
-        return root_w * (pred - data.frequency), root_w[:, None] * jac
-
-    x, t, iterations = np.array(x0, dtype=float), converged_at(x0), 0
-    while True:
-        with np.errstate(over="ignore"):  # an overflowing cost is refused as not finite
-            x, r, jac, it, reason, _ = _levenberg_marquardt(
-                residuals, x, lo, hi, _MAX_ITER - iterations
-            )
-        iterations += it
-        needed = converged_at(x)
-        if needed.n_max <= t.n_max:
-            return x, r, jac, iterations, reason
-        t = needed
-
-
 def _standard_errors(jac, chi2, dof):
     """sqrt(diag((J^T W J)^-1) * chi2 / dof) for a weighted Jacobian."""
     if dof <= 0:
@@ -429,10 +389,12 @@ def fit(
 ) -> FitResult:
     """Weighted least squares over the peak data.
 
-    Runs the bounded Levenberg-Marquardt descent from ``initial`` (see the
-    module docstring for the Jacobian and the truncation).  When _MAX_ITER
-    iterations run out, the best point so far is returned with
-    ``converged=False``.
+    Runs the bounded Levenberg-Marquardt descent from ``initial`` at the
+    truncation that converges there, and again from its optimum while the
+    optimum needs a larger one (see the module docstring for the Jacobian
+    and the truncation).  The statistics come from the last descent.  When
+    _MAX_ITER iterations of all descents together run out, the best point
+    so far is returned with ``converged=False``.
     """
     initial = tuple(float(v) for v in initial)
     bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
@@ -445,7 +407,7 @@ def fit(
         QrmParams(bounds[0][0], 0.0, bounds[1][0], bounds[2][0])
     except ValueError as exc:
         raise ValueError(f"lower bounds outside the model domain: {exc}") from None
-    layout = _layout(data, k_levels)  # fails loudly here, not inside the descent
+    layout = _Layout(data, k_levels)  # fails loudly here, not inside the descent
     if len(layout.biases) == 1:  # the spectrum is even in the bias
         raise _refusal(data.source, None, "degenerate data: all bias values are equal in magnitude")
     # the optimum, rms and stderr do not depend on the weights' scale, and
@@ -453,9 +415,24 @@ def fit(
     # a weight more than 1e308 times below the largest from rounding to 0,
     # so that its row's residual can still be unweighted
     weight = np.maximum(data.weight / data.weight.max(), np.finfo(float).tiny)
-    best, r, jac, iterations, reason = _descend(
-        data, weight, layout, initial, bounds, amplitude_floor
-    )
+    root_w = np.sqrt(weight)
+    lo, hi = (np.array(b) for b in zip(*bounds))
+
+    def residuals(x):
+        pred, jac = _predicted(tuple(x), layout, t, amplitude_floor)
+        return root_w * (pred - data.frequency), root_w[:, None] * jac
+
+    best, t, iterations = initial, None, 0
+    while True:
+        needed = _grid_truncation(*best, data.epsilon, k_levels, _TRUNCATION_TOL)
+        if t is not None and needed.n_max <= t.n_max:
+            break
+        t = needed
+        with np.errstate(over="ignore"):  # an overflowing cost is refused as not finite
+            best, r, jac, it, reason, _ = _levenberg_marquardt(
+                residuals, best, lo, hi, _MAX_ITER - iterations
+            )
+        iterations += it
     chi2 = float(r @ r)
     rms = float(np.sqrt(chi2 / np.sum(weight)))
     return FitResult(
@@ -463,7 +440,7 @@ def fit(
         omega1=float(best[1]),
         g1=float(best[2]),
         residual_rms=rms,
-        per_point_residuals=r / np.sqrt(weight),
+        per_point_residuals=r / root_w,
         iterations=iterations,
         stderr=_standard_errors(jac, chi2, len(data) - 3),
         reason=reason,

@@ -12,7 +12,6 @@ and the fit matches unlabeled peaks to them.
 from __future__ import annotations
 
 from ._lazy import np
-from ._params import SweepConfig
 from ._record import Record
 from .rabi import EigenSystem, _candidate_lines, _eigenpairs, _grid_truncation, _reduces
 from .rabi import _zero_snapped, drive_matrix_element

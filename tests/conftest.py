@@ -9,7 +9,7 @@ from dscqed import (
 )
 from dscqed.errors import ConfigError, ConvergenceError
 from dscqed.resonator import zero_point_current
-from dscqed.fitting import _layout, _predicted
+from dscqed.fitting import _Layout, _predicted
 from dscqed.output import LINE_FIELDS, table
 
 PAPER_TRIPLE = (0.147, 2.57, 2.39)
@@ -87,7 +87,7 @@ def nearest_line(lines, measured):
 def predicted(params, data, n_max, jacobian=False):
     """The fit's model frequencies (and Jacobian) for every row of ``data``
     at k_levels 6 and amplitude floor 1e-6."""
-    pred, jac = _predicted(params, data, _layout(data, 6), FockTruncation(n_max), 1e-6)
+    pred, jac = _predicted(params, _Layout(data, 6), FockTruncation(n_max), 1e-6)
     return (pred, jac) if jacobian else pred
 
 

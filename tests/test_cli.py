@@ -537,6 +537,26 @@ def test_fit_with_no_line_above_the_floor_names_the_row_and_floor(tmp_path, capf
     )
 
 
+def test_fit_floor_refusal_names_the_first_row_whose_bias_fails(tmp_path, capfd):
+    # the bundled peaks with every label blanked at floor 0.9: data row 55,
+    # file line 56, is the first in row order whose |bias| has no line
+    # above the floor
+    lines = Path(synthetic_peaks_path()).read_text().splitlines()
+    for n in range(1, len(lines)):
+        cells = lines[n].split(",")
+        cells[2] = ""
+        lines[n] = ",".join(cells)
+    data = tmp_path / "peaks.csv"
+    data.write_text("\n".join(lines) + "\n")
+    config = _config_variant(tmp_path, lambda t: t["sweep"].update(amplitude_floor=0.9))
+    assert main(["fit", "--data", str(data), "--config", config]) == 1
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {data}:56: no drive-allowed transition within k_levels (6) above the amplitude floor 0.9\n"
+    )
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--epsilon-max", "-1e-3"), ("--epsilon-min", "-1e-3"), ("--epsilon-min", "-2.5E-1"),
 ])

@@ -24,7 +24,7 @@ from dscqed import (
 )
 from dscqed import fitting, rabi
 from dscqed.cli import main
-from dscqed.fitting import _layout, _levenberg_marquardt
+from dscqed.fitting import _Layout, _levenberg_marquardt
 
 from conftest import (
     PAPER_TRIPLE,
@@ -416,7 +416,7 @@ def test_stacked_kernel_matches_dense_eigh_at_both_signs():
     labels = ("01", "02", "03", "12", "13", "05")
     biases = (-0.9, -0.4, -0.05, 0.0, 0.05, 0.4, 0.9, 2.5)
     data = _labeled(biases, labels)
-    layout = _layout(data, 6)
+    layout = _Layout(data, 6)
     assert layout.biases.tolist() == [0.0, 0.05, 0.4, 0.9, 2.5] and np.all(layout.j >= 0)
     params = (0.3, 2.2, 1.9)
     freqs, jac = predicted(params, data, 40, jacobian=True)
@@ -444,10 +444,10 @@ def test_mixed_labeled_and_unlabeled_biases_match_dense_oracle(monkeypatch):
     data = PeakData(
         np.array([r[0] for r in rows]), np.array(measured), tuple(r[1] for r in rows), np.ones(len(rows))
     )
-    layout = _layout(data, 6)
+    layout = _Layout(data, 6)
     assert layout.biases.tolist() == [0.0, 0.3, 0.6]
     assert layout.at.tolist() == [2, 2, 2, 1, 0, 1, 1, 0, 2]
-    assert np.nonzero(layout.j < 0)[0].tolist() == [5, 6, 7, 8]
+    assert layout.unlabeled.tolist() == np.nonzero(layout.j < 0)[0].tolist() == [5, 6, 7, 8]
     solves = []
     original = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda h: solves.append(h.shape) or original(h))
@@ -528,6 +528,18 @@ def test_no_line_above_the_floor_names_the_first_unlabeled_row():
         fit(data, initial=(0.15, 2.6, 2.4), bounds=BOUNDS, amplitude_floor=10.0)
 
 
+def test_a_mixed_floor_refusal_names_the_first_failing_row():
+    # the bundled peaks unlabeled at floor 0.9: rows 1-54 each find a line
+    # above the floor at their |bias|, and row 55 (eps -0.05625) is the
+    # first row, in row order, whose |bias| has none
+    bundled = read_peaks_csv(synthetic_peaks_path())
+    data = PeakData(bundled.epsilon, bundled.frequency, (None,) * len(bundled), bundled.weight)
+    assert data.epsilon[54] == -0.05625
+    message = r"^row 55: no drive-allowed transition within k_levels \(6\) above the amplitude floor 0.9$"
+    with pytest.raises(ValueError, match=message):
+        fit(data, initial=(0.15, 2.6, 2.4), bounds=BOUNDS, amplitude_floor=0.9)
+
+
 @pytest.mark.parametrize("unlabeled", [False, True])
 def test_near_degenerate_rows_take_central_differences(monkeypatch, unlabeled):
     # at g1 / omega1 = 5 and zero bias the levels pair up within 1e-20 GHz:
@@ -601,14 +613,14 @@ def test_one_bias_per_chunk_gives_identical_results(monkeypatch):
     # the byte budget only chunks the stack: a budget below one matrix
     # diagonalizes bias by bias and changes no bit
     data = synthetic_peaks(PAPER_TRIPLE, noise_sigma=0.002, seed=3, n_branch=9)
-    layout = _layout(data, 6)
+    layout = _Layout(data, 6)
     solves = []
     original = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda h: solves.append(h.shape) or original(h))
 
     def run():
         solves.clear()
-        pred, jac = fitting._predicted(PAPER_TRIPLE, data, layout, FockTruncation(40), 1e-6)
+        pred, jac = fitting._predicted(PAPER_TRIPLE, layout, FockTruncation(40), 1e-6)
         res = fit(data, initial=(0.16, 2.4, 2.6), bounds=BOUNDS)
         return pred, jac, res, list(solves)
 
@@ -647,15 +659,15 @@ def test_deep_fit_evaluation_agrees_with_the_dense_path(monkeypatch):
     # GHz per GHz, the residual certificate's relative bound (they read
     # 3e-13 apart)
     data = _deep_labeled_peaks()
-    layout, t = _layout(data, 6), FockTruncation(64)
+    layout, t = _Layout(data, 6), FockTruncation(64)
     assert len(data) == 82 and layout.j.max() == 3
     bases = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: bases.append(1) or svd(*a, **k))
-    reduced = fitting._predicted((0.16, 1.55, 4.9), data, layout, t, 1e-6)
+    reduced = fitting._predicted((0.16, 1.55, 4.9), layout, t, 1e-6)
     assert bases == [1]
     monkeypatch.setattr(rabi, "_SNAPSHOTS", 10**6)
-    dense = fitting._predicted((0.16, 1.55, 4.9), data, layout, t, 1e-6)
+    dense = fitting._predicted((0.16, 1.55, 4.9), layout, t, 1e-6)
     assert bases == [1]
     assert np.max(np.abs(reduced[0] - dense[0])) <= 1e-8
     assert np.max(np.abs(reduced[1] - dense[1])) <= 1e-9
@@ -685,7 +697,7 @@ def test_a_top_level_degenerate_with_the_level_above_is_differenced(monkeypatch)
     monkeypatch.setattr(
         fitting, "_central_differences", lambda *a: differenced.append(original(*a)) or differenced[-1]
     )
-    freqs, jac = fitting._predicted(params, data, _layout(data, 6), t, 1e-6)
+    freqs, jac = fitting._predicted(params, _Layout(data, 6), t, 1e-6)
     at = [1, 0, 0, 1, 1]  # each row's |bias|: 1.5, 0.5, 0.5, 1.5, 1.5
     np.testing.assert_allclose(freqs, levels[at, 1] - levels[at, 0])
     (rows,) = differenced

@@ -20,7 +20,7 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from dscqed import SweepConfig, load_config, paper_device_path, sweep  # noqa: E402
+from dscqed import load_config, paper_device_path, sweep  # noqa: E402
 from dscqed.output import csv_text, write_atomic  # noqa: E402
 
 NOISE_SEED = 17
@@ -35,7 +35,7 @@ OUT = pathlib.Path(__file__).resolve().parents[1] / "src" / "dscqed" / "data" / 
 def main():
     run = load_config(paper_device_path())
     grid = tuple(sorted(set(BRANCH_GRID) | set(QUAD_BIAS)))
-    cfg = SweepConfig(epsilon_grid=grid, freq_window=(2.0, 8.0), k_levels=6)
+    cfg = run.sweep._replace(epsilon_grid=grid)  # the bundled band and level count
     lines = sweep(run.qrm.delta_prime, run.qrm.omega1, run.qrm.g1, cfg)
 
     clean = []

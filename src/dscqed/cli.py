@@ -125,18 +125,18 @@ def _emit(args, run, render, text=None) -> int:
     is none.  A command with a human-readable ``text`` prints it to stdout
     when it writes a file, and in place of ``render`` when no ``--format``
     was given."""
-    target = run.output.out
+    target = run.out
     if target:
-        output.write_atomic(target, render(run.output.format))
+        output.write_atomic(target, render(run.format))
     if text is not None and (target or args.format is None):
         sys.stdout.write(text)
     elif not target:
-        sys.stdout.write(render(run.output.format))
+        sys.stdout.write(render(run.format))
     return 0
 
 
 def _cmd_modes(args, run) -> int:
-    table = resonator.mode_table(run.resonator, run.lamb.n_modes, run.qrm.g1, run.qrm.omega1)
+    table = resonator.mode_table(run.resonator, run.n_modes, run.qrm.g1, run.qrm.omega1)
     return _emit(args, run, partial(output.table, output.MODE_FIELDS, table.rows()))
 
 
@@ -146,7 +146,7 @@ def _cmd_couplings(args, *runs) -> int:
         raise ConfigError(f"{source}: qrm.g1_ghz: couplings needs g1 > 0, got {runs[0].qrm.g1}")
     rows = []
     for run in runs:
-        table = resonator.mode_table(run.resonator, run.lamb.n_modes, run.qrm.g1, run.qrm.omega1)
+        table = resonator.mode_table(run.resonator, run.n_modes, run.qrm.g1, run.qrm.omega1)
         for n, omega, _kx, _izpf, g in table.rows():
             rows.append((run.resonator.l_c * 1e12, n, omega, g / run.qrm.g1, g))
     return _emit(args, runs[0], partial(output.table, output.COUPLING_FIELDS, rows))
@@ -154,7 +154,7 @@ def _cmd_couplings(args, *runs) -> int:
 
 def _cmd_lamb(args, run) -> int:
     report = lamb.LambShiftReport(
-        run.qrm.g1, run.qrm.omega1, run.lamb.n_cutoff, run.lamb.delta_measured, run.lamb.n_modes
+        run.qrm.g1, run.qrm.omega1, run.n_cutoff, run.delta_measured, run.n_modes
     )
     return _emit(
         args, run,
@@ -172,8 +172,8 @@ def _cmd_spectrum(args, run) -> int:
 def _cmd_fit(args, run) -> int:
     result = fitting.fit(
         fitting.read_peaks_csv(args.data),
-        initial=run.fit.initial,
-        bounds=run.fit.bounds,
+        initial=run.initial,
+        bounds=run.bounds,
         k_levels=run.sweep.k_levels,
         amplitude_floor=run.sweep.amplitude_floor,
     )
@@ -203,7 +203,7 @@ def _reference_checks(run):
     """The six published numbers with their tolerances."""
     q = run.qrm
     delta = lamb.single_mode_renorm(q.delta_prime, q.g1, q.omega1)
-    report = lamb.LambShiftReport(q.g1, q.omega1, run.lamb.n_cutoff, run.lamb.delta_measured)
+    report = lamb.LambShiftReport(q.g1, q.omega1, run.n_cutoff, run.delta_measured)
     return [
         ("renormalized gap (GHz)", delta, 0.026, 0.001),
         ("fundamental-mode shift (%)", 100 * report.fundamental_shift, 82.3, 0.3),

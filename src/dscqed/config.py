@@ -30,45 +30,28 @@ from .resonator import N_MODES_CEILING, ResonatorModel
 yaml = _lazy_import("yaml")  # executed only for a config outside _plain_tree's subset
 
 
-class LambSettings(Record):
-    n_cutoff = 13.2  # omega_cutoff / omega_1 of the published device
-    delta_measured = 0.026  # GHz, the published renormalized gap
-    n_modes = DEFAULT_N_MODES
-
-    def __init__(
-        self,
-        n_cutoff: float = n_cutoff,
-        delta_measured: float = delta_measured,
-        n_modes: int = n_modes,
-    ) -> None:
-        self.__dict__.update(n_cutoff=n_cutoff, delta_measured=delta_measured, n_modes=n_modes)
-
-
-class FitSettings(Record):
-    """The fit's start (delta_prime, omega1, g1) and its three (lo, hi)
-    bounds, GHz."""
-
-    def __init__(self, initial: tuple, bounds: tuple) -> None:
-        self.__dict__.update(initial=initial, bounds=bounds)
-
-
-class OutputSettings(Record):
-    def __init__(self, format: str, out: str | None) -> None:
-        self.__dict__.update(format=format, out=out)
-
-
 class RunConfig(Record):
+    """The library's three records and the values the commands read: the
+    lamb section's three, the fit's start (delta_prime, omega1, g1) and its
+    three (lo, hi) bounds in GHz, and the output format and target file."""
+
     def __init__(
         self,
         resonator: ResonatorModel,
         qrm: QrmParams,
         sweep: SweepConfig,
-        lamb: LambSettings,
-        fit: FitSettings,
-        output: OutputSettings,
+        n_cutoff: float,
+        delta_measured: float,
+        n_modes: int,
+        initial: tuple,
+        bounds: tuple,
+        format: str,
+        out: str | None,
     ) -> None:
         self.__dict__.update(
-            resonator=resonator, qrm=qrm, sweep=sweep, lamb=lamb, fit=fit, output=output
+            resonator=resonator, qrm=qrm, sweep=sweep, n_cutoff=n_cutoff,
+            delta_measured=delta_measured, n_modes=n_modes, initial=initial, bounds=bounds,
+            format=format, out=out,
         )
 
 
@@ -119,9 +102,10 @@ FIELDS = (
     Field("sweep.k_levels", int, SweepConfig.k_levels, "[2, 1000]"),
     Field("sweep.amplitude_floor", float, SweepConfig.amplitude_floor, NON_NEGATIVE),
     Field("sweep.truncation_tol_ghz", float, SweepConfig.truncation_tol, "(0, 1e6]", "--tolerance"),
-    Field("lamb.n_cutoff", float, LambSettings.n_cutoff, f"[{N_CUTOFF_MIN}, 1e6]", "--n-cutoff"),
-    Field("lamb.delta_measured_ghz", float, LambSettings.delta_measured, POSITIVE, "--delta-ghz"),
-    Field("lamb.n_modes", int, LambSettings.n_modes, f"[1, {N_MODES_CEILING}]", "--n-modes"),
+    # omega_cutoff / omega_1 and the renormalized gap (GHz) of the published device
+    Field("lamb.n_cutoff", float, 13.2, f"[{N_CUTOFF_MIN}, 1e6]", "--n-cutoff"),
+    Field("lamb.delta_measured_ghz", float, 0.026, POSITIVE, "--delta-ghz"),
+    Field("lamb.n_modes", int, DEFAULT_N_MODES, f"[1, {N_MODES_CEILING}]", "--n-modes"),
     *(Field(f"fit.initial.{k}", float, f"qrm.{k}", GHZ) for k in PARAMS),
     *(Field(f"fit.bounds.{k}", tuple, b, DOMAIN[k]) for k, b in zip(PARAMS, DEFAULT_BOUNDS)),
     Field("output.format", str, "csv", ("csv", "json"), "--format"),
@@ -332,12 +316,13 @@ def validate(tree: dict, source, overrides=None) -> RunConfig:
             amplitude_floor=v["sweep.amplitude_floor"],
             truncation_tol=v["sweep.truncation_tol_ghz"],
         ),
-        lamb=LambSettings(v["lamb.n_cutoff"], v["lamb.delta_measured_ghz"], v["lamb.n_modes"]),
-        fit=FitSettings(
-            initial=tuple(v[f"fit.initial.{k}"] for k in PARAMS),
-            bounds=tuple(v[f"fit.bounds.{k}"] for k in PARAMS),
-        ),
-        output=OutputSettings(v["output.format"], v["output.out"]),
+        n_cutoff=v["lamb.n_cutoff"],
+        delta_measured=v["lamb.delta_measured_ghz"],
+        n_modes=v["lamb.n_modes"],
+        initial=tuple(v[f"fit.initial.{k}"] for k in PARAMS),
+        bounds=tuple(v[f"fit.bounds.{k}"] for k in PARAMS),
+        format=v["output.format"],
+        out=v["output.out"],
     )
 
 

@@ -286,7 +286,10 @@ def _ritz_pairs(delta_prime, biases, omega1, g1, t, snapshots):
     against H within 1e-9 * max|Ritz value|, and exactly k eigenvalues of H
     below the mean of the kth and (k+1)th Ritz values (``_count_below``)."""
     k = snapshots.shape[-1] - 1
-    u, sv, _ = np.linalg.svd(np.hstack(snapshots), full_matrices=False)
+    try:
+        u, sv, _ = np.linalg.svd(np.hstack(snapshots), full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"reduced-basis SVD failed: {exc}") from exc
     q = u[:, sv > _BASIS_CUT * sv[0]]
     h0, s = _hamiltonians(delta_prime, 0.0, omega1, g1, t), _photons_and_spin(t.dim)[1]
     a0, sz = q.T @ h0 @ q, (q.T * s) @ q

@@ -666,14 +666,21 @@ def test_explicit_zero_is_validated_not_replaced(argv, field, capsys):
     assert field in {f.flag: f.path for f in FIELDS}[argv[1]]
 
 
-def test_eigensolver_failure_exits_2(monkeypatch, capsys):
+@pytest.mark.parametrize("solver, qrm, argv", [
+    ("eigvalsh", {}, []),
+    # the deep device reaches the reduced basis, whose SVD is the one LAPACK
+    # call outside the eigensolvers that the sweep makes
+    ("svd", {"delta_prime_ghz": 0.15, "omega1_ghz": 1.5, "g1_ghz": 5.0}, ["--epsilon-steps", "21"]),
+], ids=["bundled-eigvalsh", "deep-svd"])
+def test_eigensolver_failure_exits_2(solver, qrm, argv, tmp_path, monkeypatch, capsys):
     import numpy as np
 
     def broken(*args, **kwargs):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        raise np.linalg.LinAlgError(f"{solver} did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", broken)
-    assert main(["spectrum"]) == 2
+    path = _config_variant(tmp_path, lambda t: t["qrm"].update(qrm))
+    monkeypatch.setattr(np.linalg, solver, broken)
+    assert main(["spectrum", "--config", path, *argv]) == 2
     assert "numerical failure:" in capsys.readouterr().err
 
 

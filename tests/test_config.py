@@ -40,7 +40,7 @@ def test_bundled_published_constants(bundled):
     assert m.z0 == 50.0
     q = bundled.qrm
     assert (q.delta_prime, q.omega1, q.g1) == (0.147, 2.57, 2.39)
-    assert bundled.lamb.n_cutoff == 13.2
+    assert bundled.n_cutoff == 13.2
 
 
 def test_sweep_section_materializes_grid(bundled):
@@ -470,7 +470,7 @@ def test_null_optional_key_means_absent(tmp_path, bundled):
 def test_out_key_is_not_checked_at_load(tmp_path):
     # write_atomic refuses an unwritable target by name when the run writes it
     path = _write_variant(tmp_path, lambda t: t["output"].update(out="/nonexistent/x.csv"))
-    assert load_config(path).output.out == "/nonexistent/x.csv"
+    assert load_config(path).out == "/nonexistent/x.csv"
 
 
 def test_refusals_name_the_file_and_the_path(tmp_path):
@@ -517,7 +517,7 @@ def test_bound_entry_must_be_a_number(tmp_path):
 
 def test_omitted_settings_take_library_defaults(tmp_path):
     from dscqed import SweepConfig
-    from dscqed.config import DEFAULT_BOUNDS, LambSettings
+    from dscqed.config import DEFAULT_BOUNDS
     from dscqed.lamb import DEFAULT_N_MODES
 
     def mutate(tree):
@@ -527,8 +527,8 @@ def test_omitted_settings_take_library_defaults(tmp_path):
             del tree["sweep"][key]
 
     cfg = load_config(_write_variant(tmp_path, mutate))
-    assert cfg.fit.bounds == DEFAULT_BOUNDS
-    assert cfg.lamb == LambSettings() == LambSettings(13.2, 0.026, DEFAULT_N_MODES)
+    assert cfg.bounds == DEFAULT_BOUNDS
+    assert (cfg.n_cutoff, cfg.delta_measured, cfg.n_modes) == (13.2, 0.026, DEFAULT_N_MODES)
     assert cfg.sweep.k_levels == SweepConfig.k_levels
     assert cfg.sweep.amplitude_floor == SweepConfig.amplitude_floor
     assert cfg.sweep.truncation_tol == SweepConfig.truncation_tol

@@ -242,6 +242,20 @@ def test_initial_outside_bounds_rejected():
         fit(data, initial=(0.15, 6.0, 2.4), bounds=BOUNDS)
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_fit_refuses_other_than_three_parameters(n):
+    data = PeakData.from_rows([(eps, 2.3, "03") for eps in (0.0, 0.2, 0.4)])
+    with pytest.raises(ValueError, match=r"^expected 3 parameters \(delta_prime, omega1, g1\)$"):
+        fit(data, initial=(0.15, 2.6, 2.4, 1.0)[:n], bounds=(*BOUNDS, (0.0, 2.0))[:n])
+
+
+def test_rank_deficient_jacobian_gives_infinite_stderr():
+    # a parameter no row depends on (a zero column) leaves J^T J singular:
+    # no finite error bar is reported for any parameter
+    jac = np.array([[1.0, 2.0, 0.0], [0.5, -1.0, 0.0], [2.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
+    assert fitting._standard_errors(jac, chi2=1.0, dof=1) == (math.inf,) * 3
+
+
 def test_bounds_outside_model_domain_rejected():
     data = synthetic_peaks(PAPER_TRIPLE)
     with pytest.raises(ValueError, match="model domain"):

@@ -310,7 +310,7 @@ def test_idealized_and_solved_mode_sums_split_in_three_steps():
     assert round(mode_sum(w, lc2), 6) == 2.006402
     device = float(np.sum((np.asarray(table.g_ghz) / w) ** 2)) / (g1 / omega1) ** 2
     assert round(device, 6) == 1.975634
-    assert round(cutoff_sum(run.lamb.n_cutoff), 6) == 1.924810
+    assert round(cutoff_sum(run.n_cutoff), 6) == 1.924810
     assert round(table.g_ghz[0] / g1, 6) == 1.005998
 
 

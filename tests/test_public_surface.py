@@ -49,8 +49,9 @@ PUBLIC = (
     "zero_point_current",
 )
 
-# Second entry points into code the CLI reaches another way, and the
-# defaults that served only them, by module.
+# Second entry points into code the CLI reaches another way, the defaults
+# that served only them, and records whose values RunConfig now holds
+# itself, by module.
 REMOVED = (
     ("fitting", "model_frequency"),
     ("fitting", "profile_objective"),
@@ -67,6 +68,9 @@ REMOVED = (
     ("resonator", "coupling_strengths"),
     ("fitting", "_layout"),
     ("fitting", "_descend"),
+    ("config", "LambSettings"),
+    ("config", "FitSettings"),
+    ("config", "OutputSettings"),
 )
 
 
@@ -144,16 +148,11 @@ RECORDS = (
     ("lamb", "LambShiftReport",
      "(g1: 'float', omega1: 'float', n_cutoff: 'float', delta: 'float', n_modes: 'int' = 30)",
      (2.39, 2.57, 13.2, 0.026, 5)),
-    ("config", "LambSettings",
-     "(n_cutoff: 'float' = 13.2, delta_measured: 'float' = 0.026, n_modes: 'int' = 30)",
-     (10.0, 0.03, 5)),
-    ("config", "FitSettings", "(initial: 'tuple', bounds: 'tuple')",
-     ((0.1, 2.6, 2.4), ((0.0, 1.0),) * 3)),
-    ("config", "OutputSettings", "(format: 'str', out: 'str | None')", ("json", None)),
     ("config", "RunConfig",
      "(resonator: 'ResonatorModel', qrm: 'QrmParams', sweep: 'SweepConfig', "
-     "lamb: 'LambSettings', fit: 'FitSettings', output: 'OutputSettings')",
-     ("r", "q", "s", "l", "f", "o")),
+     "n_cutoff: 'float', delta_measured: 'float', n_modes: 'int', initial: 'tuple', "
+     "bounds: 'tuple', format: 'str', out: 'str | None')",
+     ("r", "q", "s", 13.2, 0.026, 30, (0.15, 2.6, 2.4), ((0.01, 1.0),) * 3, "csv", None)),
     ("config", "Field",
      "(path: 'str', kind: 'type', default: 'object', domain: 'object' = None, "
      "flag: 'str | None' = None)",
@@ -231,6 +230,38 @@ def test_only_rabi_names_the_numpy_eigensolvers():
             if name in solvers:
                 named.add(path.name)
     assert named == {"rabi.py"}
+
+
+def test_every_lapack_call_is_converted():
+    # numpy's LinAlgError is a ValueError, which the CLI reports as bad
+    # input (exit 1): each np.linalg call but norm sits in the body of a try
+    # that catches it, to convert it or to handle it
+    calls = []  # (module, function, line, guarded)
+
+    def catches(handler):
+        types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        return any(t is not None and ast.unparse(t) == "np.linalg.LinAlgError" for t in types)
+
+    def visit(node, module, guarded):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            guarded = False  # a body runs where it is called, not where it is defined
+        if isinstance(node, ast.Try):
+            inner = guarded or any(map(catches, node.handlers))
+            for child in node.body:
+                visit(child, module, inner)
+            for child in (*node.handlers, *node.orelse, *node.finalbody):
+                visit(child, module, guarded)
+            return
+        func = node.func if isinstance(node, ast.Call) else None
+        if isinstance(func, ast.Attribute) and ast.unparse(func.value) == "np.linalg":
+            calls.append((module, func.attr, node.lineno, guarded))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, guarded)
+
+    for path in sorted((Path(dscqed.__file__).parent).glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, False)
+    assert {name for _, name, _, _ in calls} >= {"eigh", "eigvalsh", "svd", "lstsq", "inv"}
+    assert [c for c in calls if c[1] != "norm" and not c[3]] == []
 
 
 def test_only_the_kernel_calls_eigensystem():

@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 _HOME = {
     name: module
     for module, names in {
-        "_params": ("QrmParams", "SweepConfig"),
+        "_record": ("QrmParams", "SweepConfig"),
         "config": ("RunConfig", "load_config", "paper_device_path", "synthetic_peaks_path"),
         "errors": ("ConfigError", "ConvergenceError"),
         "fitting": ("FitResult", "PeakData", "fit", "read_peaks_csv"),

@@ -1,7 +1,8 @@
 """Modules imported on their first attribute access rather than at import time.
 
 ``lamb-shift``, ``reproduce-paper``, ``modes`` and ``couplings`` compute in
-plain floats, so a fresh process running them never pays numpy's import;
+plain floats, so a fresh process running them never pays numpy's import
+(nor ``importlib.resources``'s: ``config`` finds the bundled files by path);
 ``spectrum`` and ``fit`` load it at their first array operation.  ``cli``
 binds ``rabi`` and ``spectrum`` the same way, so only ``spectrum`` and
 ``fit`` execute them, and ``fitting``, so only ``fit`` executes it; ``config``

@@ -17,12 +17,10 @@ import operator
 import os
 import re
 import reprlib
-from importlib import resources
 from pathlib import Path
 
 from ._lazy import _lazy_import
-from ._params import QrmParams, SweepConfig
-from ._record import Record
+from ._record import QrmParams, Record, SweepConfig
 from .errors import ConfigError, io_error
 from .lamb import DEFAULT_N_MODES, N_CUTOFF_MIN
 from .resonator import N_MODES_CEILING, ResonatorModel
@@ -125,12 +123,12 @@ _SECTIONS = {p.rsplit(".", n)[0] for p in _PATHS for n in range(1, p.count(".") 
 
 def paper_device_path() -> Path:
     """Path of the bundled device configuration (the published constants)."""
-    return Path(str(resources.files("dscqed").joinpath("data/paper_device.yaml")))
+    return Path(__file__).parent / "data" / "paper_device.yaml"
 
 
 def synthetic_peaks_path() -> Path:
     """Path of the bundled synthetic peak dataset (see scripts/make_synthetic_peaks.py)."""
-    return Path(str(resources.files("dscqed").joinpath("data/synthetic_peaks.csv")))
+    return Path(__file__).parent / "data" / "synthetic_peaks.csv"
 
 
 def load_config(path) -> RunConfig:

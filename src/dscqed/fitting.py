@@ -45,8 +45,7 @@ import csv
 import math
 
 from ._lazy import np
-from ._params import QrmParams, SweepConfig
-from ._record import Record
+from ._record import QrmParams, Record, SweepConfig
 from .errors import ConfigError, ConvergenceError, io_error
 from .rabi import (
     _candidate_lines, _drive, _eigenpairs, _grid_truncation, _level_gradients, _zero_snapped,
@@ -171,7 +170,7 @@ def read_peaks_csv(path) -> PeakData:
     """Load peaks from CSV with header epsilon_ghz,frequency_ghz[,label][,weight];
     ``PeakData`` and ``fit`` check the rows that the file holds."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             records = list(csv.reader(fh))
     except (OSError, UnicodeDecodeError) as exc:
         raise io_error(path, exc) from None

@@ -43,7 +43,7 @@ eigenstate: its parity is the sign of <v| sigma_x (-1)^n |v>, +-1 to 1e-8,
 and forbidden lines (same parity) stay forbidden.  On a wide truncation the
 kernel solves many nonzero biases in a certified reduced basis instead.
 
-``QrmParams`` is defined in ``_params`` and read here, so ``config`` builds
+``QrmParams`` is defined in ``_record`` and read here, so ``config`` builds
 it without executing this module or importing numpy.
 """
 
@@ -53,8 +53,7 @@ import functools
 import math
 
 from ._lazy import np
-from ._params import QrmParams
-from ._record import Record
+from ._record import QrmParams, Record
 from .errors import ConvergenceError
 
 N_MAX_CEILING = 4096

@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import site
 import stat
 import subprocess
 import sys
@@ -106,6 +107,25 @@ def test_scalar_commands_run_without_numpy(tmp_path):
         "0 True True False False",
         "0 False False",
     ], proc.stderr
+
+
+def test_scalar_commands_load_no_resource_machinery():
+    # config finds the bundled data beside its own source: without site's
+    # start-up imports (-S), a scalar command loads neither
+    # importlib.resources nor typing; numpy and PyYAML stay findable
+    script = (
+        "import contextlib, io, sys\n"
+        "from dscqed.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['lamb-shift']), main(['reproduce-paper']), main(['modes'])]\n"
+        "print(codes, 'importlib.resources' in sys.modules, 'typing' in sys.modules)\n"
+    )
+    path = [str(Path(dscqed.__file__).parents[1]), *site.getsitepackages()]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.stdout.splitlines() == ["[0, 0, 0] False False"], proc.stderr
 
 
 def test_fit_does_not_execute_spectrum():
@@ -928,6 +948,16 @@ def test_file_errors_exit_1_naming_the_path(argv, named, tmpdir, tmp_path, monke
     assert captured.err.startswith("error: ")
     assert named.format(tmp=tmp_path) in captured.err
     assert captured.err.count("\n") == 1
+
+
+def test_byte_order_marked_peaks_fit_as_unmarked(tmp_path, capsys):
+    # a UTF-8 byte-order mark before the header is read as no text
+    marked = tmp_path / "peaks.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + synthetic_peaks_path().read_bytes())
+    assert main(["fit", "--data", str(synthetic_peaks_path()), "--format", "json"]) == 0
+    plain = capsys.readouterr()
+    assert main(["fit", "--data", str(marked), "--format", "json"]) == 0
+    assert capsys.readouterr() == plain
 
 
 def test_out_writes_through_a_symlink(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import inspect
 import os
 import re
@@ -84,6 +85,11 @@ def test_public_surface_is_pinned():
     for module, name in REMOVED:
         assert not hasattr(dscqed, name), name
         assert not hasattr(importlib.import_module(f"dscqed.{module}"), name), name
+    # the input records of the Rabi layer live in _record, the base's module
+    assert importlib.util.find_spec("dscqed._params") is None
+    record, rabi = (importlib.import_module(f"dscqed.{m}") for m in ("_record", "rabi"))
+    assert dscqed.QrmParams is rabi.QrmParams is record.QrmParams
+    assert dscqed.SweepConfig is record.SweepConfig
 
 
 def test_import_runs_no_submodule():
@@ -132,7 +138,7 @@ RECORDS = (
     ("rabi", "FockTruncation", "(n_max: 'int')", (8,)),
     ("rabi", "EigenSystem", "(values: 'np.ndarray', vectors: 'np.ndarray')",
      ((0.0, 1.0), ((1.0, 0.0), (0.0, 1.0)))),
-    ("_params", "SweepConfig",
+    ("_record", "SweepConfig",
      "(epsilon_grid: 'tuple', freq_window: 'tuple', k_levels: 'int' = 6, "
      "amplitude_floor: 'float' = 1e-06, truncation_tol: 'float' = 1e-06)",
      ((0.0, 0.5), (2.0, 8.0), 4, 1e-5, 1e-7)),

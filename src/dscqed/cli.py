@@ -8,6 +8,7 @@ failure (non-convergence or a reference-value mismatch).
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import re
 import sys
 import warnings
@@ -15,12 +16,36 @@ from functools import partial
 
 from . import config as cfg_mod
 from . import lamb, output, resonator
-from ._lazy import _lazy_import
 from .errors import ConfigError, ConvergenceError
 
-# Registered in sys.modules, not executed: `spectrum` and `fit` execute rabi
-# and spectrum, `fit` alone fitting.  rabi is bound, not read, so that every
-# layer that bench/tracer.py wraps is in sys.modules once cli is imported.
+
+def _lazy_import(name):
+    """The submodule ``name`` of this package, registered in sys.modules and
+    bound on the package but executed at its first attribute access: the
+    ``importlib.util.LazyLoader`` recipe of the Python documentation
+    ("Implementing lazy imports").  When it is already imported, the result
+    is that module itself."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:  # as `import name` would report it
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    loader.exec_module(module)
+    package, _, child = name.rpartition(".")
+    setattr(sys.modules[package], child, module)
+    return module
+
+
+# Registered in sys.modules, not executed: `spectrum` executes rabi and
+# spectrum, `fit` rabi and fitting, and rabi imports numpy, so the scalar
+# commands need the standard library alone.  rabi is bound, not read, so that
+# every layer that bench/tracer.py wraps is in sys.modules once cli is
+# imported.  The lazy load is not thread-safe before Python 3.12; the CLI
+# runs in one thread.
 rabi = _lazy_import("dscqed.rabi")
 spectrum = _lazy_import("dscqed.spectrum")
 fitting = _lazy_import("dscqed.fitting")

@@ -19,13 +19,10 @@ import re
 import reprlib
 from pathlib import Path
 
-from ._lazy import _lazy_import
 from ._record import QrmParams, Record, SweepConfig
 from .errors import ConfigError, io_error
 from .lamb import DEFAULT_N_MODES, N_CUTOFF_MIN
 from .resonator import N_MODES_CEILING, ResonatorModel
-
-yaml = _lazy_import("yaml")  # executed only for a config outside _plain_tree's subset
 
 
 class RunConfig(Record):
@@ -202,6 +199,7 @@ def _plain_scalar(token: str):
 def _loader():
     """PyYAML's SafeLoader, refusing a collection nested deeper than
     _MAX_DEPTH before it composes it."""
+    import yaml
 
     class Loader(yaml.SafeLoader):
         depth = 0
@@ -223,6 +221,29 @@ def _loader():
     return Loader
 
 
+def _yaml_tree(path: str, fh):
+    """The tree PyYAML reads from ``fh``, the open file at ``path``, whose
+    text lies outside _plain_tree's subset; its errors carry ``path:line``."""
+    import yaml
+
+    fh.seek(0)
+    try:
+        return yaml.load(fh, Loader=_loader())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise io_error(path, exc) from None
+    except yaml.reader.ReaderError as exc:  # a character YAML does not allow: a position, no mark
+        fh.seek(0)
+        head = fh.read(exc.position)
+        line = 1 + sum(head.count(brk) for brk in "\n\x85\u2028\u2029")  # YAML's line breaks
+        raise ConfigError(f"{path}:{line}: {str(exc).splitlines()[0]}") from None
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        line = mark.line + 1 if mark is not None else "?"
+        raise ConfigError(f"{path}:{line}: {getattr(exc, 'problem', exc)}") from None
+    except ValueError as exc:  # an integer literal too long to convert
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def read_tree(path) -> dict:
     """The YAML tree of the config file at ``path``; parse errors carry
     ``path:line``."""
@@ -236,21 +257,9 @@ def read_tree(path) -> dict:
             except UnicodeDecodeError:  # left to PyYAML: it reports this or an error before it
                 tree = None
             if tree is None:
-                fh.seek(0)
-                tree = yaml.load(fh, Loader=_loader())
-    except (OSError, UnicodeDecodeError) as exc:
+                tree = _yaml_tree(path, fh)
+    except OSError as exc:
         raise io_error(path, exc) from None
-    except yaml.reader.ReaderError as exc:  # a character YAML does not allow: a position, no mark
-        with open(path, encoding="utf-8") as fh:
-            head = fh.read(exc.position)
-        line = 1 + sum(head.count(brk) for brk in "\n\x85\u2028\u2029")  # YAML's line breaks
-        raise ConfigError(f"{path}:{line}: {str(exc).splitlines()[0]}") from None
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        line = mark.line + 1 if mark is not None else "?"
-        raise ConfigError(f"{path}:{line}: {getattr(exc, 'problem', exc)}") from None
-    except ValueError as exc:  # an integer literal too long to convert
-        raise ConfigError(f"{path}: {exc}") from None
     if tree is None:
         raise ConfigError(f"{path}:1: empty config")
     if not isinstance(tree, dict):

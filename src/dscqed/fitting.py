@@ -44,7 +44,8 @@ from __future__ import annotations
 import csv
 import math
 
-from ._lazy import np
+import numpy as np
+
 from ._record import QrmParams, Record, SweepConfig
 from .errors import ConfigError, ConvergenceError, io_error
 from .rabi import (

@@ -52,7 +52,8 @@ from __future__ import annotations
 import functools
 import math
 
-from ._lazy import np
+import numpy as np
+
 from ._record import QrmParams, Record
 from .errors import ConvergenceError
 

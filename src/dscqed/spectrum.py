@@ -11,7 +11,8 @@ and the fit matches unlabeled peaks to them.
 
 from __future__ import annotations
 
-from ._lazy import np
+import numpy as np
+
 from ._record import Record
 from .rabi import EigenSystem, _candidate_lines, _eigenpairs, _grid_truncation, _reduces
 from .rabi import _zero_snapped, drive_matrix_element

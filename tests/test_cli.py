@@ -1,7 +1,6 @@
 import ast
 import json
 import os
-import site
 import stat
 import subprocess
 import sys
@@ -54,14 +53,14 @@ def test_scalar_commands_run_without_numpy(tmp_path):
     # lamb-shift, reproduce-paper, modes and couplings compute in plain
     # floats, and a refused config stops before any array, as does a report
     # that double precision cannot represent (exit 2): a fresh process
-    # running them never imports numpy, which spectrum's first array
-    # operation then does, nor executes `rabi` and `spectrum`, which spectrum
-    # and fit do, nor `fitting`, which only fit does (a module not yet
-    # executed is still of LazyLoader's module type); the value records are
-    # plain classes, so no command loads `dataclasses`, and the scalar ones
-    # do not load `inspect`, which it imports; the bundled config is in the
-    # plain subset, so PyYAML is executed first by a config outside it (a
-    # quoted value), which reads the same
+    # running them never imports numpy, nor executes `rabi` and `spectrum`,
+    # which spectrum does, and with rabi numpy, nor `fitting`, which only
+    # fit does (a module not yet executed is still of LazyLoader's module
+    # type); the value records are plain classes, so no command loads
+    # `dataclasses`, and the scalar ones do not load `inspect`, which it
+    # imports; the bundled config is in the plain subset, so PyYAML is
+    # imported first by a config outside it (a quoted value), which reads
+    # the same
     bad = _config_variant(tmp_path, lambda t: t["qrm"].update(omega1_ghz="fast"))
     deep = _config_variant(tmp_path, lambda t: t["qrm"].update(g1_ghz=60.0), "deep.yaml")
     quoted = tmp_path / "quoted.yaml"
@@ -85,8 +84,8 @@ def test_scalar_commands_run_without_numpy(tmp_path):
         "codes = [run('lamb-shift'), run('lamb-shift', '--format', 'json'), run('reproduce-paper'),\n"
         "         run('modes', '--format', 'json'), run('couplings', '--l-c-ph', '100,231,400')]\n"
         "bundled = output('modes')\n"
-        "print(lazy('yaml'))\n"
-        f"print(output('modes', '--config', {str(quoted)!r}) == bundled, lazy('yaml'))\n"
+        "print('yaml' in sys.modules)\n"
+        f"print(output('modes', '--config', {str(quoted)!r}) == bundled, 'yaml' in sys.modules)\n"
         f"codes += [bundled[0], run('lamb-shift', '--config', {bad!r}), run('lamb-shift', '--config', {deep!r})]\n"
         "print(codes, 'numpy._core' in sys.modules, lazy(), lazy('dscqed.rabi'), lazy('dscqed.spectrum'),\n"
         "      'dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
@@ -101,31 +100,54 @@ def test_scalar_commands_run_without_numpy(tmp_path):
     )
     assert proc.stdout.splitlines() == [
         "False",
-        "True",
-        "True False",
+        "False",
+        "True True",
         "[0, 0, 0, 0, 0, 0, 1, 2] False True True True False False",
         "0 True True False False",
         "0 False False",
     ], proc.stderr
 
 
-def test_scalar_commands_load_no_resource_machinery():
-    # config finds the bundled data beside its own source: without site's
-    # start-up imports (-S), a scalar command loads neither
-    # importlib.resources nor typing; numpy and PyYAML stay findable
+_SCALAR_RUNS = (
+    ["lamb-shift"],
+    ["reproduce-paper", "--format", "json"],
+    ["modes", "--n-modes", "5"],
+    ["couplings", "--l-c-ph", "100,231,400", "--n-modes", "3"],
+    ["modes", "--n-modes", "0"],
+)
+
+
+def test_scalar_commands_load_no_resource_machinery(capsys):
+    # the scalar commands need the standard library alone: with only the
+    # package's source on the path and no site-packages (-S), numpy and
+    # PyYAML cannot be found, and each command prints what it prints with
+    # them; config finds the bundled data beside its own source, so neither
+    # importlib.resources nor typing loads either
     script = (
-        "import contextlib, io, sys\n"
+        "import contextlib, importlib.util, io, json, sys\n"
+        "print(importlib.util.find_spec('numpy'), importlib.util.find_spec('yaml'))\n"
         "from dscqed.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = [main(['lamb-shift']), main(['reproduce-paper']), main(['modes'])]\n"
-        "print(codes, 'importlib.resources' in sys.modules, 'typing' in sys.modules)\n"
+        "runs = []\n"
+        f"for argv in {_SCALAR_RUNS!r}:\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        runs.append([main(list(argv)), out.getvalue(), err.getvalue()])\n"
+        "print(json.dumps(runs))\n"
+        "print(sorted({'numpy', 'yaml', 'importlib.resources', 'typing'} & set(sys.modules)))\n"
     )
-    path = [str(Path(dscqed.__file__).parents[1]), *site.getsitepackages()]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    env = dict(os.environ, PYTHONPATH=str(Path(dscqed.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
-    assert proc.stdout.splitlines() == ["[0, 0, 0] False False"], proc.stderr
+    expected = []
+    for argv in _SCALAR_RUNS:
+        code = main(list(argv))
+        expected.append([code, *capsys.readouterr()])
+    assert [run[0] for run in expected] == [0, 0, 0, 0, 1]
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "None None" and len(lines) == 3, proc.stderr
+    assert json.loads(lines[1]) == expected
+    assert lines[2] == "[]"
 
 
 def test_fit_does_not_execute_spectrum():

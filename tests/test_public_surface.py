@@ -113,12 +113,36 @@ def test_import_runs_no_submodule():
 
 
 def test_lazy_import_of_a_missing_module_is_an_import_error():
-    # numpy and PyYAML are bound lazily; without one, importing dscqed
-    # fails as `import` itself would
-    from dscqed._lazy import _lazy_import
+    # the CLI binds its array layers lazily; a missing module fails as
+    # `import` itself would
+    from dscqed.cli import _lazy_import
 
     with pytest.raises(ModuleNotFoundError, match="No module named 'dscqed_no_such_module'"):
         _lazy_import("dscqed_no_such_module")
+
+
+def test_only_the_cli_binds_modules_lazily():
+    # rabi, spectrum and fitting import numpy outright: the CLI's bindings
+    # keep them, and with them numpy, off the scalar commands' path
+    script = (
+        "import importlib.util, sys\n"
+        "import dscqed.rabi, dscqed.spectrum, dscqed.fitting\n"
+        "np = sys.modules['numpy']\n"
+        "print(type(np) is importlib.util._LazyModule, callable(np.zeros))\n"
+        "print(all(m.np is np for m in (dscqed.rabi, dscqed.spectrum, dscqed.fitting)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(dscqed.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.stdout.splitlines() == ["False True", "True"], proc.stderr
+    named = {
+        path.name
+        for path in sorted(Path(dscqed.__file__).parent.glob("*.py"))
+        if "LazyLoader" in path.read_text(encoding="utf-8")
+    }
+    assert named == {"cli.py"}
+    assert importlib.util.find_spec("dscqed._lazy") is None
 
 
 def test_eigen_system_holds_values_and_vectors_only():
